@@ -1,7 +1,9 @@
 """Derivative plumbing for the monotonicity certifiers.
 
-A LogDerivProvider packages analytic derivatives of ln f for some positive
-function f.  certify_lcm sweeps such a provider over a grid and checks the
+An EvalContext computes each q-polygamma value, each ln Gamma_q value and
+the digamma zero for one (q, truncation) at most once.  A LogDerivProvider
+packages analytic derivatives of ln f for some positive function f.
+certify_lcm sweeps such a provider over a grid and checks the
 alternating-sign pattern that defines logarithmic complete monotonicity,
 reporting the first violation and the worst margin seen.  Central finite
 differences of the next-lower derivative give an independent check on each
@@ -19,16 +21,20 @@ import numpy as np
 from .core import (
     DEFAULT_TRUNCATION,
     DomainError,
+    EvalResult,
     QParam,
     Truncation,
     UnsupportedOrder,
+    ln_q_gamma,
     q_digamma,
     q_polygamma,
 )
+from .roots import ZeroResult, digamma_zero
 
 __all__ = [
     "N_MAX",
     "GRID_PULL",
+    "EvalContext",
     "LogDerivProvider",
     "CMReport",
     "make_grid",
@@ -54,6 +60,43 @@ _STENCILS: dict[int, dict[int, float]] = {
     3: {-2: -0.5, -1: 1.0, 1: -1.0, 2: 0.5},
     4: {-2: 1.0, -1: -4.0, 0: 6.0, 1: -4.0, 2: 1.0},
 }
+
+
+class EvalContext:
+    """Evaluator results for one (QParam, Truncation), each computed once.
+
+    psi(k, x) is the order-k q-polygamma with psi(0, x) the q-digamma, and
+    ln_gamma(x) is ln Gamma_q.  Each EvalResult is kept whole under its
+    exact (k, x) key, so a repeated point returns the identical result.
+    zero() solves for the digamma zero on first use.  Create one per
+    verification and drop it afterwards: it holds every value it computed.
+    """
+
+    def __init__(self, p: QParam, trunc: Truncation | None = None) -> None:
+        self.p = p
+        self.trunc = trunc or DEFAULT_TRUNCATION
+        self._results: dict[tuple[int, float], EvalResult] = {}
+        self._zero: ZeroResult | None = None
+
+    def psi(self, k: int, x: float) -> EvalResult:
+        r = self._results.get((k, x))
+        if r is None:
+            r = q_digamma(self.p, x, self.trunc) if k == 0 else q_polygamma(self.p, x, k, self.trunc)
+            self._results[k, x] = r
+        return r
+
+    def ln_gamma(self, x: float) -> EvalResult:
+        # ln Gamma_q is the antiderivative of psi^(0), so it is kept as order -1
+        r = self._results.get((-1, x))
+        if r is None:
+            r = ln_q_gamma(self.p, x, self.trunc)
+            self._results[-1, x] = r
+        return r
+
+    def zero(self) -> ZeroResult:
+        if self._zero is None:
+            self._zero = digamma_zero(self.p, trunc=self.trunc)
+        return self._zero
 
 
 @dataclass(frozen=True)
@@ -216,14 +259,12 @@ def certify_lcm(
 def ln_gamma_provider(p: QParam, trunc: Truncation | None = None) -> LogDerivProvider:
     """ln Gamma_q and its derivatives: d(1) is the q-digamma, d(n) for
     n >= 2 the order n-1 q-polygamma."""
-    t = trunc or DEFAULT_TRUNCATION
+    ctx = EvalContext(p, trunc)
 
     def d(n: int, x: float) -> float:
         if n < 1:
             raise UnsupportedOrder(f"derivative order must be >= 1, got {n}")
-        if n == 1:
-            return q_digamma(p, x, t).value
-        return q_polygamma(p, x, n - 1, t).value
+        return ctx.psi(n - 1, x).value
 
     return LogDerivProvider(d=d, lo=0.0, hi=math.inf, name=f"ln_q_gamma(q={p.q:g})")
 
@@ -243,17 +284,15 @@ def ratio_provider(
     """
     if not (0.0 < a < b):
         raise DomainError(f"need 0 < a < b, got a={a}, b={b}")
-    t = trunc or DEFAULT_TRUNCATION
-
-    def psi_k(k: int, y: float) -> float:
-        if k == 0:
-            return q_digamma(p, y, t).value
-        return q_polygamma(p, y, k, t).value
+    ctx = EvalContext(p, trunc)
 
     def d(n: int, x: float) -> float:
         if n < 1:
             raise UnsupportedOrder(f"derivative order must be >= 1, got {n}")
-        return alpha * a**n * psi_k(n - 1, a * x) - beta * b**n * psi_k(n - 1, b * x)
+        return (
+            alpha * a**n * ctx.psi(n - 1, a * x).value
+            - beta * b**n * ctx.psi(n - 1, b * x).value
+        )
 
     name = f"gamma_ratio(q={p.q:g}, a={a:g}, b={b:g}, alpha={alpha:g}, beta={beta:g})"
     return LogDerivProvider(d=d, lo=0.0, hi=math.inf, name=name)

@@ -79,7 +79,7 @@ def digamma_zero(
     if not (f_lo < 0.0 < f_hi):
         raise BracketError(f"no sign change found for q={p.q} in ({lo:.3e}, {hi:.3e})")
 
-    x = 0.5 * (lo + hi)
+    x, fx = 0.5 * (lo + hi), None
     for _ in range(bisect_steps):
         x = 0.5 * (lo + hi)
         fx = f(x)
@@ -92,8 +92,9 @@ def digamma_zero(
         else:
             hi = x
 
-    fx = f(x)
-    evals += 1
+    if fx is None:
+        fx = f(x)
+        evals += 1
     for _ in range(newton_steps):
         if abs(fx) <= tol:
             break

@@ -6,6 +6,8 @@ carrying the worst margin, the first counterexample if any, and notes on
 branch choices or excluded points.  Wherever a claim involves products or
 powers of gamma values the comparison happens in log space.  run_claim maps
 the stable claim-id strings onto these verifiers with sweep defaults.
+Every evaluator value goes through one EvalContext per verification, so a
+claim run solves for the digamma zero once and computes each value once.
 """
 
 from __future__ import annotations
@@ -16,19 +18,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    DEFAULT_TRUNCATION,
     DomainError,
     QParam,
     Regime,
     ResidualCheck,
     Truncation,
     _fp_allowance,
-    ln_q_gamma,
-    q_digamma,
-    q_polygamma,
 )
 from .deriv import (
     N_MAX,
+    EvalContext,
     LogDerivProvider,
     certify_lcm,
     ln_gamma_provider,
@@ -36,7 +35,7 @@ from .deriv import (
     make_grid,
     ratio_provider,
 )
-from .roots import digamma_zero, q_euler_mascheroni, q_harmonic
+from .roots import digamma_zero, q_euler_mascheroni, q_harmonic  # noqa: F401 (kept importable here)
 
 __all__ = [
     "BALANCE_TOL",
@@ -209,15 +208,13 @@ def _default_grid() -> np.ndarray:
     return make_grid(DEFAULT_X_MIN, DEFAULT_X_MAX, DEFAULT_POINTS, DEFAULT_SPACING)
 
 
-def _psi(p: QParam, k: int, x: float, t: Truncation) -> float:
-    """psi^(k) with psi^(0) the digamma itself."""
-    if k == 0:
-        return q_digamma(p, x, t).value
-    return q_polygamma(p, x, k, t).value
+def _half_base(p: QParam, trunc: Truncation | None) -> EvalContext:
+    """Context at base q^2, where the duplication identity lands."""
+    return EvalContext(QParam(p.q * p.q, allow_near_one=p.allow_near_one), trunc)
 
 
-def _log_psi(p: QParam, x: float, t: Truncation) -> float:
-    v = q_digamma(p, x, t).value
+def _log_psi(ctx: EvalContext, x: float) -> float:
+    v = ctx.psi(0, x).value
     if v <= 0.0:
         raise DomainError(f"psi_q({x}) = {v:.6g} is not positive; point left of the zero")
     return math.log(v)
@@ -271,10 +268,14 @@ def ratio_log_middle(
 ) -> float:
     """Log of the normalized ratio appearing in the two-sided bound:
     alpha [lnG(ax) - lnG(ax1)] - beta [lnG(bx) - lnG(bx1)]."""
-    t = trunc or DEFAULT_TRUNCATION
-    return spec.alpha * (
-        ln_q_gamma(p, spec.a * x, t).value - ln_q_gamma(p, spec.a * x1, t).value
-    ) - spec.beta * (ln_q_gamma(p, spec.b * x, t).value - ln_q_gamma(p, spec.b * x1, t).value)
+    return _ratio_log_middle(spec, EvalContext(p, trunc), x1, x)
+
+
+def _ratio_log_middle(spec: RatioSpec, ctx: EvalContext, x1: float, x: float) -> float:
+    lng = ctx.ln_gamma
+    return spec.alpha * (lng(spec.a * x).value - lng(spec.a * x1).value) - spec.beta * (
+        lng(spec.b * x).value - lng(spec.b * x1).value
+    )
 
 
 def verify_ineq_555(
@@ -296,18 +297,16 @@ def verify_ineq_555(
         raise DomainError("the two-sided bound needs alpha, beta >= 0")
     if not (isinstance(x1, (int, float)) and math.isfinite(x1) and x1 > 0.0):
         raise DomainError(f"x1 must be a positive real, got {x1!r}")
-    t = trunc or DEFAULT_TRUNCATION
+    ctx = EvalContext(p, trunc)
     if grid is None:
         grid = x1 + np.geomspace(1e-4, 10.0, DEFAULT_POINTS)
     xs = [float(v) for v in np.asarray(grid, dtype=np.float64).ravel()]
     if any(v <= x1 for v in xs):
         raise DomainError("every grid point must lie strictly right of x1")
-    slope = spec.alpha * spec.a * (
-        q_digamma(p, spec.a * x1, t).value - q_digamma(p, spec.b * x1, t).value
-    )
+    slope = spec.alpha * spec.a * (ctx.psi(0, spec.a * x1).value - ctx.psi(0, spec.b * x1).value)
     rows = []
     for x in xs:
-        mid = ratio_log_middle(spec, p, x1, x, t)
+        mid = _ratio_log_middle(spec, ctx, x1, x)
         lower = slope * (x - x1)
         rows.append(_row(None, x, mid, min(mid - lower, -mid)))
     params = {
@@ -328,11 +327,11 @@ def verify_ineq_666(
         raise DomainError("this bound is stated for 0 < q < 1")
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
         raise DomainError(f"n_max must be an int >= 1, got {n_max!r}")
-    t = trunc or DEFAULT_TRUNCATION
+    ctx = EvalContext(p, trunc)
     lnq = math.log(p.q)
     rows = []
     for n in range(1, n_max + 1):
-        mid = 2.0 * ln_q_gamma(p, float(n), t).value - ln_q_gamma(p, 2.0 * n, t).value
+        mid = 2.0 * ctx.ln_gamma(float(n)).value - ctx.ln_gamma(2.0 * n).value
         lower = 2.0 * p.q * (n - 1) * lnq / (1.0 - p.q)
         rows.append(_row(n, None, mid, min(mid - lower, -mid)))
     params = {"q": p.q, "n_max": n_max}
@@ -353,11 +352,10 @@ def psi_duplication_residual(
     """
     if p.regime is not Regime.SUB_UNIT:
         raise DomainError("the duplication identity is certified for 0 < q < 1")
-    t = trunc or DEFAULT_TRUNCATION
-    p2 = QParam(p.q * p.q, allow_near_one=p.allow_near_one)
-    lhs = q_digamma(p, 2.0 * x, t)
-    r1 = q_digamma(p2, x, t)
-    r2 = q_digamma(p2, x + 0.5, t)
+    half = _half_base(p, trunc)
+    lhs = EvalContext(p, trunc).psi(0, 2.0 * x)
+    r1 = half.psi(0, x)
+    r2 = half.psi(0, x + 0.5)
     c = math.log1p(p.q)
     residual = abs(lhs.value - c - 0.5 * r1.value - 0.5 * r2.value)
     budget = (
@@ -413,15 +411,14 @@ def ln_g_beta(p: QParam, beta: float, x: float, trunc: Truncation | None = None)
         raise DomainError("the corrected ratio square is stated for 0 < q < 1")
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
-    t = trunc or DEFAULT_TRUNCATION
-    p2 = QParam(p.q * p.q, allow_near_one=p.allow_near_one)
+    half = _half_base(p, trunc)
     e = math.exp(2.0 * x * math.log(p.q))
     frac = e / (1.0 - e)
     return (
         -math.log1p(p.q)
-        + 2.0 * (ln_q_gamma(p2, x + 0.5, t).value - ln_q_gamma(p2, x + 1.0, t).value)
+        + 2.0 * (half.ln_gamma(x + 0.5).value - half.ln_gamma(x + 1.0).value)
         + 0.5 * beta * (1.0 - p.q * p.q) * frac
-        + q_digamma(p, 2.0 * x, t).value
+        + EvalContext(p, trunc).psi(0, 2.0 * x).value
     )
 
 
@@ -440,27 +437,32 @@ def g_beta_log_deriv(
 
     with every psi taken at base q^2 and psi^(0) the digamma.
     """
+    return _g_beta_log_deriv(p, _half_base(p, trunc), beta, n, x)
+
+
+def _g_beta_log_deriv(p: QParam, half: EvalContext, beta: float, n: int, x: float) -> float:
     if p.regime is not Regime.SUB_UNIT:
         raise DomainError("the corrected ratio square is stated for 0 < q < 1")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"derivative order must be an int >= 1, got {n!r}")
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
-    t = trunc or DEFAULT_TRUNCATION
-    p2 = QParam(p.q * p.q, allow_near_one=p.allow_near_one)
+    psi = half.psi
     ln_q2 = 2.0 * math.log(p.q)
-    dfrac = -(_psi(p2, n, x + 1.0, t) - _psi(p2, n, x, t)) / ln_q2
+    dfrac = -(psi(n, x + 1.0).value - psi(n, x).value) / ln_q2
     return (
-        2.0 * (_psi(p2, n - 1, x + 0.5, t) - _psi(p2, n - 1, x + 1.0, t))
-        + 0.5 * _psi(p2, n, x, t)
-        + 0.5 * _psi(p2, n, x + 0.5, t)
+        2.0 * (psi(n - 1, x + 0.5).value - psi(n - 1, x + 1.0).value)
+        + 0.5 * psi(n, x).value
+        + 0.5 * psi(n, x + 0.5).value
         + 0.5 * beta * (1.0 - p.q * p.q) * dfrac
     )
 
 
 def g_beta_provider(p: QParam, beta: float, trunc: Truncation | None = None) -> LogDerivProvider:
+    half = _half_base(p, trunc)
+
     def d(n: int, x: float) -> float:
-        return g_beta_log_deriv(p, beta, n, x, trunc)
+        return _g_beta_log_deriv(p, half, beta, n, x)
 
     return LogDerivProvider(d=d, lo=0.0, hi=math.inf, name=f"g_beta(q={p.q:g}, beta={beta:g})")
 
@@ -545,15 +547,17 @@ def inv_digamma_provider(
     Derivatives of ln psi_q come from psi_q and its analytic derivatives
     through the log-derivative triangle; the sign flip gives 1/psi_q.
     """
-    t = trunc or DEFAULT_TRUNCATION
-    z = digamma_zero(p, trunc=t)
+    provider = _inv_digamma_provider(EvalContext(p, trunc))
+    return provider, provider.lo
 
+
+def _inv_digamma_provider(ctx: EvalContext) -> LogDerivProvider:
     def d(n: int, x: float) -> float:
-        values = [_psi(p, k, x, t) for k in range(0, n + 1)]
+        values = [ctx.psi(k, x).value for k in range(0, n + 1)]
         return -log_derivatives(values)[n - 1]
 
-    provider = LogDerivProvider(d=d, lo=z.x0, hi=math.inf, name=f"inv_digamma(q={p.q:g})")
-    return provider, z.x0
+    name = f"inv_digamma(q={ctx.p.q:g})"
+    return LogDerivProvider(d=d, lo=ctx.zero().x0, hi=math.inf, name=name)
 
 
 def verify_inv_digamma_lcm(
@@ -568,7 +572,14 @@ def verify_inv_digamma_lcm(
     The grid must clear x0 by ZERO_MARGIN; the default covers
     [x0 + 0.1, 20].
     """
-    provider, x0 = inv_digamma_provider(p, trunc)
+    return _verify_inv_digamma_lcm(EvalContext(p, trunc), grid, n_orders, tol)
+
+
+def _verify_inv_digamma_lcm(
+    ctx: EvalContext, grid: np.ndarray | None, n_orders: int, tol: float
+) -> VerifyReport:
+    provider = _inv_digamma_provider(ctx)
+    x0 = provider.lo
     if grid is None:
         grid = make_grid(x0 + 0.1, DEFAULT_X_MAX, DEFAULT_POINTS, DEFAULT_SPACING)
     xs = np.asarray(grid, dtype=np.float64).ravel()
@@ -579,7 +590,7 @@ def verify_inv_digamma_lcm(
     cm = certify_lcm(provider, xs, n_orders, tol)
     return _finish(
         "t34-inv-psi",
-        {"q": p.q, "x0": x0},
+        {"q": ctx.p.q, "x0": x0},
         _grid_summary(xs),
         _cm_rows(cm),
         tol,
@@ -600,18 +611,22 @@ def verify_ineq_1(
     Checked in log space at the single point (x, y); the mixed argument is
     a convex combination, so it stays right of the zero automatically.
     """
+    ctx = EvalContext(p, trunc)
+    rows = [_ineq_1_row(ctx, a, x, y)]
+    params = {"q": p.q, "a": a, "x": x, "y": y, "x0": ctx.zero().x0}
+    return _finish("c-ineq-1", params, {"points": 1}, rows, tol)
+
+
+def _ineq_1_row(ctx: EvalContext, a: float, x: float, y: float) -> dict:
     if not a > 1.0:
         raise DomainError(f"a must exceed 1, got {a}")
-    t = trunc or DEFAULT_TRUNCATION
-    z = digamma_zero(p, trunc=t)
+    x0 = ctx.zero().x0
     for name, v in (("x", x), ("y", y)):
-        if not v > z.x0:
-            raise DomainError(f"{name} = {v} is not right of the digamma zero {z.x0:.6g}")
+        if not v > x0:
+            raise DomainError(f"{name} = {v} is not right of the digamma zero {x0:.6g}")
     mix = x / a + (1.0 - 1.0 / a) * y
-    margin = _log_psi(p, mix, t) - (_log_psi(p, x, t) / a + (1.0 - 1.0 / a) * _log_psi(p, y, t))
-    rows = [_row(None, x, margin, margin, extra={"y": y})]
-    params = {"q": p.q, "a": a, "x": x, "y": y, "x0": z.x0}
-    return _finish("c-ineq-1", params, {"points": 1}, rows, tol)
+    margin = _log_psi(ctx, mix) - (_log_psi(ctx, x) / a + (1.0 - 1.0 / a) * _log_psi(ctx, y))
+    return _row(None, x, margin, margin, extra={"y": y})
 
 
 def verify_ineq_010(
@@ -626,21 +641,25 @@ def verify_ineq_010(
     All three psi arguments must sit right of the zero so the real powers
     exist; u and the derived argument a(u-1)+2 are both checked.
     """
+    ctx = EvalContext(p, trunc)
+    rows = [_ineq_010_row(ctx, a, u)]
+    params = {"q": p.q, "a": a, "u": u, "x0": ctx.zero().x0}
+    return _finish("c-ineq-010", params, {"points": 1}, rows, tol)
+
+
+def _ineq_010_row(ctx: EvalContext, a: float, u: float) -> dict:
     if not a > 1.0:
         raise DomainError(f"a must exceed 1, got {a}")
-    t = trunc or DEFAULT_TRUNCATION
-    z = digamma_zero(p, trunc=t)
+    x0 = ctx.zero().x0
     if not u > 1.0 - 2.0 / a:
         raise DomainError(f"u = {u} violates u > 1 - 2/a = {1.0 - 2.0 / a:.6g}")
     arg = a * (u - 1.0) + 2.0
-    if not (u + 1.0 > z.x0 and arg > z.x0):
+    if not (u + 1.0 > x0 and arg > x0):
         raise DomainError(
-            f"psi arguments u+1 = {u + 1.0:.6g}, a(u-1)+2 = {arg:.6g} must clear x0 = {z.x0:.6g}"
+            f"psi arguments u+1 = {u + 1.0:.6g}, a(u-1)+2 = {arg:.6g} must clear x0 = {x0:.6g}"
         )
-    margin = a * _log_psi(p, u + 1.0, t) - _log_psi(p, arg, t) - (a - 1.0) * _log_psi(p, 2.0, t)
-    rows = [_row(None, u, margin, margin)]
-    params = {"q": p.q, "a": a, "u": u, "x0": z.x0}
-    return _finish("c-ineq-010", params, {"points": 1}, rows, tol)
+    margin = a * _log_psi(ctx, u + 1.0) - _log_psi(ctx, arg) - (a - 1.0) * _log_psi(ctx, 2.0)
+    return _row(None, u, margin, margin)
 
 
 def verify_remark_ineq(
@@ -660,20 +679,20 @@ def verify_remark_ineq(
         raise DomainError("this bound is stated for 0 < q < 1")
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
         raise DomainError(f"n_max must be an int >= 1, got {n_max!r}")
-    t = trunc or DEFAULT_TRUNCATION
+    ctx = EvalContext(p, trunc)
     lnq = math.log(p.q)
-    gamma_q = q_euler_mascheroni(p, t)
-    psi2 = q_digamma(p, 2.0, t).value
+    gamma_q = q_euler_mascheroni(p, ctx.trunc)
+    psi2 = ctx.psi(0, 2.0).value
     notes: tuple[str, ...] = ()
     rows = []
     for n in range(1, n_max + 1):
         inner = lnq / (1.0 - p.q) * gamma_q - lnq * q_harmonic(p, n)
-        direct = q_digamma(p, float(n + 1), t)
+        direct = ctx.psi(0, float(n + 1))
         drift = abs(inner - direct.value)
         allowance = direct.err_bound + _fp_allowance(inner, direct.value)
         if drift > allowance and not notes:
             notes = (f"bracket identity drift {drift:.3e} at n={n} exceeds {allowance:.3e}",)
-        lhs = psi2 * psi2 * q_digamma(p, 2.0 * n, t).value
+        lhs = psi2 * psi2 * ctx.psi(0, 2.0 * n).value
         margin = inner * inner - lhs
         rows.append(_row(n, None, margin, margin))
     return _finish("remark-harmonic", {"q": p.q, "n_max": n_max}, {"n_max": n_max}, rows, tol, notes)
@@ -693,8 +712,8 @@ def verify_gamma_lcm_and_superadd(
     Pass grid_x with zero points to skip the pair part, or grid_lcm with
     zero points to skip the monotonicity part.
     """
-    t = trunc or DEFAULT_TRUNCATION
-    z = digamma_zero(p, trunc=t)
+    ctx = EvalContext(p, trunc)
+    z = ctx.zero()
     if grid_lcm is None:
         grid_lcm = make_grid(DEFAULT_X_MIN, z.x0 - ZERO_MARGIN, DEFAULT_POINTS, DEFAULT_SPACING)
     if grid_x is None:
@@ -708,21 +727,13 @@ def verify_gamma_lcm_and_superadd(
             raise DomainError(
                 f"monotonicity grid reaches {float(lcm_xs.max()):.6g}, not left of x0 = {z.x0:.6g}"
             )
-        cm = certify_lcm(ln_gamma_provider(p, t), lcm_xs, n_orders, tol)
+        cm = certify_lcm(ln_gamma_provider(p, trunc), lcm_xs, n_orders, tol)
         rows.extend(_cm_rows(cm))
         notes = notes + (f"monotonicity part: orders 1..{n_orders} on (0, x0), x0 = {z.x0!r}",)
     if pair_xs:
         if not all(0.0 < v < 1.0 for v in pair_xs):
             raise DomainError("pair grid must lie inside (0, 1)")
-        for x in pair_xs:
-            lx = ln_q_gamma(p, x + 1.0, t).value
-            for y in pair_xs:
-                margin = (
-                    ln_q_gamma(p, x + y + 2.0, t).value
-                    - lx
-                    - ln_q_gamma(p, y + 1.0, t).value
-                )
-                rows.append(_row(None, x, margin, margin, extra={"y": y}))
+        rows.extend(_superadd_row(ctx, x, y) for x in pair_xs for y in pair_xs)
         notes = notes + (f"superadditivity part: {len(pair_xs) ** 2} pairs in (0,1)^2",)
     params = {"q": p.q, "x0": z.x0}
     summary = {
@@ -730,6 +741,12 @@ def verify_gamma_lcm_and_superadd(
         "pair_points": len(pair_xs),
     }
     return _finish("gamma-lcm-superadd", params, summary, rows, tol, notes)
+
+
+def _superadd_row(ctx: EvalContext, x: float, y: float) -> dict:
+    lng = ctx.ln_gamma
+    margin = lng(x + y + 2.0).value - lng(x + 1.0).value - lng(y + 1.0).value
+    return _row(None, x, margin, margin, extra={"y": y})
 
 
 # ---------------------------------------------------------------------------
@@ -740,16 +757,6 @@ def _subsample(xs: list[float], count: int) -> list[float]:
         return xs
     idx = np.linspace(0, len(xs) - 1, count).round().astype(int)
     return [xs[i] for i in idx]
-
-
-def _merge_reports(claim_id, params, grid_summary, reports, tol, notes=()) -> VerifyReport:
-    """Aggregate single-point reports (pair/point sweeps) into one claim
-    report, keeping each sub-report's row augmented with its coordinates."""
-    rows = []
-    for r in reports:
-        if r.worst_point is not None:
-            rows.append(r.worst_point)
-    return _finish(claim_id, params, grid_summary, rows, tol, notes)
 
 
 def run_claim(
@@ -835,62 +842,58 @@ def run_claim(
             return verify_inv_digamma_lcm(
                 p, np.asarray([float(x)], dtype=np.float64), n_orders, tol, trunc
             )
-        z = digamma_zero(p, trunc=trunc or DEFAULT_TRUNCATION)
-        lo_eff = x_min if x_min is not None else z.x0 + 0.1
+        ctx = EvalContext(p, trunc)
+        x0 = ctx.zero().x0
+        lo_eff = x_min if x_min is not None else x0 + 0.1
         clipped = False
-        if lo_eff < z.x0 + ZERO_MARGIN:
-            lo_eff = z.x0 + 0.1
+        if lo_eff < x0 + ZERO_MARGIN:
+            lo_eff = x0 + 0.1
             clipped = True
         if not lo_eff < hi:
-            raise DomainError(f"x range ({lo_eff:.6g}, {hi:.6g}) empty right of x0 = {z.x0:.6g}")
-        report = verify_inv_digamma_lcm(p, make_grid(lo_eff, hi, pts, sp), n_orders, tol, trunc)
+            raise DomainError(f"x range ({lo_eff:.6g}, {hi:.6g}) empty right of x0 = {x0:.6g}")
+        report = _verify_inv_digamma_lcm(ctx, make_grid(lo_eff, hi, pts, sp), n_orders, tol)
         if clipped:
             report = replace(report, notes=report.notes + ("x range clipped right of the digamma zero",))
         return report
 
     if claim_id == "c-ineq-1":
         a_eff = 2.0 if a is None else a
-        t = trunc or DEFAULT_TRUNCATION
-        z = digamma_zero(p, trunc=t)
         if x is not None:
             y = float(b) if b is not None else float(x)
             return verify_ineq_1(p, a_eff, float(x), y, tol, trunc)
-        base = make_grid(max(lo, z.x0 + 0.1), hi, pts, sp)
+        ctx = EvalContext(p, trunc)
+        x0 = ctx.zero().x0
+        base = make_grid(max(lo, x0 + 0.1), hi, pts, sp)
         pts_list = _subsample([float(v) for v in base], 8)
-        reports = []
-        for xi in pts_list:
-            for yj in pts_list:
-                if xi == yj:
-                    continue
-                reports.append(verify_ineq_1(p, a_eff, xi, yj, tol, trunc))
-        params = {"q": p.q, "a": a_eff, "x0": z.x0}
-        summary = {"pairs": len(reports), "lo": pts_list[0], "hi": pts_list[-1]}
-        return _merge_reports(
-            "c-ineq-1", params, summary, reports, tol,
+        rows = [_ineq_1_row(ctx, a_eff, xi, yj) for xi in pts_list for yj in pts_list if xi != yj]
+        params = {"q": p.q, "a": a_eff, "x0": x0}
+        summary = {"pairs": len(rows), "lo": pts_list[0], "hi": pts_list[-1]}
+        return _finish(
+            "c-ineq-1", params, summary, rows, tol,
             notes=("pair sweep over an 8-point subgrid right of the zero",),
         )
 
     if claim_id == "c-ineq-010":
         a_eff = 2.0 if a is None else a
-        t = trunc or DEFAULT_TRUNCATION
-        z = digamma_zero(p, trunc=t)
         if x is not None:
             return verify_ineq_010(p, a_eff, float(x), tol, trunc)
+        ctx = EvalContext(p, trunc)
+        x0 = ctx.zero().x0
         candidates = [float(v) for v in make_grid(lo, hi, pts, sp)]
         kept, excluded = [], 0
         for u in candidates:
             arg = a_eff * (u - 1.0) + 2.0
-            if u > 1.0 - 2.0 / a_eff and u + 1.0 > z.x0 + ZERO_MARGIN and arg > z.x0 + ZERO_MARGIN:
+            if u > 1.0 - 2.0 / a_eff and u + 1.0 > x0 + ZERO_MARGIN and arg > x0 + ZERO_MARGIN:
                 kept.append(u)
             else:
                 excluded += 1
-        reports = [verify_ineq_010(p, a_eff, u, tol, trunc) for u in kept]
+        rows = [_ineq_010_row(ctx, a_eff, u) for u in kept]
         notes = ()
         if excluded:
             notes = (f"{excluded} grid points precondition-excluded",)
-        params = {"q": p.q, "a": a_eff, "x0": z.x0}
+        params = {"q": p.q, "a": a_eff, "x0": x0}
         summary = {"candidates": len(candidates), "kept": len(kept)}
-        return _merge_reports("c-ineq-010", params, summary, reports, tol, notes)
+        return _finish("c-ineq-010", params, summary, rows, tol, notes)
 
     if claim_id == "remark-harmonic":
         return verify_remark_ineq(p, 20 if n_max is None else n_max, tol, trunc)
@@ -903,13 +906,7 @@ def run_claim(
                 xv, yv = float(x), float(b)
                 if not (0.0 < xv < 1.0 and 0.0 < yv < 1.0):
                     raise DomainError(f"pair ({xv}, {yv}) must lie inside (0, 1)^2")
-                t = trunc or DEFAULT_TRUNCATION
-                margin = (
-                    ln_q_gamma(p, xv + yv + 2.0, t).value
-                    - ln_q_gamma(p, xv + 1.0, t).value
-                    - ln_q_gamma(p, yv + 1.0, t).value
-                )
-                rows = [_row(None, xv, margin, margin, extra={"y": yv})]
+                rows = [_superadd_row(EvalContext(p, trunc), xv, yv)]
                 return _finish(
                     "gamma-lcm-superadd", {"q": p.q}, {"pair_points": 1}, rows, tol,
                     notes=("single superadditivity pair",),

@@ -1,6 +1,8 @@
 """Command-line contract: exit codes, formats, config file, re-run lines."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -206,6 +208,19 @@ class TestDeterminism:
             capsys, "zero", "--q", "0.2", "--q", "0.5", "--format", "csv"
         )
         assert out1 == out2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_all_matches_reference_digest(self, capsys, fmt):
+        # the bytes of `qfun all` are pinned across commits, not only across runs
+        ref_path = Path(__file__).resolve().parents[1] / "bench" / "all_sweep_reference.json"
+        ref = json.loads(ref_path.read_text(encoding="utf-8"))
+        code, out, err = run_cli(capsys, "all", "--format", fmt)
+        assert code == ref["exit_code"] == 1
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ref[f"{fmt}_sha256"]
+        reruns = [l.split() for l in err.splitlines() if l.startswith("re-run: ")]
+        found = sorted([w[w.index("--claim") + 1], w[w.index("--q") + 1]] for w in reruns)
+        assert found == ref["counterexamples"]
+        assert all(float(q) > 1.0 for _, q in found)
 
 
 class TestRerunRoundTrip:

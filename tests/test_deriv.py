@@ -212,3 +212,41 @@ class TestProviders:
             ratio_provider(p, a=2.0, b=1.0, alpha=1.0, beta=2.0)
         with pytest.raises(DomainError):
             ratio_provider(p, a=1.0, b=1.0, alpha=1.0, beta=1.0)
+
+
+class TestEvalContext:
+    def test_values_equal_direct_calls(self):
+        from qfun import EvalContext, ln_q_gamma, q_digamma, q_polygamma
+
+        for q in (0.5, 2.0):
+            p = QParam(q)
+            ctx = EvalContext(p)
+            for x in (0.3, 1.0, 2.75, 12.0):
+                assert ctx.psi(0, x) == q_digamma(p, x), (q, x)
+                for k in range(1, 8):
+                    assert ctx.psi(k, x) == q_polygamma(p, x, k), (q, x, k)
+                assert ctx.ln_gamma(x) == ln_q_gamma(p, x), (q, x)
+
+    def test_repeated_point_returns_same_result(self):
+        from qfun import EvalContext
+
+        ctx = EvalContext(QParam(0.5))
+        assert ctx.psi(2, 1.5) is ctx.psi(2, 1.5)
+        assert ctx.ln_gamma(1.5) is ctx.ln_gamma(1.5)
+        assert ctx.ln_gamma(1.5) is not ctx.psi(0, 1.5)
+
+    def test_zero_solved_once(self, monkeypatch):
+        import qfun.deriv
+        from qfun import EvalContext, digamma_zero
+
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(args)
+            return digamma_zero(*args, **kwargs)
+
+        monkeypatch.setattr(qfun.deriv, "digamma_zero", counting)
+        ctx = EvalContext(QParam(0.5))
+        assert ctx.zero() is ctx.zero()
+        assert ctx.zero() == digamma_zero(QParam(0.5))
+        assert len(solves) == 1

@@ -64,6 +64,27 @@ class TestDigammaZero:
         z = digamma_zero(QParam(0.5))
         assert z.iterations > 0
 
+    def test_no_point_evaluated_twice_in_a_row(self, monkeypatch):
+        import qfun.roots
+
+        for q in (0.5, 2.0):
+            xs = []
+
+            def recording(p, x, trunc=None):
+                xs.append(x)
+                return q_digamma(p, x, trunc)
+
+            monkeypatch.setattr(qfun.roots, "q_digamma", recording)
+            z = digamma_zero(QParam(q))
+            assert all(a != b for a, b in zip(xs, xs[1:])), q
+            assert z.iterations == len(xs), q
+
+    def test_without_bisection_the_midpoint_is_evaluated(self):
+        # no bisection step: the bracket midpoint is evaluated once, then polished
+        z = digamma_zero(QParam(0.5), bisect_steps=0, newton_steps=40)
+        assert z.x0 == pytest.approx(X0_FROZEN[0.5], abs=1e-11)
+        assert z.residual <= 1e-12
+
 
 class TestQEulerMascheroni:
     def test_frozen_value(self):

@@ -50,6 +50,23 @@ from qfun.theorems import CLAIM_IDS, TIGHT_MARGIN
 BALANCED = RatioSpec(a=1.0, b=2.0, alpha=2.0, beta=1.0)
 
 
+def _record_calls(monkeypatch, name: str) -> list:
+    """Log the positional arguments of every call to name made from the
+    deriv and theorems layers, wherever either module looks it up."""
+    import qfun.deriv
+    import qfun.theorems
+
+    log = []
+    for mod in (qfun.deriv, qfun.theorems):
+        if hasattr(mod, name):
+            def recording(*args, _fn=getattr(mod, name), **kwargs):
+                log.append(args)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, recording)
+    return log
+
+
 class TestRatioSpec:
     def test_balanced_predicate(self):
         assert BALANCED.balanced()
@@ -383,6 +400,17 @@ class TestInvDigammaLcm:
         with pytest.raises(DomainError):
             verify_inv_digamma_lcm(p, grid=np.array([x0 + 1e-6, 5.0]))
 
+    def test_order_sweep_evaluates_each_psi_once(self, monkeypatch):
+        # orders 1..4 at one x need psi^(0..4): five evaluations, not 1+2+3+4
+        prov, x0 = inv_digamma_provider(QParam(0.5))
+        digammas = _record_calls(monkeypatch, "q_digamma")
+        polygammas = _record_calls(monkeypatch, "q_polygamma")
+        for n in range(1, 5):
+            prov.d(n, x0 + 1.0)
+        calls = [args[1:] for args in digammas + polygammas]
+        assert len(calls) == 5
+        assert len(set(calls)) == 5
+
 
 class TestIneq1:
     def test_equal_arguments_are_equality(self):
@@ -552,6 +580,25 @@ class TestRunClaim:
         )
         assert not point.passed
         assert point.worst_margin == pytest.approx(ce["margin"], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "claim, q, kwargs",
+        [
+            ("c-ineq-1", 0.5, {}),
+            ("c-ineq-1", 0.5, {"x": 3.0, "b": 4.0}),
+            ("c-ineq-010", 0.5, {}),
+            ("c-ineq-010", 2.0, {"x": 2.0}),
+            ("t34-inv-psi", 0.5, {}),
+            ("t34-inv-psi", 0.5, {"x_min": 1.0}),
+            ("t34-inv-psi", 2.0, {"x": 3.0}),
+            ("gamma-lcm-superadd", 0.5, {}),
+            ("gamma-lcm-superadd", 0.5, {"x": 0.3, "b": 0.6}),
+        ],
+    )
+    def test_one_zero_solve_per_claim_run(self, monkeypatch, claim, q, kwargs):
+        solves = _record_calls(monkeypatch, "digamma_zero")
+        run_claim(claim, QParam(q), **kwargs)
+        assert len(solves) <= 1
 
     def test_tight_margin_note(self):
         rep = run_claim("c-666", QParam(0.5), n_max=1)
