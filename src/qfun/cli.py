@@ -20,7 +20,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 from .core import (
     DomainError,
@@ -38,18 +38,13 @@ from .core import (
 )
 from .deriv import make_grid
 from .roots import BracketError, digamma_zero
-from .theorems import CLAIM_IDS, VerifyReport, run_claim
+from .theorems import CLAIM_IDS, CLAIMS, ClaimArgs, VerifyReport, rerun_kwargs, run_claim
 
 __all__ = ["RunConfig", "main", "run"]
 
 CSV_HEADER = "claim_id,q,param_summary,n_order,x,value,margin,passed"
 
 DEFAULT_ALL_QS = (0.2, 0.5, 0.8, 2.0, 5.0)
-
-# claims whose statement needs 0 < q < 1; the rest accept both regimes
-_SUB_UNIT_ONLY = frozenset(
-    {"c-666", "g-beta-lcm", "phi-coeff", "psi-duplication", "remark-harmonic"}
-)
 
 _EVAL_FNS = (
     "gamma",
@@ -173,24 +168,14 @@ def _report_rows(rep: VerifyReport) -> list[dict]:
     return rows
 
 
-def _rerun_flags(rep: VerifyReport) -> str:
-    """Flag string that reproduces the counterexample row as a
-    single-point run of the same claim."""
+def _rerun_flags(rep: VerifyReport, cfg: RunConfig) -> str:
+    """Flag string that reproduces the counterexample row as a single-point
+    run of the same claim, with the invocation's run-wide flags."""
+    kwargs = {**rerun_kwargs(rep, rep.counterexample), "tol": cfg.tol, "rel_tol": cfg.rel_tol}
     parts = [f"--claim {rep.claim_id}", f"--q {_num(rep.params.get('q'))}"]
-    ce = rep.counterexample or {}
-    prm = rep.params
-    for key, flag in (("a", "--a"), ("b", "--b"), ("alpha", "--alpha"),
-                      ("beta", "--beta"), ("x1", None), ("n_max", "--n-max")):
-        if flag and key in prm:
-            parts.append(f"{flag} {_num(prm[key])}")
-    if ce.get("x") is not None:
-        parts.append(f"--x {_num(ce['x'])}")
-    extra = ce.get("extra") or {}
-    if "y" in extra:
-        parts.append(f"--b {_num(extra['y'])}")
-    if ce.get("n_order") is not None and "n_max" not in prm:
-        parts.append(f"--orders {_num(ce['n_order'])}" if rep.claim_id != "phi-coeff"
-                     else f"--n-max {_num(ce['n_order'])}")
+    parts += [f"--{k.replace('_', '-')} {_num(v)}" for k, v in kwargs.items() if v is not None]
+    if cfg.allow_near_one:
+        parts.append("--allow-near-one")
     return "qfun verify " + " ".join(parts)
 
 
@@ -228,7 +213,7 @@ def _render_json_rows(rows: list[dict]) -> str:
     return json.dumps({"rows": rows}, indent=2) + "\n"
 
 
-def _render_text_reports(reports: list[VerifyReport]) -> str:
+def _render_text_reports(reports: list[VerifyReport], cfg: RunConfig) -> str:
     out = io.StringIO()
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
@@ -248,7 +233,7 @@ def _render_text_reports(reports: list[VerifyReport]) -> str:
                 f"  counterexample: n={_num(ce.get('n_order'))} x={_num(ce.get('x'))} "
                 f"value={_num(ce.get('value'))} margin={_num(ce.get('margin'))}\n"
             )
-            out.write(f"  re-run: {_rerun_flags(rep)}\n")
+            out.write(f"  re-run: {_rerun_flags(rep, cfg)}\n")
         for note in rep.notes:
             out.write(f"  note: {note}\n")
     passed = sum(1 for r in reports if r.passed)
@@ -373,31 +358,15 @@ def _run_zero(cfg: RunConfig) -> tuple[list[dict], bool]:
     return rows, True
 
 
-def _claim_kwargs(cfg: RunConfig) -> dict:
-    return {
-        "x": cfg.x,
-        "x_min": cfg.x_min,
-        "x_max": cfg.x_max,
-        "points": cfg.points,
-        "spacing": cfg.spacing,
-        "a": cfg.a,
-        "b": cfg.b,
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "n_max": cfg.n_max,
-        "orders": cfg.orders,
-        "tol": cfg.tol,
-        "trunc": _trunc(cfg),
-    }
-
-
 def _run_verify(cfg: RunConfig) -> list[VerifyReport]:
     if not cfg.claims:
         raise DomainError("verify needs at least one --claim")
     unknown = [c for c in cfg.claims if c not in CLAIM_IDS]
     if unknown:
         raise DomainError(f"unknown claim ids: {', '.join(unknown)}")
-    kwargs = _claim_kwargs(cfg)
+    # RunConfig names each run_claim argument alike, save trunc
+    kwargs = {f.name: getattr(cfg, f.name) for f in fields(ClaimArgs) if f.name != "trunc"}
+    kwargs["trunc"] = _trunc(cfg)
     reports = []
     for claim in sorted(set(cfg.claims)):
         for p in _qparams(cfg):
@@ -406,14 +375,12 @@ def _run_verify(cfg: RunConfig) -> list[VerifyReport]:
 
 
 def _run_all(cfg: RunConfig) -> list[VerifyReport]:
-    qs = cfg.qs or DEFAULT_ALL_QS
-    params = [QParam(q, allow_near_one=cfg.allow_near_one) for q in sorted(set(qs))]
+    params = _qparams(replace(cfg, qs=cfg.qs or DEFAULT_ALL_QS))
     reports = []
     for claim in sorted(CLAIM_IDS):
         for p in params:
-            if claim in _SUB_UNIT_ONLY and p.q > 1.0:
-                continue
-            reports.append(run_claim(claim, p, tol=cfg.tol, trunc=_trunc(cfg)))
+            if CLAIMS[claim].supports(p):
+                reports.append(run_claim(claim, p, tol=cfg.tol, trunc=_trunc(cfg)))
     return reports
 
 
@@ -441,11 +408,11 @@ def run(cfg: RunConfig) -> int:
     elif cfg.fmt == "json":
         _emit(_render_json_reports(reports), cfg.out)
     else:
-        _emit(_render_text_reports(reports), cfg.out)
+        _emit(_render_text_reports(reports, cfg), cfg.out)
     if cfg.fmt != "text":
         for rep in reports:
             if not rep.passed and rep.counterexample is not None:
-                sys.stderr.write(f"re-run: {_rerun_flags(rep)}\n")
+                sys.stderr.write(f"re-run: {_rerun_flags(rep, cfg)}\n")
     return 0 if all(rep.passed for rep in reports) else 1
 
 

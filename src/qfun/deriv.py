@@ -221,8 +221,8 @@ def certify_lcm(
     """
     if n_orders < 1:
         raise DomainError(f"n_orders must be >= 1, got {n_orders}")
-    if tol < 0.0:
-        raise DomainError(f"tol must be >= 0, got {tol}")
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and >= 0, got {tol}")
     xs = [float(x) for x in np.asarray(grid, dtype=np.float64).ravel()]
     if not xs:
         raise DomainError("empty grid")

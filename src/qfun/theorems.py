@@ -4,8 +4,8 @@ q-gamma family.
 Each verifier checks one claim over a grid and returns a VerifyReport
 carrying the worst margin, the first counterexample if any, and notes on
 branch choices or excluded points.  Wherever a claim involves products or
-powers of gamma values the comparison happens in log space.  run_claim maps
-the stable claim-id strings onto these verifiers with sweep defaults.
+powers of gamma values the comparison happens in log space.  The CLAIMS
+registry maps the stable claim-id strings onto these verifiers and regimes.
 Every evaluator value goes through one EvalContext per verification, so a
 claim run solves for the digamma zero once and computes each value once.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +44,9 @@ __all__ = [
     "TIGHT_MARGIN",
     "ZERO_MARGIN",
     "CLAIM_IDS",
+    "CLAIMS",
+    "Claim",
+    "ClaimArgs",
     "RatioSpec",
     "VerifyReport",
     "verify_theorem_ratio_lcm",
@@ -65,6 +69,7 @@ __all__ = [
     "verify_remark_ineq",
     "verify_gamma_lcm_and_superadd",
     "run_claim",
+    "rerun_kwargs",
 ]
 
 BALANCE_TOL = 1e-12
@@ -78,20 +83,6 @@ DEFAULT_X_MIN = 0.05
 DEFAULT_X_MAX = 20.0
 DEFAULT_POINTS = 64
 DEFAULT_SPACING = "geometric"
-
-CLAIM_IDS = (
-    "t31-ratio-lcm",
-    "c-555",
-    "c-666",
-    "g-beta-lcm",
-    "phi-coeff",
-    "t34-inv-psi",
-    "c-ineq-1",
-    "c-ineq-010",
-    "remark-harmonic",
-    "gamma-lcm-superadd",
-    "psi-duplication",
-)
 
 
 @dataclass(frozen=True)
@@ -750,13 +741,163 @@ def _superadd_row(ctx: EvalContext, x: float, y: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# claim dispatch
+# claim registry
 
-def _subsample(xs: list[float], count: int) -> list[float]:
-    if len(xs) <= count:
-        return xs
-    idx = np.linspace(0, len(xs) - 1, count).round().astype(int)
-    return [xs[i] for i in idx]
+
+@dataclass(frozen=True)
+class ClaimArgs:
+    """run_claim's keyword arguments as a claim handler receives them, with
+    the sweep defaults; x switches a handler to single-point mode."""
+
+    x: float | None = None
+    x_min: float | None = DEFAULT_X_MIN
+    x_max: float = DEFAULT_X_MAX
+    points: int = DEFAULT_POINTS
+    spacing: str = DEFAULT_SPACING
+    a: float | None = None
+    b: float | None = None
+    alpha: float | None = None
+    beta: float | None = None
+    n_max: int = 20
+    orders: int = N_MAX
+    tol: float = DEFAULT_TOL
+    trunc: Truncation | None = None
+
+    def grid(self) -> np.ndarray:
+        if self.x is not None:
+            return np.asarray([float(self.x)], dtype=np.float64)
+        return make_grid(self.x_min, self.x_max, self.points, self.spacing)
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One registry entry: run(p, args) sweeps the claim, or checks one
+    point when args.x is set; defaults holds the claim's own defaults.
+    sub_unit_only marks a claim stated for 0 < q < 1 only.  order_arg is
+    the run_claim argument that pins a report row's n_order on a re-run."""
+
+    run: Callable[[QParam, ClaimArgs], VerifyReport]
+    defaults: ClaimArgs = ClaimArgs()
+    sub_unit_only: bool = False
+    order_arg: str = "orders"
+
+    def supports(self, p: QParam) -> bool:
+        """Whether the claim is stated at this q."""
+        return not self.sub_unit_only or p.regime is Regime.SUB_UNIT
+
+
+def _run_ratio_lcm(p: QParam, o: ClaimArgs) -> VerifyReport:
+    spec = RatioSpec(o.a, o.b, o.alpha, o.beta)
+    return verify_theorem_ratio_lcm(spec, p, o.grid(), o.orders, o.tol, o.trunc)
+
+
+def _run_ineq_555(p: QParam, o: ClaimArgs) -> VerifyReport:
+    x1 = 1.0
+    if o.x is not None:
+        grid = o.grid()
+    else:
+        grid = x1 + np.geomspace(1e-4, max(o.x_max - x1, 1e-3), o.points)
+    return verify_ineq_555(RatioSpec(o.a, o.b, o.alpha, o.beta), p, x1, grid, o.tol, o.trunc)
+
+
+def _run_inv_digamma(p: QParam, o: ClaimArgs) -> VerifyReport:
+    if o.x is not None:
+        return verify_inv_digamma_lcm(p, o.grid(), o.orders, o.tol, o.trunc)
+    ctx = EvalContext(p, o.trunc)
+    x0 = ctx.zero().x0
+    lo = x0 + 0.1 if o.x_min is None else o.x_min
+    clipped = lo < x0 + ZERO_MARGIN
+    if clipped:
+        lo = x0 + 0.1
+    if not lo < o.x_max:
+        raise DomainError(f"x range ({lo:.6g}, {o.x_max:.6g}) empty right of x0 = {x0:.6g}")
+    report = _verify_inv_digamma_lcm(ctx, make_grid(lo, o.x_max, o.points, o.spacing), o.orders, o.tol)
+    if clipped:
+        report = replace(report, notes=report.notes + ("x range clipped right of the digamma zero",))
+    return report
+
+
+def _run_ineq_1(p: QParam, o: ClaimArgs) -> VerifyReport:
+    if o.x is not None:
+        y = float(o.b) if o.b is not None else float(o.x)
+        return verify_ineq_1(p, o.a, float(o.x), y, o.tol, o.trunc)
+    ctx = EvalContext(p, o.trunc)
+    x0 = ctx.zero().x0
+    base = make_grid(max(o.x_min, x0 + 0.1), o.x_max, o.points, o.spacing)
+    # pairs grow quadratically, so sweep 8 points evenly spaced in index
+    if base.size > 8:
+        base = base[np.linspace(0, base.size - 1, 8).round().astype(int)]
+    xs = [float(v) for v in base]
+    rows = [_ineq_1_row(ctx, o.a, xi, yj) for xi in xs for yj in xs if xi != yj]
+    params = {"q": p.q, "a": o.a, "x0": x0}
+    summary = {"pairs": len(rows), "lo": xs[0], "hi": xs[-1]}
+    return _finish(
+        "c-ineq-1", params, summary, rows, o.tol,
+        notes=("pair sweep over an 8-point subgrid right of the zero",),
+    )
+
+
+def _run_ineq_010(p: QParam, o: ClaimArgs) -> VerifyReport:
+    if o.x is not None:
+        return verify_ineq_010(p, o.a, float(o.x), o.tol, o.trunc)
+    ctx = EvalContext(p, o.trunc)
+    x0 = ctx.zero().x0
+    candidates = [float(v) for v in o.grid()]
+    kept = []
+    for u in candidates:
+        arg = o.a * (u - 1.0) + 2.0
+        if u > 1.0 - 2.0 / o.a and u + 1.0 > x0 + ZERO_MARGIN and arg > x0 + ZERO_MARGIN:
+            kept.append(u)
+    excluded = len(candidates) - len(kept)
+    rows = [_ineq_010_row(ctx, o.a, u) for u in kept]
+    notes = ()
+    if excluded:
+        notes = (f"{excluded} grid points precondition-excluded",)
+    params = {"q": p.q, "a": o.a, "x0": x0}
+    summary = {"candidates": len(candidates), "kept": len(kept)}
+    return _finish("c-ineq-010", params, summary, rows, o.tol, notes)
+
+
+def _run_gamma_lcm_superadd(p: QParam, o: ClaimArgs) -> VerifyReport:
+    if o.x is None:
+        return verify_gamma_lcm_and_superadd(p, None, None, o.orders, o.tol, o.trunc)
+    if o.b is None:
+        return verify_gamma_lcm_and_superadd(p, np.empty(0), o.grid(), o.orders, o.tol, o.trunc)
+    # single ordered pair (x, b) of the superadditivity part
+    xv, yv = float(o.x), float(o.b)
+    if not (0.0 < xv < 1.0 and 0.0 < yv < 1.0):
+        raise DomainError(f"pair ({xv}, {yv}) must lie inside (0, 1)^2")
+    rows = [_superadd_row(EvalContext(p, o.trunc), xv, yv)]
+    return _finish(
+        "gamma-lcm-superadd", {"q": p.q}, {"pair_points": 1}, rows, o.tol,
+        notes=("single superadditivity pair",),
+    )
+
+
+# the order of this table is CLAIM_IDS
+CLAIMS: dict[str, Claim] = {
+    "t31-ratio-lcm": Claim(_run_ratio_lcm, ClaimArgs(a=1.0, b=2.0, alpha=2.0, beta=1.0)),
+    "c-555": Claim(_run_ineq_555, ClaimArgs(a=1.0, b=2.0, alpha=2.0, beta=1.0)),
+    "c-666": Claim(lambda p, o: verify_ineq_666(p, o.n_max, o.tol, o.trunc),
+                   sub_unit_only=True, order_arg="n_max"),
+    "g-beta-lcm": Claim(
+        lambda p, o: verify_g_beta_lcm(p, o.beta, o.grid(), o.orders, o.tol, o.trunc),
+        sub_unit_only=True,
+    ),
+    "phi-coeff": Claim(lambda p, o: verify_phi_coeff(p, o.beta, o.n_max, o.tol),
+                       ClaimArgs(n_max=200), sub_unit_only=True, order_arg="n_max"),
+    # x_min None: the sweep starts at x0 + 0.1
+    "t34-inv-psi": Claim(_run_inv_digamma, ClaimArgs(x_min=None, orders=4)),
+    "c-ineq-1": Claim(_run_ineq_1, ClaimArgs(a=2.0)),
+    "c-ineq-010": Claim(_run_ineq_010, ClaimArgs(a=2.0)),
+    "remark-harmonic": Claim(lambda p, o: verify_remark_ineq(p, o.n_max, o.tol, o.trunc),
+                             sub_unit_only=True, order_arg="n_max"),
+    "gamma-lcm-superadd": Claim(_run_gamma_lcm_superadd),
+    "psi-duplication": Claim(lambda p, o: verify_psi_duplication(p, o.grid(), o.trunc),
+                             sub_unit_only=True),
+}
+
+CLAIM_IDS = tuple(CLAIMS)
 
 
 def run_claim(
@@ -782,139 +923,30 @@ def run_claim(
     x switches to single-point mode.  For the paired claims (c-ineq-1 and
     the superadditivity part of gamma-lcm-superadd) the second coordinate
     rides in b when x is given.  Claims indexed by an integer use n_max;
-    derivative sweeps use orders.
+    derivative sweeps use orders.  tol must be finite and >= 0.
     """
-    if claim_id not in CLAIM_IDS:
+    claim = CLAIMS.get(claim_id)
+    if claim is None:
         raise DomainError(f"unknown claim id {claim_id!r}; known: {', '.join(CLAIM_IDS)}")
-    tol = DEFAULT_TOL if tol is None else tol
-    lo = DEFAULT_X_MIN if x_min is None else x_min
-    hi = DEFAULT_X_MAX if x_max is None else x_max
-    pts = DEFAULT_POINTS if points is None else points
-    sp = DEFAULT_SPACING if spacing is None else spacing
+    given = dict(
+        x=x, x_min=x_min, x_max=x_max, points=points, spacing=spacing, a=a, b=b, alpha=alpha,
+        beta=beta, n_max=n_max, orders=orders, tol=tol, trunc=trunc,
+    )
+    args = replace(claim.defaults, **{k: v for k, v in given.items() if v is not None})
+    if not 0.0 <= args.tol < math.inf:
+        raise DomainError(f"tol must be finite and >= 0, got {args.tol}")
+    return claim.run(p, args)
 
-    def sweep_grid() -> np.ndarray:
-        if x is not None:
-            return np.asarray([float(x)], dtype=np.float64)
-        return make_grid(lo, hi, pts, sp)
 
-    if claim_id == "t31-ratio-lcm":
-        spec = RatioSpec(
-            1.0 if a is None else a,
-            2.0 if b is None else b,
-            2.0 if alpha is None else alpha,
-            1.0 if beta is None else beta,
-        )
-        return verify_theorem_ratio_lcm(
-            spec, p, sweep_grid(), N_MAX if orders is None else orders, tol, trunc
-        )
-
-    if claim_id == "c-555":
-        spec = RatioSpec(
-            1.0 if a is None else a,
-            2.0 if b is None else b,
-            2.0 if alpha is None else alpha,
-            1.0 if beta is None else beta,
-        )
-        x1 = 1.0
-        if x is not None:
-            grid = np.asarray([float(x)], dtype=np.float64)
-        else:
-            grid = x1 + np.geomspace(1e-4, max(hi - x1, 1e-3), pts)
-        return verify_ineq_555(spec, p, x1, grid, tol, trunc)
-
-    if claim_id == "c-666":
-        return verify_ineq_666(p, 20 if n_max is None else n_max, tol, trunc)
-
-    if claim_id == "psi-duplication":
-        return verify_psi_duplication(p, sweep_grid(), trunc)
-
-    if claim_id == "g-beta-lcm":
-        return verify_g_beta_lcm(
-            p, beta, sweep_grid(), N_MAX if orders is None else orders, tol, trunc
-        )
-
-    if claim_id == "phi-coeff":
-        return verify_phi_coeff(p, beta, 200 if n_max is None else n_max, tol)
-
-    if claim_id == "t34-inv-psi":
-        n_orders = 4 if orders is None else orders
-        if x is not None:
-            return verify_inv_digamma_lcm(
-                p, np.asarray([float(x)], dtype=np.float64), n_orders, tol, trunc
-            )
-        ctx = EvalContext(p, trunc)
-        x0 = ctx.zero().x0
-        lo_eff = x_min if x_min is not None else x0 + 0.1
-        clipped = False
-        if lo_eff < x0 + ZERO_MARGIN:
-            lo_eff = x0 + 0.1
-            clipped = True
-        if not lo_eff < hi:
-            raise DomainError(f"x range ({lo_eff:.6g}, {hi:.6g}) empty right of x0 = {x0:.6g}")
-        report = _verify_inv_digamma_lcm(ctx, make_grid(lo_eff, hi, pts, sp), n_orders, tol)
-        if clipped:
-            report = replace(report, notes=report.notes + ("x range clipped right of the digamma zero",))
-        return report
-
-    if claim_id == "c-ineq-1":
-        a_eff = 2.0 if a is None else a
-        if x is not None:
-            y = float(b) if b is not None else float(x)
-            return verify_ineq_1(p, a_eff, float(x), y, tol, trunc)
-        ctx = EvalContext(p, trunc)
-        x0 = ctx.zero().x0
-        base = make_grid(max(lo, x0 + 0.1), hi, pts, sp)
-        pts_list = _subsample([float(v) for v in base], 8)
-        rows = [_ineq_1_row(ctx, a_eff, xi, yj) for xi in pts_list for yj in pts_list if xi != yj]
-        params = {"q": p.q, "a": a_eff, "x0": x0}
-        summary = {"pairs": len(rows), "lo": pts_list[0], "hi": pts_list[-1]}
-        return _finish(
-            "c-ineq-1", params, summary, rows, tol,
-            notes=("pair sweep over an 8-point subgrid right of the zero",),
-        )
-
-    if claim_id == "c-ineq-010":
-        a_eff = 2.0 if a is None else a
-        if x is not None:
-            return verify_ineq_010(p, a_eff, float(x), tol, trunc)
-        ctx = EvalContext(p, trunc)
-        x0 = ctx.zero().x0
-        candidates = [float(v) for v in make_grid(lo, hi, pts, sp)]
-        kept, excluded = [], 0
-        for u in candidates:
-            arg = a_eff * (u - 1.0) + 2.0
-            if u > 1.0 - 2.0 / a_eff and u + 1.0 > x0 + ZERO_MARGIN and arg > x0 + ZERO_MARGIN:
-                kept.append(u)
-            else:
-                excluded += 1
-        rows = [_ineq_010_row(ctx, a_eff, u) for u in kept]
-        notes = ()
-        if excluded:
-            notes = (f"{excluded} grid points precondition-excluded",)
-        params = {"q": p.q, "a": a_eff, "x0": x0}
-        summary = {"candidates": len(candidates), "kept": len(kept)}
-        return _finish("c-ineq-010", params, summary, rows, tol, notes)
-
-    if claim_id == "remark-harmonic":
-        return verify_remark_ineq(p, 20 if n_max is None else n_max, tol, trunc)
-
-    if claim_id == "gamma-lcm-superadd":
-        n_orders = N_MAX if orders is None else orders
-        if x is not None:
-            if b is not None:
-                # single ordered pair (x, b) of the superadditivity part
-                xv, yv = float(x), float(b)
-                if not (0.0 < xv < 1.0 and 0.0 < yv < 1.0):
-                    raise DomainError(f"pair ({xv}, {yv}) must lie inside (0, 1)^2")
-                rows = [_superadd_row(EvalContext(p, trunc), xv, yv)]
-                return _finish(
-                    "gamma-lcm-superadd", {"q": p.q}, {"pair_points": 1}, rows, tol,
-                    notes=("single superadditivity pair",),
-                )
-            return verify_gamma_lcm_and_superadd(
-                p, np.asarray([], dtype=np.float64),
-                np.asarray([float(x)], dtype=np.float64), n_orders, tol, trunc,
-            )
-        return verify_gamma_lcm_and_superadd(p, None, None, n_orders, tol, trunc)
-
-    raise DomainError(f"claim {claim_id!r} has no handler")
+def rerun_kwargs(rep: VerifyReport, row: dict) -> dict:
+    """run_claim keyword arguments, besides claim_id and q, that re-check
+    one row of rep as a single point of the same claim."""
+    kwargs = {k: rep.params[k] for k in ("a", "b", "alpha", "beta") if k in rep.params}
+    if row.get("x") is not None:
+        kwargs["x"] = row["x"]
+    if "y" in row.get("extra", {}):
+        # a paired row's second coordinate rides in b
+        kwargs["b"] = row["extra"]["y"]
+    if row.get("n_order") is not None:
+        kwargs[CLAIMS[rep.claim_id].order_arg] = row["n_order"]
+    return kwargs

@@ -61,6 +61,16 @@ class TestExitCodes:
         assert code == 2
         assert "0 < q < 1" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "-10", "inf"])
+    def test_bad_tol_exits_two(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys, "verify", "--claim", "t31-ratio-lcm", "--q", "0.5",
+            "--a", "1", "--b", "2", "--alpha", "1", "--beta", "1", "--tol", tol,
+        )
+        assert code == 2
+        assert out == ""
+        assert "tol must be finite and >= 0" in err
+
 
 class TestCsvFormat:
     def test_header_exact(self, capsys):
@@ -250,6 +260,40 @@ class TestRerunRoundTrip:
         )
         assert code == 1
         assert "re-run: qfun verify" in err
+
+    @staticmethod
+    def _margins(capsys, *argv):
+        """Counterexample margins of argv, which must fail, and of the
+        re-run line it prints."""
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        rerun_line = next(l for l in out.splitlines() if "re-run:" in l)
+        code2, out2, err2 = run_cli(capsys, *rerun_line.split("re-run: qfun ")[1].split())
+        assert code2 == 1, err2
+        return [
+            float(next(l for l in text.splitlines() if "counterexample" in l).split("margin=")[1])
+            for text in (out, out2)
+        ]
+
+    def test_rerun_line_repeats_tol(self, capsys):
+        # the margin -8.97e-10 clears the default tol 1e-9, so only --tol 0 fails it
+        want, got = self._margins(capsys, "verify", "--claim", "c-555", "--q", "2", "--tol", "0")
+        assert got == want
+
+    def test_rerun_line_repeats_allow_near_one(self, capsys):
+        want, got = self._margins(
+            capsys, "verify", "--claim", "t31-ratio-lcm", "--q", "0.99995", "--allow-near-one",
+            "--a", "1", "--b", "2", "--alpha", "1", "--beta", "1",
+            "--x-min", "1", "--x-max", "3", "--points", "4", "--orders", "3",
+        )
+        assert got == want
+
+    def test_rerun_line_repeats_rel_tol(self, capsys):
+        want, got = self._margins(
+            capsys, "verify", "--claim", "t31-ratio-lcm", "--q", "0.5",
+            "--a", "1", "--b", "2", "--alpha", "1", "--beta", "1", "--rel-tol", "1e-3",
+        )
+        assert got == want
 
 
 class TestEvalVariants:

@@ -184,6 +184,12 @@ class TestCertifyLcm:
         assert rep.orders_checked == 3
         assert rep.tol == 1e-9
 
+    @pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_tol(self, tol):
+        prov = LogDerivProvider(d=lambda n, x: 1.0, lo=0.0, hi=math.inf, name="flat")
+        with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+            certify_lcm(prov, make_grid(1.0, 2.0, points=4), tol=tol)
+
 
 class TestProviders:
     def test_ln_gamma_provider_first_order_is_digamma(self):

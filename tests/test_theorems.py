@@ -44,7 +44,7 @@ from qfun import (
     verify_remark_ineq,
     verify_theorem_ratio_lcm,
 )
-from qfun.theorems import CLAIM_IDS, TIGHT_MARGIN
+from qfun.theorems import CLAIM_IDS, CLAIMS, TIGHT_MARGIN, rerun_kwargs
 
 
 BALANCED = RatioSpec(a=1.0, b=2.0, alpha=2.0, beta=1.0)
@@ -605,3 +605,40 @@ class TestRunClaim:
         assert rep.passed
         assert rep.worst_margin < TIGHT_MARGIN
         assert any("tight" in n for n in rep.notes)
+
+    @pytest.mark.parametrize("tol", [-10.0, math.nan, math.inf])
+    @pytest.mark.parametrize("claim", CLAIM_IDS)
+    def test_rejects_negative_or_non_finite_tol(self, claim, tol):
+        # a NaN tol would pass every margin, a negative one would fail a zero margin
+        with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+            run_claim(claim, QParam(0.5), tol=tol)
+
+
+class TestClaimRegistry:
+    @pytest.mark.parametrize("claim", CLAIM_IDS)
+    def test_regime_matches_verifier(self, claim):
+        p = QParam(2.0)
+        if CLAIMS[claim].sub_unit_only:
+            assert not CLAIMS[claim].supports(p)
+            with pytest.raises(DomainError):
+                run_claim(claim, p)
+        else:
+            assert CLAIMS[claim].supports(p)
+            assert run_claim(claim, p).claim_id == claim
+
+    def test_all_sweep_makes_45_claim_runs(self):
+        from qfun.cli import DEFAULT_ALL_QS
+
+        runs = [(c, q) for c in CLAIM_IDS for q in DEFAULT_ALL_QS if CLAIMS[c].supports(QParam(q))]
+        assert len(runs) == 45
+        assert sum(q > 1.0 for _, q in runs) == 12
+
+    @pytest.mark.parametrize(
+        "claim, q",
+        [(c, q) for c in CLAIM_IDS for q in (0.5, 2.0) if CLAIMS[c].supports(QParam(q))],
+    )
+    def test_worst_point_rerun_reproduces_worst_margin(self, claim, q):
+        p = QParam(q)
+        sweep = run_claim(claim, p)
+        point = run_claim(claim, p, **rerun_kwargs(sweep, sweep.worst_point))
+        assert point.worst_margin == sweep.worst_margin
