@@ -1,8 +1,9 @@
 """Derivative plumbing for the monotonicity certifiers.
 
 An EvalContext computes each q-polygamma value, each ln Gamma_q value and
-the digamma zero for one (q, truncation) at most once.  A LogDerivProvider
-packages analytic derivatives of ln f for some positive function f.
+the digamma zero for one (q, truncation) at most once, a whole grid of
+q-polygamma values in one pass.  A LogDerivProvider packages analytic
+derivatives of ln f for some positive function f.
 certify_lcm sweeps such a provider over a grid and checks the
 alternating-sign pattern that defines logarithmic complete monotonicity,
 reporting the first violation and the worst margin seen.  Central finite
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .core import (
     ln_q_gamma,
     q_digamma,
     q_polygamma,
+    q_psi_grid,
 )
 from .roots import ZeroResult, digamma_zero
 
@@ -85,6 +87,23 @@ class EvalContext:
             self._results[k, x] = r
         return r
 
+    def psi_grid(self, keys: Iterable[tuple[int, float]]) -> list[EvalResult]:
+        """psi(k, x) for every (k, x) of keys, in their order.
+
+        The missing keys are evaluated in one q_psi_grid pass per order k,
+        orders taken as they first appear, and stored under the keys psi
+        reads, so psi(k, x) then returns the identical result.
+        """
+        keys = list(keys)
+        missing: dict[int, dict[float, None]] = {}
+        for k, x in keys:
+            if (k, x) not in self._results:
+                missing.setdefault(k, {})[x] = None
+        for k, xs in missing.items():
+            for x, r in zip(xs, q_psi_grid(self.p, k, list(xs), self.trunc)):
+                self._results[k, x] = r
+        return [self._results[key] for key in keys]
+
     def ln_gamma(self, x: float) -> EvalResult:
         # ln Gamma_q is the antiderivative of psi^(0), so it is kept as order -1
         r = self._results.get((-1, x))
@@ -103,13 +122,16 @@ class EvalContext:
 class LogDerivProvider:
     """Analytic derivatives of ln f on the open interval (lo, hi).
 
-    d(n, x) returns the n-th derivative of ln f at x, n >= 1.
+    d(n, x) returns the n-th derivative of ln f at x, n >= 1.  prefetch,
+    when set, takes (n, xs) and evaluates in one grid pass what d(n, x)
+    reads at every x of xs; certify_lcm calls it once per order.
     """
 
     d: Callable[[int, float], float]
     lo: float
     hi: float
     name: str
+    prefetch: Callable[[int, Sequence[float]], object] | None = None
 
 
 @dataclass(frozen=True)
@@ -235,6 +257,8 @@ def certify_lcm(
     worst_order, worst_x = 1, xs[0]
     violation: tuple[int, float, float] | None = None
     for n in range(1, n_orders + 1):
+        if provider.prefetch is not None:
+            provider.prefetch(n, xs)
         sign = -1.0 if n % 2 else 1.0
         for x in xs:
             margin = sign * provider.d(n, x)
@@ -266,7 +290,11 @@ def ln_gamma_provider(p: QParam, trunc: Truncation | None = None) -> LogDerivPro
             raise UnsupportedOrder(f"derivative order must be >= 1, got {n}")
         return ctx.psi(n - 1, x).value
 
-    return LogDerivProvider(d=d, lo=0.0, hi=math.inf, name=f"ln_q_gamma(q={p.q:g})")
+    def prefetch(n: int, xs: Sequence[float]) -> None:
+        ctx.psi_grid((n - 1, x) for x in xs)
+
+    name = f"ln_q_gamma(q={p.q:g})"
+    return LogDerivProvider(d=d, lo=0.0, hi=math.inf, name=name, prefetch=prefetch)
 
 
 def ratio_provider(
@@ -294,5 +322,8 @@ def ratio_provider(
             - beta * b**n * ctx.psi(n - 1, b * x).value
         )
 
+    def prefetch(n: int, xs: Sequence[float]) -> None:
+        ctx.psi_grid(key for x in xs for key in ((n - 1, a * x), (n - 1, b * x)))
+
     name = f"gamma_ratio(q={p.q:g}, a={a:g}, b={b:g}, alpha={alpha:g}, beta={beta:g})"
-    return LogDerivProvider(d=d, lo=0.0, hi=math.inf, name=name)
+    return LogDerivProvider(d=d, lo=0.0, hi=math.inf, name=name, prefetch=prefetch)

@@ -54,8 +54,8 @@ def digamma_zero(
     tol / psi_q'(x0).  Raises NonConvergent if the residual still exceeds
     tol after the bisection and Newton budget.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
     t = trunc or DEFAULT_TRUNCATION
 
     def f(x: float) -> float:

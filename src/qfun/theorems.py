@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -341,21 +341,30 @@ def psi_duplication_residual(
     Both sides come from independent series, so a passing residual
     certifies the duplication identity at this point.
     """
+    return _duplication_residuals(p, [x], trunc)[0]
+
+
+def _duplication_residuals(
+    p: QParam, xs: Sequence[float], trunc: Truncation | None
+) -> list[ResidualCheck]:
+    """psi_duplication_residual at every x of xs, each base's psi values
+    evaluated in one grid pass."""
     if p.regime is not Regime.SUB_UNIT:
         raise DomainError("the duplication identity is certified for 0 < q < 1")
-    half = _half_base(p, trunc)
-    lhs = EvalContext(p, trunc).psi(0, 2.0 * x)
-    r1 = half.psi(0, x)
-    r2 = half.psi(0, x + 0.5)
+    lhs = EvalContext(p, trunc).psi_grid((0, 2.0 * x) for x in xs)
+    rhs = _half_base(p, trunc).psi_grid([(0, x) for x in xs] + [(0, x + 0.5) for x in xs])
     c = math.log1p(p.q)
-    residual = abs(lhs.value - c - 0.5 * r1.value - 0.5 * r2.value)
-    budget = (
-        lhs.err_bound
-        + 0.5 * r1.err_bound
-        + 0.5 * r2.err_bound
-        + _fp_allowance(lhs.value, c, r1.value, r2.value)
-    )
-    return ResidualCheck(residual, budget)
+    out = []
+    for left, r1, r2 in zip(lhs, rhs[: len(xs)], rhs[len(xs) :]):
+        residual = abs(left.value - c - 0.5 * r1.value - 0.5 * r2.value)
+        budget = (
+            left.err_bound
+            + 0.5 * r1.err_bound
+            + 0.5 * r2.err_bound
+            + _fp_allowance(left.value, c, r1.value, r2.value)
+        )
+        out.append(ResidualCheck(residual, budget))
+    return out
 
 
 def verify_psi_duplication(
@@ -368,10 +377,11 @@ def verify_psi_duplication(
     budget with no extra slack."""
     if grid is None:
         grid = _default_grid()
-    rows = []
-    for x in np.asarray(grid, dtype=np.float64).ravel():
-        rc = psi_duplication_residual(p, float(x), trunc)
-        rows.append(_row(None, float(x), rc.residual, rc.budget - rc.residual))
+    xs = [float(x) for x in np.asarray(grid, dtype=np.float64).ravel()]
+    rows = [
+        _row(None, x, rc.residual, rc.budget - rc.residual)
+        for x, rc in zip(xs, _duplication_residuals(p, xs, trunc))
+    ]
     return _finish(
         "psi-duplication",
         {"q": p.q},
@@ -432,21 +442,28 @@ def g_beta_log_deriv(
 
 
 def _g_beta_log_deriv(p: QParam, half: EvalContext, beta: float, n: int, x: float) -> float:
+    # psi^(n) at x+1 and x, psi^(n-1) at x+1/2 and x+1, psi^(n) at x+1/2
+    n_x1, n_x, m_xh, m_x1, n_xh = (half.psi(*key).value for key in _g_beta_psi_keys(p, n, x))
+    ln_q2 = 2.0 * math.log(p.q)
+    dfrac = -(n_x1 - n_x) / ln_q2
+    return (
+        2.0 * (m_xh - m_x1)
+        + 0.5 * n_x
+        + 0.5 * n_xh
+        + 0.5 * beta * (1.0 - p.q * p.q) * dfrac
+    )
+
+
+def _g_beta_psi_keys(p: QParam, n: int, x: float) -> tuple[tuple[int, float], ...]:
+    """The base-q^2 psi keys the n-th derivative of ln g_beta reads at x, in
+    the order _g_beta_log_deriv reads them."""
     if p.regime is not Regime.SUB_UNIT:
         raise DomainError("the corrected ratio square is stated for 0 < q < 1")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"derivative order must be an int >= 1, got {n!r}")
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
-    psi = half.psi
-    ln_q2 = 2.0 * math.log(p.q)
-    dfrac = -(psi(n, x + 1.0).value - psi(n, x).value) / ln_q2
-    return (
-        2.0 * (psi(n - 1, x + 0.5).value - psi(n - 1, x + 1.0).value)
-        + 0.5 * psi(n, x).value
-        + 0.5 * psi(n, x + 0.5).value
-        + 0.5 * beta * (1.0 - p.q * p.q) * dfrac
-    )
+    return ((n, x + 1.0), (n, x), (n - 1, x + 0.5), (n - 1, x + 1.0), (n, x + 0.5))
 
 
 def g_beta_provider(p: QParam, beta: float, trunc: Truncation | None = None) -> LogDerivProvider:
@@ -455,7 +472,11 @@ def g_beta_provider(p: QParam, beta: float, trunc: Truncation | None = None) -> 
     def d(n: int, x: float) -> float:
         return _g_beta_log_deriv(p, half, beta, n, x)
 
-    return LogDerivProvider(d=d, lo=0.0, hi=math.inf, name=f"g_beta(q={p.q:g}, beta={beta:g})")
+    def prefetch(n: int, xs: Sequence[float]) -> None:
+        half.psi_grid(key for x in xs for key in _g_beta_psi_keys(p, n, x))
+
+    name = f"g_beta(q={p.q:g}, beta={beta:g})"
+    return LogDerivProvider(d=d, lo=0.0, hi=math.inf, name=name, prefetch=prefetch)
 
 
 def verify_g_beta_lcm(
@@ -479,14 +500,14 @@ def verify_g_beta_lcm(
     params = {"q": p.q, "beta": b}
     xs = np.asarray(grid, dtype=np.float64).ravel()
     gate = xs[:: max(1, xs.size // 8)]
-    for x in gate:
-        rc = psi_duplication_residual(p, float(x), trunc)
+    gate_xs = [float(x) for x in gate]
+    for x, rc in zip(gate_xs, _duplication_residuals(p, gate_xs, trunc)):
         if not rc.passed:
             return _finish(
                 "g-beta-lcm",
                 params,
                 _grid_summary(grid),
-                [_row(None, float(x), rc.residual, rc.budget - rc.residual)],
+                [_row(None, x, rc.residual, rc.budget - rc.residual)],
                 tol,
                 notes=("duplication gate failed; sweep not run",),
             )
@@ -547,8 +568,11 @@ def _inv_digamma_provider(ctx: EvalContext) -> LogDerivProvider:
         values = [ctx.psi(k, x).value for k in range(0, n + 1)]
         return -log_derivatives(values)[n - 1]
 
+    def prefetch(n: int, xs: Sequence[float]) -> None:
+        ctx.psi_grid((k, x) for x in xs for k in range(0, n + 1))
+
     name = f"inv_digamma(q={ctx.p.q:g})"
-    return LogDerivProvider(d=d, lo=ctx.zero().x0, hi=math.inf, name=name)
+    return LogDerivProvider(d=d, lo=ctx.zero().x0, hi=math.inf, name=name, prefetch=prefetch)
 
 
 def verify_inv_digamma_lcm(

@@ -71,6 +71,13 @@ class TestExitCodes:
         assert out == ""
         assert "tol must be finite and >= 0" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_zero_bad_tol_exits_two(self, capsys, tol):
+        code, out, err = run_cli(capsys, "zero", "--q", "0.5", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "tol must be finite and > 0" in err
+
 
 class TestCsvFormat:
     def test_header_exact(self, capsys):

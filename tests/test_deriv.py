@@ -1,5 +1,6 @@
 """Finite differences, log-derivative recursion, grid and certification."""
 
+import dataclasses
 import math
 
 import pytest
@@ -7,9 +8,12 @@ import pytest
 from qfun import (
     CMReport,
     DomainError,
+    EvalContext,
     LogDerivProvider,
     N_MAX,
+    NonConvergent,
     QParam,
+    Truncation,
     UnsupportedOrder,
     certify_lcm,
     default_step,
@@ -17,6 +21,9 @@ from qfun import (
     ln_gamma_provider,
     log_derivatives,
     make_grid,
+    q_digamma,
+    q_polygamma,
+    q_psi_grid,
     ratio_provider,
 )
 
@@ -256,3 +263,90 @@ class TestEvalContext:
         assert ctx.zero() is ctx.zero()
         assert ctx.zero() == digamma_zero(QParam(0.5))
         assert len(solves) == 1
+
+
+class TestPsiGrid:
+    """The grid pass against one-point evaluations, which stay its reference."""
+
+    # 0.01 needs many chunks, 50 one; unsorted, with repeated points
+    XS = [3.0, 0.01, 50.0, 0.37, 0.01, 1.0, 12.5, 0.08, 3.0, 0.2, 50.0, 1.0001]
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.8, 0.99, 2.0, 5.0])
+    def test_equals_point_evaluations(self, q):
+        p = QParam(q)
+        for k in range(0, 9):
+            want = [q_digamma(p, x) if k == 0 else q_polygamma(p, x, k) for x in self.XS]
+            assert q_psi_grid(p, k, self.XS) == want, (q, k)
+            ctx = EvalContext(p)
+            assert ctx.psi_grid((k, x) for x in self.XS) == want, (q, k)
+
+    def test_psi_returns_the_grid_result(self):
+        ctx = EvalContext(QParam(0.5))
+        keys = [(2, 1.5), (0, 0.3), (2, 1.5), (1, 0.3)]
+        got = ctx.psi_grid(keys)
+        assert got[0] is got[2]
+        for key, r in zip(keys, got):
+            assert ctx.psi(*key) is r
+        assert ctx.psi_grid([(0, 0.3)])[0] is got[1]
+
+    def test_validation(self):
+        p = QParam(0.5)
+        with pytest.raises(UnsupportedOrder):
+            q_psi_grid(p, 9, [1.0])
+        with pytest.raises(UnsupportedOrder):
+            q_psi_grid(p, -1, [1.0])
+        with pytest.raises(DomainError):
+            q_psi_grid(p, 0, [1.0, 0.0])
+        assert q_psi_grid(p, 3, []) == []
+
+
+class TestPrefetchHook:
+    def test_called_once_per_order_after_domain_checks(self):
+        calls = []
+        prov = LogDerivProvider(
+            d=lambda n, x: (-1.0) ** n, lo=0.0, hi=math.inf, name="flat",
+            prefetch=lambda n, xs: calls.append((n, list(xs))),
+        )
+        grid = make_grid(1.0, 2.0, points=4)
+        certify_lcm(prov, grid, n_orders=3)
+        assert calls == [(n, [float(x) for x in grid]) for n in (1, 2, 3)]
+        calls.clear()
+        with pytest.raises(DomainError):
+            certify_lcm(prov, [1.0, -1.0])
+        assert calls == []
+
+    @pytest.mark.parametrize("q", [0.3, 0.7, 2.0])
+    def test_provider_without_hook_gives_same_report(self, q):
+        p = QParam(q)
+        grid = [3.0, 0.05, 1.7, 0.4, 11.0, 0.05, 20.0]
+        for make in (
+            lambda: ratio_provider(p, a=1.0, b=2.0, alpha=2.0, beta=1.0),
+            lambda: ratio_provider(p, a=0.7, b=1.9, alpha=1.0, beta=1.3),
+            lambda: ln_gamma_provider(p),
+        ):
+            hooked = make()
+            assert hooked.prefetch is not None
+            plain = make()
+            by_hand = LogDerivProvider(d=plain.d, lo=plain.lo, hi=plain.hi, name=plain.name)
+            assert certify_lcm(hooked, grid) == certify_lcm(by_hand, grid)
+
+    def test_term_cap_raises_the_per_point_sweeps_error(self):
+        # with q = 0.5 and a 1000-term cap, psi^(0) converges at every point
+        # and psi^(1) fails at 0.0451 and 0.045 (order 2), psi^(2) also at
+        # 0.05 (order 3): the sweep's first failure is order 2 at 0.0451
+        p = QParam(0.5)
+        t = Truncation(max_terms=1000)
+        grid = [0.05, 2.0, 0.0451, 0.4, 0.045]
+
+        def sweep(prov):
+            with pytest.raises(NonConvergent) as info:
+                certify_lcm(prov, grid)
+            return str(info.value)
+
+        hooked = ratio_provider(p, a=1.0, b=2.0, alpha=2.0, beta=1.0, trunc=t)
+        per_point = dataclasses.replace(
+            ratio_provider(p, a=1.0, b=2.0, alpha=2.0, beta=1.0, trunc=t), prefetch=None
+        )
+        want = sweep(per_point)
+        assert want == "term cap 1000 reached before the tail target (q=0.5, x=0.0451, order=1)"
+        assert sweep(hooked) == want

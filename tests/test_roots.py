@@ -79,6 +79,11 @@ class TestDigammaZero:
             assert all(a != b for a, b in zip(xs, xs[1:])), q
             assert z.iterations == len(xs), q
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
+    def test_rejects_non_positive_or_non_finite_tol(self, tol):
+        with pytest.raises(DomainError, match="tol must be finite and > 0"):
+            digamma_zero(QParam(0.5), tol=tol)
+
     def test_without_bisection_the_midpoint_is_evaluated(self):
         # no bisection step: the bracket midpoint is evaluated once, then polished
         z = digamma_zero(QParam(0.5), bisect_steps=0, newton_steps=40)

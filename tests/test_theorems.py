@@ -261,6 +261,18 @@ class TestDuplication:
             rc = psi_duplication_residual(p, float(x))
             assert rc.residual <= rc.budget, x
 
+    def test_sweep_matches_point_residuals(self):
+        # unsorted, 0.05 repeated, and 0.55 = 0.05 + 1/2 shares a psi_{q^2} point
+        grid = [0.05, 3.0, 0.55, 0.05, 1.0, 20.0, 0.5]
+        for q in (0.2, 0.5, 0.8):
+            p = QParam(q)
+            points = [(x, psi_duplication_residual(p, x)) for x in grid]
+            x, rc = min(points, key=lambda pt: pt[1].budget - pt[1].residual)
+            rep = verify_psi_duplication(p, grid=np.array(grid))
+            assert rep.worst_point == {
+                "n_order": None, "x": x, "value": rc.residual, "margin": rc.budget - rc.residual
+            }, q
+
     def test_super_unit_rejected(self):
         with pytest.raises(DomainError):
             psi_duplication_residual(QParam(2.0), 1.0)
