@@ -20,7 +20,8 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, fields
+from typing import Callable
 
 from .core import (
     DomainError,
@@ -36,73 +37,22 @@ from .core import (
     q_gamma,
     q_polygamma,
 )
-from .deriv import make_grid
-from .roots import BracketError, digamma_zero
-from .theorems import CLAIM_IDS, CLAIMS, ClaimArgs, VerifyReport, rerun_kwargs, run_claim
+from .roots import DEFAULT_ZERO_TOL, BracketError, digamma_zero
+from .theorems import (
+    CLAIM_IDS,
+    CLAIMS,
+    DEFAULT_TOL,
+    ClaimArgs,
+    VerifyReport,
+    rerun_kwargs,
+    run_claim,
+)
 
-__all__ = ["RunConfig", "main", "run"]
+__all__ = ["main", "run"]
 
 CSV_HEADER = "claim_id,q,param_summary,n_order,x,value,margin,passed"
 
 DEFAULT_ALL_QS = (0.2, 0.5, 0.8, 2.0, 5.0)
-
-_EVAL_FNS = (
-    "gamma",
-    "ln-gamma",
-    "digamma",
-    "polygamma",
-    "bracket",
-    "gamma-inversion",
-    "digamma-inversion",
-)
-
-_CONFIG_KEYS = {
-    "fn": str,
-    "q": "float_list",
-    "x": float,
-    "x_min": float,
-    "x_max": float,
-    "points": int,
-    "spacing": str,
-    "claim": "str_list",
-    "a": float,
-    "b": float,
-    "alpha": float,
-    "beta": float,
-    "n_max": int,
-    "orders": int,
-    "tol": float,
-    "rel_tol": float,
-    "format": str,
-    "out": str,
-    "allow_near_one": "flag",
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: command plus every flag, post config-file merge."""
-
-    command: str
-    fn: str | None = None
-    qs: tuple[float, ...] = ()
-    x: float | None = None
-    x_min: float | None = None
-    x_max: float | None = None
-    points: int | None = None
-    spacing: str | None = None
-    claims: tuple[str, ...] = ()
-    a: float | None = None
-    b: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    n_max: int | None = None
-    orders: int | None = None
-    tol: float | None = None
-    rel_tol: float | None = None
-    fmt: str = "text"
-    out: str | None = None
-    allow_near_one: bool = False
 
 
 def _num(v) -> str:
@@ -168,13 +118,13 @@ def _report_rows(rep: VerifyReport) -> list[dict]:
     return rows
 
 
-def _rerun_flags(rep: VerifyReport, cfg: RunConfig) -> str:
+def _rerun_flags(rep: VerifyReport, args: argparse.Namespace) -> str:
     """Flag string that reproduces the counterexample row as a single-point
     run of the same claim, with the invocation's run-wide flags."""
-    kwargs = {**rerun_kwargs(rep, rep.counterexample), "tol": cfg.tol, "rel_tol": cfg.rel_tol}
+    kwargs = {**rerun_kwargs(rep, rep.counterexample), "tol": args.tol, "rel_tol": args.rel_tol}
     parts = [f"--claim {rep.claim_id}", f"--q {_num(rep.params.get('q'))}"]
     parts += [f"--{k.replace('_', '-')} {_num(v)}" for k, v in kwargs.items() if v is not None]
-    if cfg.allow_near_one:
+    if args.allow_near_one:
         parts.append("--allow-near-one")
     return "qfun verify " + " ".join(parts)
 
@@ -213,7 +163,7 @@ def _render_json_rows(rows: list[dict]) -> str:
     return json.dumps({"rows": rows}, indent=2) + "\n"
 
 
-def _render_text_reports(reports: list[VerifyReport], cfg: RunConfig) -> str:
+def _render_text_reports(reports: list[VerifyReport], args: argparse.Namespace) -> str:
     out = io.StringIO()
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
@@ -233,7 +183,7 @@ def _render_text_reports(reports: list[VerifyReport], cfg: RunConfig) -> str:
                 f"  counterexample: n={_num(ce.get('n_order'))} x={_num(ce.get('x'))} "
                 f"value={_num(ce.get('value'))} margin={_num(ce.get('margin'))}\n"
             )
-            out.write(f"  re-run: {_rerun_flags(rep, cfg)}\n")
+            out.write(f"  re-run: {_rerun_flags(rep, args)}\n")
         for note in rep.notes:
             out.write(f"  note: {note}\n")
     passed = sum(1 for r in reports if r.passed)
@@ -266,50 +216,50 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _qparams(cfg: RunConfig) -> list[QParam]:
-    if not cfg.qs:
+def _qparams(args: argparse.Namespace, default: tuple[float, ...] = ()) -> list[QParam]:
+    qs = args.q or default
+    if not qs:
         raise DomainError("at least one --q is required")
-    return [QParam(q, allow_near_one=cfg.allow_near_one) for q in sorted(set(cfg.qs))]
+    return [QParam(q, allow_near_one=bool(args.allow_near_one)) for q in sorted(set(qs))]
 
 
-def _trunc(cfg: RunConfig) -> Truncation | None:
-    if cfg.rel_tol is None:
+def _trunc(args: argparse.Namespace) -> Truncation | None:
+    if args.rel_tol is None:
         return None
-    return Truncation(rel_tol=cfg.rel_tol)
+    return Truncation(rel_tol=args.rel_tol)
 
 
-def _eval_one(cfg: RunConfig, p: QParam, x: float, kind: str) -> dict:
-    t = _trunc(cfg)
-    fn = cfg.fn
-    order = None
-    if fn == "gamma":
-        r = q_gamma(p, x, t)
-        value, err = r.value, r.err_bound
-    elif fn == "ln-gamma":
-        r = ln_q_gamma(p, x, t)
-        value, err = r.value, r.err_bound
-    elif fn == "digamma":
-        r = q_digamma(p, x, t)
-        value, err = r.value, r.err_bound
-    elif fn == "polygamma":
-        order = 1 if cfg.orders is None else cfg.orders
-        r = q_polygamma(p, x, order, t)
-        value, err = r.value, r.err_bound
-    elif fn == "bracket":
-        value, err = q_bracket(p, x), 0.0
-    elif fn == "gamma-inversion":
-        rc = gamma_inversion_residual(p, x, t)
-        value, err = rc.residual, rc.budget
-    elif fn == "digamma-inversion":
-        rc = digamma_inversion_residual(p, x, t)
-        value, err = rc.residual, rc.budget
-    else:
-        raise DomainError(f"--fn is required for {kind}; choose from {', '.join(_EVAL_FNS)}")
-    summary = f"fn={fn}"
+def _bounded(r, order: int | None = None) -> tuple:
+    return order, r.value, r.err_bound
+
+
+def _residual(rc) -> tuple:
+    return None, rc.residual, rc.budget
+
+
+# --fn name -> its evaluation at (p, x, order, trunc), as (n_order, value,
+# margin); the margin column carries the error bound, or a residual's budget
+_EVALUATIONS: dict[str, Callable[..., tuple]] = {
+    "gamma": lambda p, x, n, t: _bounded(q_gamma(p, x, t)),
+    "ln-gamma": lambda p, x, n, t: _bounded(ln_q_gamma(p, x, t)),
+    "digamma": lambda p, x, n, t: _bounded(q_digamma(p, x, t)),
+    "polygamma": lambda p, x, n, t: _bounded(q_polygamma(p, x, n, t), n),
+    "bracket": lambda p, x, n, t: (None, q_bracket(p, x), 0.0),
+    "gamma-inversion": lambda p, x, n, t: _residual(gamma_inversion_residual(p, x, t)),
+    "digamma-inversion": lambda p, x, n, t: _residual(digamma_inversion_residual(p, x, t)),
+}
+
+
+def _eval_one(args: argparse.Namespace, p: QParam, x: float, kind: str) -> dict:
+    t = _trunc(args)
+    evaluate = _EVALUATIONS.get(args.fn)
+    if evaluate is None:
+        raise DomainError(f"--fn is required for {kind}; choose from {', '.join(_EVALUATIONS)}")
+    order, value, err = evaluate(p, x, 1 if args.orders is None else args.orders, t)
     return {
-        "claim_id": f"{kind}-{fn}",
+        "claim_id": f"{kind}-{args.fn}",
         "q": p.q,
-        "param_summary": summary,
+        "param_summary": f"fn={args.fn}",
         "n_order": order,
         "x": x,
         "value": value,
@@ -318,31 +268,29 @@ def _eval_one(cfg: RunConfig, p: QParam, x: float, kind: str) -> dict:
     }
 
 
-def _run_eval(cfg: RunConfig) -> tuple[list[dict], bool]:
-    if cfg.x is None:
+def _run_eval(args: argparse.Namespace) -> tuple[list[dict], bool]:
+    if args.x is None:
         raise DomainError("eval needs --x; use scan for a range")
-    rows = [_eval_one(cfg, p, cfg.x, "eval") for p in _qparams(cfg)]
+    rows = [_eval_one(args, p, args.x, "eval") for p in _qparams(args)]
     return rows, True
 
 
-def _run_scan(cfg: RunConfig) -> tuple[list[dict], bool]:
-    lo = 0.05 if cfg.x_min is None else cfg.x_min
-    hi = 20.0 if cfg.x_max is None else cfg.x_max
-    pts = 64 if cfg.points is None else cfg.points
-    sp = "geometric" if cfg.spacing is None else cfg.spacing
-    grid = make_grid(lo, hi, pts, sp)
+def _run_scan(args: argparse.Namespace) -> tuple[list[dict], bool]:
+    # the claim sweeps' grid defaults
+    given = {k: getattr(args, k) for k in ("x_min", "x_max", "points", "spacing")}
+    grid = ClaimArgs(**{k: v for k, v in given.items() if v is not None}).grid()
     rows = []
-    for p in _qparams(cfg):
+    for p in _qparams(args):
         for x in grid:
-            rows.append(_eval_one(cfg, p, float(x), "scan"))
+            rows.append(_eval_one(args, p, float(x), "scan"))
     return rows, True
 
 
-def _run_zero(cfg: RunConfig) -> tuple[list[dict], bool]:
-    tol = 1e-12 if cfg.tol is None else cfg.tol
+def _run_zero(args: argparse.Namespace) -> tuple[list[dict], bool]:
+    tol = DEFAULT_ZERO_TOL if args.tol is None else args.tol
     rows = []
-    for p in _qparams(cfg):
-        z = digamma_zero(p, tol=tol, trunc=_trunc(cfg))
+    for p in _qparams(args):
+        z = digamma_zero(p, tol=tol, trunc=_trunc(args))
         rows.append(
             {
                 "claim_id": "zero",
@@ -358,137 +306,160 @@ def _run_zero(cfg: RunConfig) -> tuple[list[dict], bool]:
     return rows, True
 
 
-def _run_verify(cfg: RunConfig) -> list[VerifyReport]:
-    if not cfg.claims:
+def _run_verify(args: argparse.Namespace) -> list[VerifyReport]:
+    if not args.claim:
         raise DomainError("verify needs at least one --claim")
-    unknown = [c for c in cfg.claims if c not in CLAIM_IDS]
+    unknown = [c for c in args.claim if c not in CLAIM_IDS]
     if unknown:
         raise DomainError(f"unknown claim ids: {', '.join(unknown)}")
-    # RunConfig names each run_claim argument alike, save trunc
-    kwargs = {f.name: getattr(cfg, f.name) for f in fields(ClaimArgs) if f.name != "trunc"}
-    kwargs["trunc"] = _trunc(cfg)
+    # the verify flags name each ClaimArgs field alike, save trunc
+    kwargs = {f.name: getattr(args, f.name) for f in fields(ClaimArgs) if f.name != "trunc"}
+    kwargs["trunc"] = _trunc(args)
     reports = []
-    for claim in sorted(set(cfg.claims)):
-        for p in _qparams(cfg):
+    for claim in sorted(set(args.claim)):
+        for p in _qparams(args):
             reports.append(run_claim(claim, p, **kwargs))
     return reports
 
 
-def _run_all(cfg: RunConfig) -> list[VerifyReport]:
-    params = _qparams(replace(cfg, qs=cfg.qs or DEFAULT_ALL_QS))
+def _run_all(args: argparse.Namespace) -> list[VerifyReport]:
+    params = _qparams(args, DEFAULT_ALL_QS)
     reports = []
     for claim in sorted(CLAIM_IDS):
         for p in params:
             if CLAIMS[claim].supports(p):
-                reports.append(run_claim(claim, p, tol=cfg.tol, trunc=_trunc(cfg)))
+                reports.append(run_claim(claim, p, tol=args.tol, trunc=_trunc(args)))
     return reports
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one resolved configuration; returns the process exit code."""
-    if cfg.command in ("eval", "scan", "zero"):
-        if cfg.command == "eval":
-            rows, ok = _run_eval(cfg)
-        elif cfg.command == "scan":
-            rows, ok = _run_scan(cfg)
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed invocation, config-file values merged in; returns
+    the process exit code."""
+    fmt = args.format or "text"
+    if args.command in ("eval", "scan", "zero"):
+        if args.command == "eval":
+            rows, ok = _run_eval(args)
+        elif args.command == "scan":
+            rows, ok = _run_scan(args)
         else:
-            rows, ok = _run_zero(cfg)
-        if cfg.fmt == "csv":
-            _emit(_render_csv(rows), cfg.out)
-        elif cfg.fmt == "json":
-            _emit(_render_json_rows(rows), cfg.out)
+            rows, ok = _run_zero(args)
+        if fmt == "csv":
+            _emit(_render_csv(rows), args.out)
+        elif fmt == "json":
+            _emit(_render_json_rows(rows), args.out)
         else:
-            _emit(_render_text_rows(rows), cfg.out)
+            _emit(_render_text_rows(rows), args.out)
         return 0 if ok else 1
 
-    reports = _run_verify(cfg) if cfg.command == "verify" else _run_all(cfg)
+    reports = _run_verify(args) if args.command == "verify" else _run_all(args)
     rows = [row for rep in reports for row in _report_rows(rep)]
-    if cfg.fmt == "csv":
-        _emit(_render_csv(rows), cfg.out)
-    elif cfg.fmt == "json":
-        _emit(_render_json_reports(reports), cfg.out)
+    if fmt == "csv":
+        _emit(_render_csv(rows), args.out)
+    elif fmt == "json":
+        _emit(_render_json_reports(reports), args.out)
     else:
-        _emit(_render_text_reports(reports, cfg), cfg.out)
-    if cfg.fmt != "text":
+        _emit(_render_text_reports(reports, args), args.out)
+    if fmt != "text":
         for rep in reports:
             if not rep.passed and rep.counterexample is not None:
-                sys.stderr.write(f"re-run: {_rerun_flags(rep, cfg)}\n")
+                sys.stderr.write(f"re-run: {_rerun_flags(rep, args)}\n")
     return 0 if all(rep.passed for rep in reports) else 1
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--q", action="append", type=float, default=None,
-                    help="deformation parameter; repeatable")
-    sp.add_argument("--rel-tol", type=float, default=None,
-                    help="series truncation target (relative)")
-    sp.add_argument("--format", dest="fmt", choices=("text", "csv", "json"),
-                    default=None, help="output format (default text)")
-    sp.add_argument("--out", default=None, help="write the report to this path")
-    sp.add_argument("--allow-near-one", action="store_true", default=None,
-                    help="permit q inside the near-one guard band")
+def _add_common(add: Callable[..., None]) -> None:
+    add("--q", action="append", type=float, help="deformation parameter; repeatable")
+    add("--rel-tol", type=float, help="series truncation target (relative)")
+    add("--format", choices=("text", "csv", "json"), help="output format (default text)")
+    add("--out", help="write the report to this path")
+    add("--allow-near-one", action="store_true", help="permit q inside the near-one guard band")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_grid(add: Callable[..., None]) -> None:
+    add("--x-min", type=float)
+    add("--x-max", type=float)
+    add("--points", type=int)
+    add("--spacing", choices=("linear", "geometric"))
+
+
+# subcommand -> long flag -> (the Action add_argument returned, whether it appends)
+_FlagTable = dict[str, dict[str, tuple[argparse.Action, bool]]]
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, _FlagTable]:
+    """The parser, and the flags of each subcommand."""
     ap = argparse.ArgumentParser(
         prog="qfun",
         description="q-gamma family evaluation and claim verification",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    flags: _FlagTable = {}
 
-    p_eval = sub.add_parser("eval", help="evaluate one function at one point")
-    p_eval.add_argument("--fn", choices=_EVAL_FNS, default=None)
-    p_eval.add_argument("--x", type=float, default=None)
-    p_eval.add_argument("--orders", type=int, default=None,
-                        help="polygamma derivative order (default 1)")
-    _add_common(p_eval)
+    def command(name: str, help: str) -> Callable[..., None]:
+        sp = sub.add_parser(name, help=help)
+        own = flags[name] = {}
 
-    p_scan = sub.add_parser("scan", help="evaluate one function over an x grid")
-    p_scan.add_argument("--fn", choices=_EVAL_FNS, default=None)
-    p_scan.add_argument("--x-min", type=float, default=None)
-    p_scan.add_argument("--x-max", type=float, default=None)
-    p_scan.add_argument("--points", type=int, default=None)
-    p_scan.add_argument("--spacing", choices=("linear", "geometric"), default=None)
-    p_scan.add_argument("--orders", type=int, default=None)
-    _add_common(p_scan)
+        def add(flag: str, **kw) -> None:
+            # None marks a flag the command line left unset
+            own[flag] = (sp.add_argument(flag, default=None, **kw), kw.get("action") == "append")
 
-    p_zero = sub.add_parser("zero", help="locate the positive zero of the q-digamma")
-    p_zero.add_argument("--tol", type=float, default=None,
-                        help="residual tolerance (default 1e-12)")
-    _add_common(p_zero)
+        return add
 
-    p_verify = sub.add_parser("verify", help="verify chosen claims")
-    p_verify.add_argument("--claim", action="append", default=None,
-                          help=f"claim id; repeatable; one of {', '.join(CLAIM_IDS)}")
-    p_verify.add_argument("--x", type=float, default=None,
-                          help="single-point mode (claim dependent)")
-    p_verify.add_argument("--x-min", type=float, default=None)
-    p_verify.add_argument("--x-max", type=float, default=None)
-    p_verify.add_argument("--points", type=int, default=None)
-    p_verify.add_argument("--spacing", choices=("linear", "geometric"), default=None)
-    p_verify.add_argument("--a", type=float, default=None,
-                          help="ratio scale a, or the exponent a of the mean inequalities")
-    p_verify.add_argument("--b", type=float, default=None,
-                          help="ratio scale b; doubles as the second coordinate y "
-                               "for paired-point re-runs")
-    p_verify.add_argument("--alpha", type=float, default=None)
-    p_verify.add_argument("--beta", type=float, default=None,
-                          help="ratio exponent beta, or the g-beta correction weight")
-    p_verify.add_argument("--n-max", type=int, default=None,
-                          help="upper index for integer-indexed claims")
-    p_verify.add_argument("--orders", type=int, default=None,
-                          help="derivative order cap for monotonicity sweeps")
-    p_verify.add_argument("--tol", type=float, default=None,
-                          help="margin slack (default 1e-9)")
-    _add_common(p_verify)
+    add = command("eval", "evaluate one function at one point")
+    add("--fn", choices=tuple(_EVALUATIONS))
+    add("--x", type=float)
+    add("--orders", type=int, help="polygamma derivative order (default 1)")
+    _add_common(add)
 
-    p_all = sub.add_parser("all", help="run every claim over the default q sweep")
-    p_all.add_argument("--tol", type=float, default=None)
-    _add_common(p_all)
+    add = command("scan", "evaluate one function over an x grid")
+    add("--fn", choices=tuple(_EVALUATIONS))
+    _add_grid(add)
+    add("--orders", type=int)
+    _add_common(add)
 
-    return ap
+    add = command("zero", "locate the positive zero of the q-digamma")
+    add("--tol", type=float, help=f"residual tolerance (default {DEFAULT_ZERO_TOL:g})")
+    _add_common(add)
+
+    add = command("verify", "verify chosen claims")
+    add("--claim", action="append", help=f"claim id; repeatable; one of {', '.join(CLAIM_IDS)}")
+    add("--x", type=float, help="single-point mode (claim dependent)")
+    _add_grid(add)
+    add("--a", type=float, help="ratio scale a, or the exponent a of the mean inequalities")
+    add("--b", type=float,
+        help="ratio scale b; doubles as the second coordinate y for paired-point re-runs")
+    add("--alpha", type=float)
+    add("--beta", type=float, help="ratio exponent beta, or the g-beta correction weight")
+    add("--n-max", type=int, help="upper index for integer-indexed claims")
+    add("--orders", type=int, help="derivative order cap for monotonicity sweeps")
+    add("--tol", type=float, help=f"margin slack (default {DEFAULT_TOL:g})")
+    _add_common(add)
+
+    add = command("all", "run every claim over the default q sweep")
+    add("--tol", type=float, help=f"margin slack (default {DEFAULT_TOL:g})")
+    _add_common(add)
+
+    return ap, flags
 
 
-def _parse_config_file(path: str) -> dict:
+def _config_value(action: argparse.Action, appends: bool, text: str):
+    """text converted and checked as the flag's own value would be; an
+    appending flag takes a comma-separated list."""
+    if action.nargs == 0:  # store_true
+        if text.lower() not in ("true", "false", "1", "0"):
+            raise ValueError(f"must be true/false, got {text!r}")
+        return text.lower() in ("true", "1")
+    items = [v.strip() for v in text.split(",") if v.strip()] if appends else [text]
+    values = [action.type(v) if action.type else v for v in items]
+    for v in values:
+        if action.choices is not None and v not in action.choices:
+            raise ValueError(f"invalid choice {v!r} (choose from {', '.join(action.choices)})")
+    return values if appends else values[0]
+
+
+def _parse_config_file(path: str, flags: _FlagTable) -> dict:
+    """dest -> value for each key=value line; a key is a long flag of any
+    subcommand, without its dashes."""
+    union = {flag: f for own in flags.values() for flag, f in own.items()}
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -498,72 +469,32 @@ def _parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise DomainError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            val = val.strip()
-            if key not in _CONFIG_KEYS:
+            key = key.strip()
+            flag = union.get("--" + key.replace("_", "-"))
+            if flag is None:
                 raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-            kind = _CONFIG_KEYS[key]
-            if key == "format":
-                key = "fmt"
-            if kind == "float_list":
-                values[key] = tuple(float(v) for v in val.split(",") if v.strip())
-            elif kind == "str_list":
-                values[key] = tuple(v.strip() for v in val.split(",") if v.strip())
-            elif kind == "flag":
-                if val.lower() not in ("true", "false", "1", "0"):
-                    raise DomainError(f"{path}:{lineno}: {key} must be true/false")
-                values[key] = val.lower() in ("true", "1")
-            else:
-                values[key] = kind(val)
+            action, appends = flag
+            try:
+                values[action.dest] = _config_value(action, appends, val.strip())
+            except ValueError as exc:
+                raise DomainError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
-def _config_from_args(args: argparse.Namespace, file_values: dict) -> RunConfig:
-    def pick(name, default=None):
-        v = getattr(args, name, None)
-        if v is None:
-            v = file_values.get(name, default)
-        return v
-
-    qs = pick("q") or ()
-    claims = pick("claim") or ()
-    return RunConfig(
-        command=args.command,
-        fn=pick("fn"),
-        qs=tuple(float(q) for q in qs),
-        x=pick("x"),
-        x_min=pick("x_min"),
-        x_max=pick("x_max"),
-        points=pick("points"),
-        spacing=pick("spacing"),
-        claims=tuple(claims),
-        a=pick("a"),
-        b=pick("b"),
-        alpha=pick("alpha"),
-        beta=pick("beta"),
-        n_max=pick("n_max"),
-        orders=pick("orders"),
-        tol=pick("tol"),
-        rel_tol=pick("rel_tol"),
-        fmt=pick("fmt", "text") or "text",
-        out=pick("out"),
-        allow_near_one=bool(pick("allow_near_one", False)),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, flags = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        file_values = {}
         cfg_path = os.environ.get("QFUN_CONFIG")
         if cfg_path:
-            file_values = _parse_config_file(cfg_path)
-        cfg = _config_from_args(args, file_values)
-        return run(cfg)
+            for dest, value in _parse_config_file(cfg_path, flags).items():
+                # only a dest this subcommand has, and the command line left unset
+                if getattr(args, dest, False) is None:
+                    setattr(args, dest, value)
+        return run(args)
     except (DomainError, UnsupportedOrder, NonConvergent, BracketError,
             OverflowError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -26,6 +26,9 @@ __all__ = ["BracketError", "ZeroResult", "digamma_zero", "q_euler_mascheroni", "
 
 _BRACKET_EXPANSIONS = 60
 
+# digamma_zero's default bound on the residual |psi_q(x0)|
+DEFAULT_ZERO_TOL = 1e-12
+
 
 class BracketError(ArithmeticError):
     """Could not enclose a sign change while expanding the search bracket."""
@@ -43,7 +46,7 @@ class ZeroResult:
 
 def digamma_zero(
     p: QParam,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_ZERO_TOL,
     trunc: Truncation | None = None,
     bisect_steps: int = 40,
     newton_steps: int = 10,

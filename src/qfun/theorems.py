@@ -392,6 +392,14 @@ def verify_psi_duplication(
     )
 
 
+def _g_beta_weight(p: QParam, beta: float | None) -> float:
+    """beta as given, or beta_star(q) when None; it must be finite."""
+    b = beta_star(p) if beta is None else float(beta)
+    if not math.isfinite(b):
+        raise DomainError(f"beta must be a finite real, got {b!r}")
+    return b
+
+
 def beta_star(p: QParam) -> float:
     """Threshold -13 ln(q) / (6 (1 - q^2)) above which the corrected ratio
     square is certified monotone, for 0 < q < 1."""
@@ -496,7 +504,7 @@ def verify_g_beta_lcm(
     """
     if grid is None:
         grid = _default_grid()
-    b = beta_star(p) if beta is None else float(beta)
+    b = _g_beta_weight(p, beta)
     params = {"q": p.q, "beta": b}
     xs = np.asarray(grid, dtype=np.float64).ravel()
     gate = xs[:: max(1, xs.size // 8)]
@@ -540,7 +548,7 @@ def verify_phi_coeff(
     minimum sits exactly at zero (index n = 2)."""
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
         raise DomainError(f"n_max must be an int >= 1, got {n_max!r}")
-    b = beta_star(p) if beta is None else float(beta)
+    b = _g_beta_weight(p, beta)
     rows = []
     for n in range(1, n_max + 1):
         c_n = phi_series_coefficient(b, p, n)
@@ -632,9 +640,13 @@ def verify_ineq_1(
     return _finish("c-ineq-1", params, {"points": 1}, rows, tol)
 
 
-def _ineq_1_row(ctx: EvalContext, a: float, x: float, y: float) -> dict:
+def _check_mean_exponent(a: float) -> None:
     if not a > 1.0:
         raise DomainError(f"a must exceed 1, got {a}")
+
+
+def _ineq_1_row(ctx: EvalContext, a: float, x: float, y: float) -> dict:
+    _check_mean_exponent(a)
     x0 = ctx.zero().x0
     for name, v in (("x", x), ("y", y)):
         if not v > x0:
@@ -663,8 +675,7 @@ def verify_ineq_010(
 
 
 def _ineq_010_row(ctx: EvalContext, a: float, u: float) -> dict:
-    if not a > 1.0:
-        raise DomainError(f"a must exceed 1, got {a}")
+    _check_mean_exponent(a)
     x0 = ctx.zero().x0
     if not u > 1.0 - 2.0 / a:
         raise DomainError(f"u = {u} violates u > 1 - 2/a = {1.0 - 2.0 / a:.6g}")
@@ -864,6 +875,8 @@ def _run_ineq_1(p: QParam, o: ClaimArgs) -> VerifyReport:
 def _run_ineq_010(p: QParam, o: ClaimArgs) -> VerifyReport:
     if o.x is not None:
         return verify_ineq_010(p, o.a, float(o.x), o.tol, o.trunc)
+    # before the grid filter divides by a
+    _check_mean_exponent(o.a)
     ctx = EvalContext(p, o.trunc)
     x0 = ctx.zero().x0
     candidates = [float(v) for v in o.grid()]
@@ -924,39 +937,20 @@ CLAIMS: dict[str, Claim] = {
 CLAIM_IDS = tuple(CLAIMS)
 
 
-def run_claim(
-    claim_id: str,
-    p: QParam,
-    *,
-    x: float | None = None,
-    x_min: float | None = None,
-    x_max: float | None = None,
-    points: int | None = None,
-    spacing: str | None = None,
-    a: float | None = None,
-    b: float | None = None,
-    alpha: float | None = None,
-    beta: float | None = None,
-    n_max: int | None = None,
-    orders: int | None = None,
-    tol: float | None = None,
-    trunc: Truncation | None = None,
-) -> VerifyReport:
+def run_claim(claim_id: str, p: QParam, **overrides) -> VerifyReport:
     """Run one registered claim with sweep defaults.
 
-    x switches to single-point mode.  For the paired claims (c-ineq-1 and
-    the superadditivity part of gamma-lcm-superadd) the second coordinate
-    rides in b when x is given.  Claims indexed by an integer use n_max;
+    The keyword arguments are the ClaimArgs fields; one given as None
+    keeps the claim's default, and an unknown name with a value raises
+    TypeError.  x switches to single-point mode.  For the paired claims
+    (c-ineq-1 and the superadditivity part of gamma-lcm-superadd) the
+    second coordinate rides in b when x is given.  Claims indexed by an integer use n_max;
     derivative sweeps use orders.  tol must be finite and >= 0.
     """
     claim = CLAIMS.get(claim_id)
     if claim is None:
         raise DomainError(f"unknown claim id {claim_id!r}; known: {', '.join(CLAIM_IDS)}")
-    given = dict(
-        x=x, x_min=x_min, x_max=x_max, points=points, spacing=spacing, a=a, b=b, alpha=alpha,
-        beta=beta, n_max=n_max, orders=orders, tol=tol, trunc=trunc,
-    )
-    args = replace(claim.defaults, **{k: v for k, v in given.items() if v is not None})
+    args = replace(claim.defaults, **{k: v for k, v in overrides.items() if v is not None})
     if not 0.0 <= args.tol < math.inf:
         raise DomainError(f"tol must be finite and >= 0, got {args.tol}")
     return claim.run(p, args)

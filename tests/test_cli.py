@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from qfun.cli import CSV_HEADER, _render_csv, main
+from qfun.cli import CSV_HEADER, _build_parser, _render_csv, main
+
+# subcommand -> long flag -> (its argparse Action, whether it appends)
+FLAGS = _build_parser()[1]
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +81,33 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "tol must be finite and > 0" in err
+
+    @pytest.mark.parametrize("point", [[], ["--x", "2"]])
+    @pytest.mark.parametrize("a", ["0", "-1", "1"])
+    def test_mean_exponent_not_above_one_exits_two(self, capsys, a, point):
+        # a = 0 used to divide by zero, a = -1 to pass with no points examined
+        code, out, err = run_cli(
+            capsys, "verify", "--claim", "c-ineq-010", "--q", "0.5", "--a", a, *point
+        )
+        assert code == 2
+        assert out == ""
+        assert "a must exceed 1" in err
+
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("claim", ["phi-coeff", "g-beta-lcm"])
+    def test_non_finite_beta_exits_two(self, capsys, claim, beta):
+        code, out, err = run_cli(capsys, "verify", "--claim", claim, "--q", "0.5", f"--beta={beta}")
+        assert code == 2
+        assert out == ""
+        assert "beta must be a finite real" in err
+
+    @pytest.mark.parametrize("cmd", FLAGS)
+    def test_help_lists_every_flag(self, capsys, cmd):
+        # argparse formats help strings only when --help runs
+        code, out, _ = run_cli(capsys, cmd, "--help")
+        assert code == 0
+        for flag in FLAGS[cmd]:
+            assert re.search(re.escape(flag) + r"(?![\w-])", out), flag
 
 
 class TestCsvFormat:
@@ -205,6 +236,77 @@ class TestConfigFile:
         monkeypatch.setenv("QFUN_CONFIG", str(tmp_path / "absent.cfg"))
         code, _, _ = run_cli(capsys, "zero", "--q", "0.5")
         assert code == 2
+
+    # a cheap invocation of each subcommand in which every one of its flags,
+    # set to its SAMPLE value, changes the outcome
+    BASE = {
+        "eval": {"--fn": "polygamma", "--q": ["0.5"], "--x": "1"},
+        "scan": {"--fn": "polygamma", "--q": ["0.5"], "--x-min": "0.5", "--points": "3"},
+        # below the residual the bisection reaches, so the Newton steps run
+        "zero": {"--q": ["0.5"], "--tol": "1e-15"},
+        "verify": {
+            "--claim": ["t31-ratio-lcm", "c-666"], "--q": ["0.5"], "--x-max": "3",
+            "--points": "4", "--orders": "2", "--format": "json",
+        },
+        "all": {"--q": ["0.5"], "--format": "json"},
+    }
+    SAMPLE = {
+        "--fn": "gamma", "--q": ["0.2", "0.8"], "--x": "1.5", "--x-min": "1", "--x-max": "4",
+        "--points": "5", "--spacing": "linear", "--claim": ["c-666", "phi-coeff"], "--a": "0.5",
+        "--b": "3", "--alpha": "1", "--beta": "2", "--n-max": "5", "--orders": "3",
+        "--tol": "1e-6", "--rel-tol": "0.5", "--format": "csv", "--out": "report.txt",
+        "--allow-near-one": True,
+    }
+    # flags that show only at some q: inside the near-one guard band, or
+    # where the series needs more than one chunk of terms
+    Q_FOR = {"--allow-near-one": ["0.99995"], "--rel-tol": ["0.9"]}
+
+    @staticmethod
+    def _argv(cmd, opts):
+        argv = [cmd]
+        for flag, value in opts.items():
+            if value is True:
+                argv.append(flag)
+            else:
+                for v in value if isinstance(value, list) else [value]:
+                    argv += [flag, v]
+        return argv
+
+    @pytest.mark.parametrize("cmd, flag", [(c, f) for c, own in FLAGS.items() for f in own])
+    def test_key_equals_flag(self, capsys, tmp_path, monkeypatch, cmd, flag):
+        assert flag in self.SAMPLE, f"give {flag} a sample value"
+        value = self.SAMPLE[flag]
+        if flag == "--out":
+            value = str(tmp_path / value)
+        base = {k: v for k, v in self.BASE[cmd].items() if k != flag}
+        if flag in self.Q_FOR:
+            base["--q"] = self.Q_FOR[flag]
+        without = run_cli(capsys, *self._argv(cmd, base))
+        with_flag = run_cli(capsys, *self._argv(cmd, {**base, flag: value}))
+        text = "true" if value is True else ",".join(value) if isinstance(value, list) else value
+        cfg = tmp_path / "qfun.cfg"
+        cfg.write_text(f"{flag[2:]}={text}\n")
+        monkeypatch.setenv("QFUN_CONFIG", str(cfg))
+        from_file = run_cli(capsys, *self._argv(cmd, base))
+        assert from_file == with_flag
+        assert from_file != without
+
+    @pytest.mark.parametrize(
+        "line, argv",
+        [
+            ("format=xml", ["zero", "--q", "0.5"]),
+            ("fn=nope", ["eval", "--q", "0.5", "--x", "1"]),
+            ("spacing=zig", ["scan", "--fn", "digamma", "--q", "0.5"]),
+        ],
+    )
+    def test_value_outside_choices_exits_two(self, capsys, tmp_path, monkeypatch, line, argv):
+        cfg = tmp_path / "qfun.cfg"
+        cfg.write_text(line + "\n")
+        monkeypatch.setenv("QFUN_CONFIG", str(cfg))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f": {line.split('=')[0]}: invalid choice" in err
 
 
 class TestDeterminism:

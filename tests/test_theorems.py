@@ -342,6 +342,13 @@ class TestGBeta:
         with pytest.raises(DomainError):
             verify_g_beta_lcm(QParam(2.0))
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("verify", [verify_g_beta_lcm, verify_phi_coeff])
+    def test_non_finite_beta_rejected(self, verify, beta):
+        # a NaN weight passed every margin, an infinite one made them infinite
+        with pytest.raises(DomainError, match="beta must be a finite real"):
+            verify(QParam(0.5), beta=beta)
+
 
 class TestPhiCoefficients:
     def test_closed_form(self):
@@ -611,6 +618,21 @@ class TestRunClaim:
         solves = _record_calls(monkeypatch, "digamma_zero")
         run_claim(claim, QParam(q), **kwargs)
         assert len(solves) <= 1
+
+    @pytest.mark.parametrize("x", [None, 2.0])
+    @pytest.mark.parametrize("a", [0.0, -1.0, 1.0])
+    def test_ineq_010_rejects_exponent_not_above_one(self, a, x):
+        # the sweep filters its grid by 1 - 2/a, so the check must come first
+        with pytest.raises(DomainError, match="a must exceed 1"):
+            run_claim("c-ineq-010", QParam(0.5), a=a, x=x)
+
+    def test_unknown_argument_rejected(self):
+        with pytest.raises(TypeError):
+            run_claim("c-666", QParam(0.5), n_maximum=5)
+
+    def test_none_keeps_claim_default(self):
+        p = QParam(0.5)
+        assert run_claim("phi-coeff", p, n_max=None, beta=None) == run_claim("phi-coeff", p)
 
     def test_tight_margin_note(self):
         rep = run_claim("c-666", QParam(0.5), n_max=1)
