@@ -37,6 +37,7 @@ from .core import (
     q_gamma,
     q_polygamma,
 )
+from .deriv import EvalContext
 from .roots import DEFAULT_ZERO_TOL, BracketError, digamma_zero
 from .theorems import (
     CLAIM_IDS,
@@ -314,22 +315,32 @@ def _run_verify(args: argparse.Namespace) -> list[VerifyReport]:
         raise DomainError(f"unknown claim ids: {', '.join(unknown)}")
     # the verify flags name each ClaimArgs field alike, save trunc
     kwargs = {f.name: getattr(args, f.name) for f in fields(ClaimArgs) if f.name != "trunc"}
-    kwargs["trunc"] = _trunc(args)
-    reports = []
-    for claim in sorted(set(args.claim)):
-        for p in _qparams(args):
-            reports.append(run_claim(claim, p, **kwargs))
-    return reports
+    params = _qparams(args)
+    runs = [(claim, p) for claim in sorted(set(args.claim)) for p in params]
+    return _run_claims(runs, _trunc(args), kwargs)
 
 
 def _run_all(args: argparse.Namespace) -> list[VerifyReport]:
     params = _qparams(args, DEFAULT_ALL_QS)
-    reports = []
-    for claim in sorted(CLAIM_IDS):
-        for p in params:
-            if CLAIMS[claim].supports(p):
-                reports.append(run_claim(claim, p, tol=args.tol, trunc=_trunc(args)))
-    return reports
+    runs = [(claim, p) for claim in sorted(CLAIM_IDS) for p in params if CLAIMS[claim].supports(p)]
+    return _run_claims(runs, _trunc(args), {"tol": args.tol})
+
+
+def _run_claims(
+    runs: list[tuple[str, QParam]], trunc: Truncation | None, kwargs: dict
+) -> list[VerifyReport]:
+    """run_claim(claim, p, **kwargs) for each (claim, p) of runs, reported
+    in that order but evaluated one q at a time: the runs at one q share
+    one EvalContext, so they solve for the digamma zero once and compute
+    each value once, and it is dropped before the next q starts."""
+    reports = {}
+    for p in dict.fromkeys(p for _, p in runs):
+        ctx = EvalContext(p, trunc)
+        for claim, q_of_run in runs:
+            if q_of_run == p:
+                reports[claim, p] = run_claim(claim, ctx, **kwargs)
+        del ctx
+    return [reports[run] for run in runs]
 
 
 def run(args: argparse.Namespace) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -176,21 +176,33 @@ def _fp_allowance(*magnitudes: float) -> float:
     return 1e-13 * (1.0 + math.fsum(abs(m) for m in magnitudes))
 
 
-def _lambert_tail(q: float, x: float, n: int, last_k: int) -> float:
-    """Majorant for sum_{k > last_k} k^n q^{kx} / (1 - q^k), 0 < q < 1.
+def _lambert_tails(
+    q: float, n: int, last_k: int, rows: Iterable[tuple[float, float]]
+) -> list[float]:
+    """Majorants for sum_{k > last_k} k^n q^{kx} / (1 - q^k), 0 < q < 1, one
+    per row given as its (x ln q, q^x).
 
     Uses 1 - q^k >= 1 - q and the term-ratio envelope
-    ((k+1)/k)^n q^x <= rho, evaluated at k = last_k + 1.
+    ((k+1)/k)^n q^x <= rho, evaluated at k = last_k + 1.  The factors that
+    depend on last_k alone are taken once for all rows.
     """
-    lnq = math.log(q)
-    log_r = x * lnq
-    rho = ((last_k + 2) / (last_k + 1)) ** n * math.exp(log_r)
-    if rho >= 1.0:
-        return math.inf
-    log_first = n * math.log(last_k + 1) + (last_k + 1) * log_r
-    if log_first < _LN_TINY:
-        return 0.0
-    return math.exp(log_first) / ((1.0 - q) * (1.0 - rho))
+    grow = ((last_k + 2) / (last_k + 1)) ** n
+    log_k = n * math.log(last_k + 1)
+    out = []
+    for log_r, r in rows:
+        rho = grow * r
+        if rho >= 1.0:
+            out.append(math.inf)
+            continue
+        log_first = log_k + (last_k + 1) * log_r
+        out.append(0.0 if log_first < _LN_TINY else math.exp(log_first) / ((1.0 - q) * (1.0 - rho)))
+    return out
+
+
+def _lambert_tail(q: float, x: float, n: int, last_k: int) -> float:
+    """The _lambert_tails majorant at one x."""
+    log_r = x * math.log(q)
+    return _lambert_tails(q, n, last_k, [(log_r, math.exp(log_r))])[0]
 
 
 def _lambert_sum(
@@ -225,6 +237,61 @@ def _lambert_sum(
     )
 
 
+def _chunk_rows(
+    row_args: np.ndarray,
+    trunc: Truncation,
+    offsets: Sequence[float],
+    scale: float,
+    chunk: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
+    tails: Callable[[int, list[int]], list[float]],
+) -> list:
+    """The chunk loop of a grid pass, one row per entry of row_args; returns
+    (partial, tail, terms) per row, or None for a row that reached the term
+    cap.
+
+    Every row sums its terms k = 1, 2, ... in the chunks of the one-point
+    sums (64 terms, doubling to _CHUNK_LIMIT) and leaves once |scale| * tail
+    meets the truncation target at its assembled value offsets[i] + scale *
+    partial, so a row's result does not depend on the other rows: per
+    element the float operations are those of the one-point sum, and each
+    row's chunk sum runs along its contiguous axis.  chunk(k) takes a
+    chunk's term indices and returns the map from a block of row_args to the
+    block's terms; tails(k1, rows) gives those rows' tail majorants after
+    term k1.  Rows are blocked so no temporary holds more than _BLOCK_TERMS
+    terms, or one row's chunk.
+    """
+    abs_scale = abs(scale)
+    rel_tol, abs_tol = trunc.rel_tol, trunc.abs_tol
+    chunk_sums: list[list[float]] = [[] for _ in range(len(row_args))]
+    out: list = [None] * len(row_args)
+    active = list(range(len(row_args)))
+    k0 = 1
+    size = _CHUNK_START
+    while active and k0 <= trunc.max_terms:
+        k1 = min(k0 + size - 1, trunc.max_terms)
+        terms_of = chunk(np.arange(k0, k1 + 1, dtype=np.float64))
+        rows = max(1, _BLOCK_TERMS // (k1 - k0 + 1))
+        finished = False
+        for b in range(0, len(active), rows):
+            block = active[b : b + rows]
+            sums = np.add.reduce(terms_of(row_args[b : b + rows]), 1).tolist()
+            for i, s, tail in zip(block, sums, tails(k1, block)):
+                acc = chunk_sums[i]
+                acc.append(s)
+                partial = math.fsum(acc)
+                # Truncation.target, inlined: this runs per row and chunk
+                if abs_scale * tail <= max(rel_tol * abs(offsets[i] + scale * partial), abs_tol):
+                    out[i] = (partial, tail, k1)
+                    finished = True
+        if finished:
+            keep = [j for j, i in enumerate(active) if out[i] is None]
+            active = [active[j] for j in keep]
+            row_args = row_args[keep]
+        k0 = k1 + 1
+        size = min(size * 2, _CHUNK_LIMIT)
+    return out
+
+
 def _lambert_rows(
     q: float,
     xs: Sequence[float],
@@ -238,56 +305,39 @@ def _lambert_rows(
 
     The caller assembles row i's value as offsets[i] + scale * partial; the
     stop rule therefore compares |scale| * tail against the truncation
-    target taken at that assembled value.  All rows walk one chunk schedule
-    and each row leaves it once its own tail meets its own target, so a
-    row's result does not depend on the other rows: per element the float
-    operations are those of a single-x sum, and each row's chunk sum runs
-    along its contiguous axis.  Rows are blocked so no temporary holds more
-    than _BLOCK_TERMS terms, or one row's chunk.  A single x takes
-    _lambert_sum, the same sum without the per-chunk cost of broadcasting
-    over rows.
+    target taken at that assembled value (see _chunk_rows).  Each row's
+    x ln q and q^x are taken once, so its stop test calls no Python
+    function.  A single x takes _lambert_sum, the same sum without the
+    per-chunk cost of broadcasting over rows.
     """
     if len(xs) == 1:
         return [_lambert_sum(q, xs[0], n, trunc, offsets[0], scale)]
     lnq = math.log(q)
-    abs_scale = abs(scale)
-    chunk_sums: list[list[float]] = [[] for _ in xs]
-    out: list = [None] * len(xs)
-    active = list(range(len(xs)))
-    xl = np.multiply(xs, lnq)  # x * ln q of each active row
-    k0 = 1
-    chunk = _CHUNK_START
-    while active and k0 <= trunc.max_terms:
-        k1 = min(k0 + chunk - 1, trunc.max_terms)
-        k = np.arange(k0, k1 + 1, dtype=np.float64)
+    xl = np.multiply(xs, lnq)  # x * ln q of each row
+    ratios = [(v, math.exp(v)) for v in xl.tolist()]
+
+    def chunk(k: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         den = -np.expm1(k * lnq)
-        rows = max(1, _BLOCK_TERMS // k.size)
-        finished = False
-        for b in range(0, len(active), rows):
+
+        def terms_of(xl_block: np.ndarray) -> np.ndarray:
             # in place, with k^n made per block: fewer live arrays than the
             # one-x expression k^n q^{kx} / (1 - q^k), and the same roundings
-            terms = np.exp(np.multiply.outer(xl[b : b + rows], k))
+            terms = np.exp(np.multiply.outer(xl_block, k))
             if n:
                 terms *= k**n
             terms /= den
-            for i, s in zip(active[b : b + rows], np.add.reduce(terms, 1).tolist()):
-                sums = chunk_sums[i]
-                sums.append(s)
-                partial = math.fsum(sums)
-                tail = _lambert_tail(q, xs[i], n, k1)
-                if abs_scale * tail <= trunc.target(offsets[i] + scale * partial):
-                    out[i] = (partial, tail, k1)
-                    finished = True
-        if finished:
-            keep = [j for j, i in enumerate(active) if out[i] is None]
-            active = [active[j] for j in keep]
-            xl = xl[keep]
-        k0 = k1 + 1
-        chunk = min(chunk * 2, _CHUNK_LIMIT)
-    if active:
+            return terms
+
+        return terms_of
+
+    out = _chunk_rows(
+        xl, trunc, offsets, scale, chunk,
+        lambda k1, rows: _lambert_tails(q, n, k1, [ratios[i] for i in rows]),
+    )
+    if None in out:
         raise NonConvergent(
             f"term cap {trunc.max_terms} reached before the tail target "
-            f"(q={q}, x={xs[active[0]]}, order={n})"
+            f"(q={q}, x={xs[out.index(None)]}, order={n})"
         )
     return out
 
@@ -347,6 +397,32 @@ def _logprod_sum(
     )
 
 
+def _logprod_rows(
+    q: float, xs: Sequence[float], trunc: Truncation, offsets: Sequence[float]
+) -> list[tuple[float, float, int]]:
+    """_logprod_sum at every x of xs in one chunk loop (see _chunk_rows),
+    each row stopping at its own target; a single x takes _logprod_sum."""
+    if len(xs) == 1:
+        return [_logprod_sum(q, xs[0], trunc, offsets[0])]
+    lnq = math.log(q)
+
+    def chunk(k: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        j = k - 1.0  # the j of _logprod_sum, exact
+        log_a = np.log(-np.expm1((j + 1.0) * lnq))
+        return lambda x_block: log_a - np.log(-np.expm1(np.add.outer(x_block, j) * lnq))
+
+    out = _chunk_rows(
+        np.asarray(xs, dtype=np.float64), trunc, offsets, 1.0, chunk,
+        lambda k1, rows: [_logprod_tail(q, xs[i], k1) for i in rows],
+    )
+    if None in out:
+        raise NonConvergent(
+            f"term cap {trunc.max_terms} reached before the tail target "
+            f"(q={q}, x={xs[out.index(None)]})"
+        )
+    return out
+
+
 def _ln_gamma_parts(p: QParam, x: float) -> tuple[float, float]:
     """(closed-form prefactor, base of the product series) for ln Gamma_q."""
     q = p.q
@@ -364,11 +440,20 @@ def ln_q_gamma(p: QParam, x: float, trunc: Truncation | None = None) -> EvalResu
     prefactor; the two regimes share no closed-form shortcut, so the
     inversion residual stays a meaningful consistency check.
     """
-    x = _check_x(x)
-    t = trunc or DEFAULT_TRUNCATION
-    pre, base = _ln_gamma_parts(p, x)
-    s, tail, terms = _logprod_sum(base, x, t, offset=pre)
-    return EvalResult(pre + s, tail, terms)
+    return _ln_gamma_rows(p, [x], trunc or DEFAULT_TRUNCATION)[0]
+
+
+def _ln_gamma_rows(p: QParam, xs: Sequence[float], t: Truncation) -> list[EvalResult]:
+    """ln Gamma_q at every x of xs around one _logprod_rows pass; each
+    result is bit-identical to a one-point ln_q_gamma, whatever the other
+    points, and the first x in the order given that reaches the term cap
+    raises ln_q_gamma's NonConvergent."""
+    xs = [_check_x(x) for x in xs]
+    if not xs:
+        return []
+    pres, bases = zip(*(_ln_gamma_parts(p, x) for x in xs))
+    rows = _logprod_rows(bases[0], xs, t, pres)
+    return [EvalResult(pre + s, tail, terms) for pre, (s, tail, terms) in zip(pres, rows)]
 
 
 def q_gamma(p: QParam, x: float, trunc: Truncation | None = None) -> EvalResult:

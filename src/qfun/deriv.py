@@ -2,8 +2,8 @@
 
 An EvalContext computes each q-polygamma value, each ln Gamma_q value and
 the digamma zero for one (q, truncation) at most once, a whole grid of
-q-polygamma values in one pass.  A LogDerivProvider packages analytic
-derivatives of ln f for some positive function f.
+q-polygamma or ln Gamma_q values in one pass.  A LogDerivProvider packages
+analytic derivatives of ln f for some positive function f.
 certify_lcm sweeps such a provider over a grid and checks the
 alternating-sign pattern that defines logarithmic complete monotonicity,
 reporting the first violation and the worst margin seen.  Central finite
@@ -26,6 +26,7 @@ from .core import (
     QParam,
     Truncation,
     UnsupportedOrder,
+    _ln_gamma_rows,
     ln_q_gamma,
     q_digamma,
     q_polygamma,
@@ -70,8 +71,10 @@ class EvalContext:
     psi(k, x) is the order-k q-polygamma with psi(0, x) the q-digamma, and
     ln_gamma(x) is ln Gamma_q.  Each EvalResult is kept whole under its
     exact (k, x) key, so a repeated point returns the identical result.
-    zero() solves for the digamma zero on first use.  Create one per
-    verification and drop it afterwards: it holds every value it computed.
+    zero() solves for the digamma zero on first use, and squared() is the
+    context at base q^2.  Create one per verification, or one per q for the
+    claim runs of one invocation, and drop it afterwards: it holds every
+    value it computed.
     """
 
     def __init__(self, p: QParam, trunc: Truncation | None = None) -> None:
@@ -79,6 +82,7 @@ class EvalContext:
         self.trunc = trunc or DEFAULT_TRUNCATION
         self._results: dict[tuple[int, float], EvalResult] = {}
         self._zero: ZeroResult | None = None
+        self._squared: EvalContext | None = None
 
     def psi(self, k: int, x: float) -> EvalResult:
         r = self._results.get((k, x))
@@ -112,10 +116,30 @@ class EvalContext:
             self._results[-1, x] = r
         return r
 
+    def ln_gamma_grid(self, xs: Iterable[float]) -> list[EvalResult]:
+        """ln_gamma(x) for every x of xs, in their order.
+
+        The missing points are evaluated in one pass, each bit-identical to
+        ln_q_gamma, and stored under the keys ln_gamma reads.
+        """
+        xs = list(xs)
+        missing = [x for x in dict.fromkeys(xs) if (-1, x) not in self._results]
+        for x, r in zip(missing, _ln_gamma_rows(self.p, missing, self.trunc)):
+            self._results[-1, x] = r
+        return [self._results[-1, x] for x in xs]
+
     def zero(self) -> ZeroResult:
         if self._zero is None:
             self._zero = digamma_zero(self.p, trunc=self.trunc)
         return self._zero
+
+    def squared(self) -> "EvalContext":
+        """The context at base q^2 and the same truncation, where the
+        duplication identity lands; made on first use, dropped with this one."""
+        if self._squared is None:
+            q2 = QParam(self.p.q * self.p.q, allow_near_one=self.p.allow_near_one)
+            self._squared = EvalContext(q2, self.trunc)
+        return self._squared
 
 
 @dataclass(frozen=True)
@@ -283,8 +307,10 @@ def certify_lcm(
 def ln_gamma_provider(p: QParam, trunc: Truncation | None = None) -> LogDerivProvider:
     """ln Gamma_q and its derivatives: d(1) is the q-digamma, d(n) for
     n >= 2 the order n-1 q-polygamma."""
-    ctx = EvalContext(p, trunc)
+    return _ln_gamma_provider(EvalContext(p, trunc))
 
+
+def _ln_gamma_provider(ctx: EvalContext) -> LogDerivProvider:
     def d(n: int, x: float) -> float:
         if n < 1:
             raise UnsupportedOrder(f"derivative order must be >= 1, got {n}")
@@ -293,7 +319,7 @@ def ln_gamma_provider(p: QParam, trunc: Truncation | None = None) -> LogDerivPro
     def prefetch(n: int, xs: Sequence[float]) -> None:
         ctx.psi_grid((n - 1, x) for x in xs)
 
-    name = f"ln_q_gamma(q={p.q:g})"
+    name = f"ln_q_gamma(q={ctx.p.q:g})"
     return LogDerivProvider(d=d, lo=0.0, hi=math.inf, name=name, prefetch=prefetch)
 
 
@@ -310,9 +336,14 @@ def ratio_provider(
     The n-th log-derivative is alpha a^n psi^(n-1)(a x) - beta b^n psi^(n-1)(b x),
     with psi^(0) the q-digamma.
     """
+    return _ratio_provider(EvalContext(p, trunc), a, b, alpha, beta)
+
+
+def _ratio_provider(
+    ctx: EvalContext, a: float, b: float, alpha: float, beta: float
+) -> LogDerivProvider:
     if not (0.0 < a < b):
         raise DomainError(f"need 0 < a < b, got a={a}, b={b}")
-    ctx = EvalContext(p, trunc)
 
     def d(n: int, x: float) -> float:
         if n < 1:
@@ -325,5 +356,5 @@ def ratio_provider(
     def prefetch(n: int, xs: Sequence[float]) -> None:
         ctx.psi_grid(key for x in xs for key in ((n - 1, a * x), (n - 1, b * x)))
 
-    name = f"gamma_ratio(q={p.q:g}, a={a:g}, b={b:g}, alpha={alpha:g}, beta={beta:g})"
+    name = f"gamma_ratio(q={ctx.p.q:g}, a={a:g}, b={b:g}, alpha={alpha:g}, beta={beta:g})"
     return LogDerivProvider(d=d, lo=0.0, hi=math.inf, name=name, prefetch=prefetch)

@@ -6,8 +6,9 @@ carrying the worst margin, the first counterexample if any, and notes on
 branch choices or excluded points.  Wherever a claim involves products or
 powers of gamma values the comparison happens in log space.  The CLAIMS
 registry maps the stable claim-id strings onto these verifiers and regimes.
-Every evaluator value goes through one EvalContext per verification, so a
-claim run solves for the digamma zero once and computes each value once.
+Every evaluator value goes through one EvalContext per verification, or one
+per q shared by several claim runs (run_claim takes it in place of q), so
+the runs solve for the digamma zero once and compute each value once.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from .deriv import (
     N_MAX,
     EvalContext,
     LogDerivProvider,
+    _ln_gamma_provider,
+    _ratio_provider,
     certify_lcm,
-    ln_gamma_provider,
     log_derivatives,
     make_grid,
-    ratio_provider,
 )
 from .roots import digamma_zero, q_euler_mascheroni, q_harmonic  # noqa: F401 (kept importable here)
 
@@ -199,11 +200,6 @@ def _default_grid() -> np.ndarray:
     return make_grid(DEFAULT_X_MIN, DEFAULT_X_MAX, DEFAULT_POINTS, DEFAULT_SPACING)
 
 
-def _half_base(p: QParam, trunc: Truncation | None) -> EvalContext:
-    """Context at base q^2, where the duplication identity lands."""
-    return EvalContext(QParam(p.q * p.q, allow_near_one=p.allow_near_one), trunc)
-
-
 def _log_psi(ctx: EvalContext, x: float) -> float:
     v = ctx.psi(0, x).value
     if v <= 0.0:
@@ -230,6 +226,13 @@ def verify_theorem_ratio_lcm(
     q > 1 the necessity direction is not asserted, so unbalanced input is
     reported as out of scope rather than scanned.
     """
+    return _verify_theorem_ratio_lcm(spec, EvalContext(p, trunc), grid, n_orders, tol)
+
+
+def _verify_theorem_ratio_lcm(
+    spec: RatioSpec, ctx: EvalContext, grid: np.ndarray | None, n_orders: int, tol: float
+) -> VerifyReport:
+    p = ctx.p
     if grid is None:
         grid = _default_grid()
     params = {"q": p.q, "a": spec.a, "b": spec.b, "alpha": spec.alpha, "beta": spec.beta}
@@ -243,7 +246,7 @@ def verify_theorem_ratio_lcm(
             tol,
             notes=("necessity scan skipped: only asserted for 0 < q < 1",),
         )
-    provider = ratio_provider(p, spec.a, spec.b, spec.alpha, spec.beta, trunc)
+    provider = _ratio_provider(ctx, spec.a, spec.b, spec.alpha, spec.beta)
     cm = certify_lcm(provider, grid, n_orders, tol)
     if sufficiency:
         notes = ("sufficiency branch: balanced exponents with alpha >= 0, expected pass",)
@@ -282,26 +285,33 @@ def verify_ineq_555(
     In log space: alpha a (x - x1) [psi(a x1) - psi(b x1)] <= ln(middle) <= 0
     for every grid x > x1, each side with slack tol.
     """
+    return _verify_ineq_555(spec, EvalContext(p, trunc), x1, grid, tol)
+
+
+def _verify_ineq_555(
+    spec: RatioSpec, ctx: EvalContext, x1: float, grid: np.ndarray | None, tol: float
+) -> VerifyReport:
     if not spec.balanced():
         raise DomainError("the two-sided bound needs balanced exponents (alpha a = beta b)")
     if spec.alpha < 0.0 or spec.beta < 0.0:
         raise DomainError("the two-sided bound needs alpha, beta >= 0")
     if not (isinstance(x1, (int, float)) and math.isfinite(x1) and x1 > 0.0):
         raise DomainError(f"x1 must be a positive real, got {x1!r}")
-    ctx = EvalContext(p, trunc)
     if grid is None:
         grid = x1 + np.geomspace(1e-4, 10.0, DEFAULT_POINTS)
     xs = [float(v) for v in np.asarray(grid, dtype=np.float64).ravel()]
     if any(v <= x1 for v in xs):
         raise DomainError("every grid point must lie strictly right of x1")
     slope = spec.alpha * spec.a * (ctx.psi(0, spec.a * x1).value - ctx.psi(0, spec.b * x1).value)
+    # one grid pass for every ln Gamma_q point _ratio_log_middle reads
+    ctx.ln_gamma_grid(v for x in [x1] + xs for v in (spec.a * x, spec.b * x))
     rows = []
     for x in xs:
         mid = _ratio_log_middle(spec, ctx, x1, x)
         lower = slope * (x - x1)
         rows.append(_row(None, x, mid, min(mid - lower, -mid)))
     params = {
-        "q": p.q, "a": spec.a, "b": spec.b, "alpha": spec.alpha, "beta": spec.beta, "x1": x1,
+        "q": ctx.p.q, "a": spec.a, "b": spec.b, "alpha": spec.alpha, "beta": spec.beta, "x1": x1,
     }
     return _finish("c-555", params, _grid_summary(np.asarray(xs)), rows, tol)
 
@@ -314,12 +324,17 @@ def verify_ineq_666(
 ) -> VerifyReport:
     """exp[2q(n-1) ln(q)/(1-q)] <= Gamma_q(n)^2 / Gamma_q(2n) <= 1 for
     integers n = 1..n_max, checked in log space."""
+    return _verify_ineq_666(EvalContext(p, trunc), n_max, tol)
+
+
+def _verify_ineq_666(ctx: EvalContext, n_max: int, tol: float) -> VerifyReport:
+    p = ctx.p
     if p.regime is not Regime.SUB_UNIT:
         raise DomainError("this bound is stated for 0 < q < 1")
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
         raise DomainError(f"n_max must be an int >= 1, got {n_max!r}")
-    ctx = EvalContext(p, trunc)
     lnq = math.log(p.q)
+    ctx.ln_gamma_grid(v for n in range(1, n_max + 1) for v in (float(n), 2.0 * n))
     rows = []
     for n in range(1, n_max + 1):
         mid = 2.0 * ctx.ln_gamma(float(n)).value - ctx.ln_gamma(2.0 * n).value
@@ -341,19 +356,17 @@ def psi_duplication_residual(
     Both sides come from independent series, so a passing residual
     certifies the duplication identity at this point.
     """
-    return _duplication_residuals(p, [x], trunc)[0]
+    return _duplication_residuals(EvalContext(p, trunc), [x])[0]
 
 
-def _duplication_residuals(
-    p: QParam, xs: Sequence[float], trunc: Truncation | None
-) -> list[ResidualCheck]:
+def _duplication_residuals(ctx: EvalContext, xs: Sequence[float]) -> list[ResidualCheck]:
     """psi_duplication_residual at every x of xs, each base's psi values
     evaluated in one grid pass."""
-    if p.regime is not Regime.SUB_UNIT:
+    if ctx.p.regime is not Regime.SUB_UNIT:
         raise DomainError("the duplication identity is certified for 0 < q < 1")
-    lhs = EvalContext(p, trunc).psi_grid((0, 2.0 * x) for x in xs)
-    rhs = _half_base(p, trunc).psi_grid([(0, x) for x in xs] + [(0, x + 0.5) for x in xs])
-    c = math.log1p(p.q)
+    lhs = ctx.psi_grid((0, 2.0 * x) for x in xs)
+    rhs = ctx.squared().psi_grid([(0, x) for x in xs] + [(0, x + 0.5) for x in xs])
+    c = math.log1p(ctx.p.q)
     out = []
     for left, r1, r2 in zip(lhs, rhs[: len(xs)], rhs[len(xs) :]):
         residual = abs(left.value - c - 0.5 * r1.value - 0.5 * r2.value)
@@ -375,16 +388,20 @@ def verify_psi_duplication(
     """Sweep the duplication residual; margin is budget - residual and the
     pass rule is margin >= 0, so every point must meet its own error
     budget with no extra slack."""
+    return _verify_psi_duplication(EvalContext(p, trunc), grid)
+
+
+def _verify_psi_duplication(ctx: EvalContext, grid: np.ndarray | None) -> VerifyReport:
     if grid is None:
         grid = _default_grid()
     xs = [float(x) for x in np.asarray(grid, dtype=np.float64).ravel()]
     rows = [
         _row(None, x, rc.residual, rc.budget - rc.residual)
-        for x, rc in zip(xs, _duplication_residuals(p, xs, trunc))
+        for x, rc in zip(xs, _duplication_residuals(ctx, xs))
     ]
     return _finish(
         "psi-duplication",
-        {"q": p.q},
+        {"q": ctx.p.q},
         _grid_summary(grid),
         rows,
         0.0,
@@ -420,14 +437,15 @@ def ln_g_beta(p: QParam, beta: float, x: float, trunc: Truncation | None = None)
         raise DomainError("the corrected ratio square is stated for 0 < q < 1")
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
-    half = _half_base(p, trunc)
+    ctx = EvalContext(p, trunc)
+    half = ctx.squared()
     e = math.exp(2.0 * x * math.log(p.q))
     frac = e / (1.0 - e)
     return (
         -math.log1p(p.q)
         + 2.0 * (half.ln_gamma(x + 0.5).value - half.ln_gamma(x + 1.0).value)
         + 0.5 * beta * (1.0 - p.q * p.q) * frac
-        + EvalContext(p, trunc).psi(0, 2.0 * x).value
+        + ctx.psi(0, 2.0 * x).value
     )
 
 
@@ -446,7 +464,7 @@ def g_beta_log_deriv(
 
     with every psi taken at base q^2 and psi^(0) the digamma.
     """
-    return _g_beta_log_deriv(p, _half_base(p, trunc), beta, n, x)
+    return _g_beta_log_deriv(p, EvalContext(p, trunc).squared(), beta, n, x)
 
 
 def _g_beta_log_deriv(p: QParam, half: EvalContext, beta: float, n: int, x: float) -> float:
@@ -475,7 +493,11 @@ def _g_beta_psi_keys(p: QParam, n: int, x: float) -> tuple[tuple[int, float], ..
 
 
 def g_beta_provider(p: QParam, beta: float, trunc: Truncation | None = None) -> LogDerivProvider:
-    half = _half_base(p, trunc)
+    return _g_beta_provider(EvalContext(p, trunc), beta)
+
+
+def _g_beta_provider(ctx: EvalContext, beta: float) -> LogDerivProvider:
+    p, half = ctx.p, ctx.squared()
 
     def d(n: int, x: float) -> float:
         return _g_beta_log_deriv(p, half, beta, n, x)
@@ -502,6 +524,13 @@ def verify_g_beta_lcm(
     first, since the analytic derivatives lean on it; a gate failure
     fails the claim without running the sweep.
     """
+    return _verify_g_beta_lcm(EvalContext(p, trunc), beta, grid, n_orders, tol)
+
+
+def _verify_g_beta_lcm(
+    ctx: EvalContext, beta: float | None, grid: np.ndarray | None, n_orders: int, tol: float
+) -> VerifyReport:
+    p = ctx.p
     if grid is None:
         grid = _default_grid()
     b = _g_beta_weight(p, beta)
@@ -509,7 +538,7 @@ def verify_g_beta_lcm(
     xs = np.asarray(grid, dtype=np.float64).ravel()
     gate = xs[:: max(1, xs.size // 8)]
     gate_xs = [float(x) for x in gate]
-    for x, rc in zip(gate_xs, _duplication_residuals(p, gate_xs, trunc)):
+    for x, rc in zip(gate_xs, _duplication_residuals(ctx, gate_xs)):
         if not rc.passed:
             return _finish(
                 "g-beta-lcm",
@@ -519,7 +548,7 @@ def verify_g_beta_lcm(
                 tol,
                 notes=("duplication gate failed; sweep not run",),
             )
-    cm = certify_lcm(g_beta_provider(p, b, trunc), grid, n_orders, tol)
+    cm = certify_lcm(_g_beta_provider(ctx, b), grid, n_orders, tol)
     notes = (f"duplication gate passed on {gate.size} points",)
     return _finish("g-beta-lcm", params, _grid_summary(grid), _cm_rows(cm), tol, notes)
 
@@ -634,9 +663,12 @@ def verify_ineq_1(
     Checked in log space at the single point (x, y); the mixed argument is
     a convex combination, so it stays right of the zero automatically.
     """
-    ctx = EvalContext(p, trunc)
+    return _verify_ineq_1(EvalContext(p, trunc), a, x, y, tol)
+
+
+def _verify_ineq_1(ctx: EvalContext, a: float, x: float, y: float, tol: float) -> VerifyReport:
     rows = [_ineq_1_row(ctx, a, x, y)]
-    params = {"q": p.q, "a": a, "x": x, "y": y, "x0": ctx.zero().x0}
+    params = {"q": ctx.p.q, "a": a, "x": x, "y": y, "x0": ctx.zero().x0}
     return _finish("c-ineq-1", params, {"points": 1}, rows, tol)
 
 
@@ -645,13 +677,17 @@ def _check_mean_exponent(a: float) -> None:
         raise DomainError(f"a must exceed 1, got {a}")
 
 
+def _mean_mix(a: float, x: float, y: float) -> float:
+    return x / a + (1.0 - 1.0 / a) * y
+
+
 def _ineq_1_row(ctx: EvalContext, a: float, x: float, y: float) -> dict:
     _check_mean_exponent(a)
     x0 = ctx.zero().x0
     for name, v in (("x", x), ("y", y)):
         if not v > x0:
             raise DomainError(f"{name} = {v} is not right of the digamma zero {x0:.6g}")
-    mix = x / a + (1.0 - 1.0 / a) * y
+    mix = _mean_mix(a, x, y)
     margin = _log_psi(ctx, mix) - (_log_psi(ctx, x) / a + (1.0 - 1.0 / a) * _log_psi(ctx, y))
     return _row(None, x, margin, margin, extra={"y": y})
 
@@ -668,9 +704,12 @@ def verify_ineq_010(
     All three psi arguments must sit right of the zero so the real powers
     exist; u and the derived argument a(u-1)+2 are both checked.
     """
-    ctx = EvalContext(p, trunc)
+    return _verify_ineq_010(EvalContext(p, trunc), a, u, tol)
+
+
+def _verify_ineq_010(ctx: EvalContext, a: float, u: float, tol: float) -> VerifyReport:
     rows = [_ineq_010_row(ctx, a, u)]
-    params = {"q": p.q, "a": a, "u": u, "x0": ctx.zero().x0}
+    params = {"q": ctx.p.q, "a": a, "u": u, "x0": ctx.zero().x0}
     return _finish("c-ineq-010", params, {"points": 1}, rows, tol)
 
 
@@ -701,12 +740,18 @@ def verify_remark_ineq(
     Euler-Mascheroni constant and the q-harmonic numbers; a cross-check
     confirms it reproduces psi(n+1) before the margins are trusted.
     """
+    return _verify_remark_ineq(EvalContext(p, trunc), n_max, tol)
+
+
+def _verify_remark_ineq(ctx: EvalContext, n_max: int, tol: float) -> VerifyReport:
+    p = ctx.p
     if p.regime is not Regime.SUB_UNIT:
         raise DomainError("this bound is stated for 0 < q < 1")
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
         raise DomainError(f"n_max must be an int >= 1, got {n_max!r}")
-    ctx = EvalContext(p, trunc)
     lnq = math.log(p.q)
+    # one grid pass for every psi point below; n = 1 gives psi(2)
+    ctx.psi_grid((0, v) for n in range(1, n_max + 1) for v in (float(n + 1), 2.0 * n))
     gamma_q = q_euler_mascheroni(p, ctx.trunc)
     psi2 = ctx.psi(0, 2.0).value
     notes: tuple[str, ...] = ()
@@ -738,7 +783,16 @@ def verify_gamma_lcm_and_superadd(
     Pass grid_x with zero points to skip the pair part, or grid_lcm with
     zero points to skip the monotonicity part.
     """
-    ctx = EvalContext(p, trunc)
+    return _verify_gamma_lcm_and_superadd(EvalContext(p, trunc), grid_x, grid_lcm, n_orders, tol)
+
+
+def _verify_gamma_lcm_and_superadd(
+    ctx: EvalContext,
+    grid_x: np.ndarray | None,
+    grid_lcm: np.ndarray | None,
+    n_orders: int,
+    tol: float,
+) -> VerifyReport:
     z = ctx.zero()
     if grid_lcm is None:
         grid_lcm = make_grid(DEFAULT_X_MIN, z.x0 - ZERO_MARGIN, DEFAULT_POINTS, DEFAULT_SPACING)
@@ -753,15 +807,18 @@ def verify_gamma_lcm_and_superadd(
             raise DomainError(
                 f"monotonicity grid reaches {float(lcm_xs.max()):.6g}, not left of x0 = {z.x0:.6g}"
             )
-        cm = certify_lcm(ln_gamma_provider(p, trunc), lcm_xs, n_orders, tol)
+        cm = certify_lcm(_ln_gamma_provider(ctx), lcm_xs, n_orders, tol)
         rows.extend(_cm_rows(cm))
         notes = notes + (f"monotonicity part: orders 1..{n_orders} on (0, x0), x0 = {z.x0!r}",)
     if pair_xs:
         if not all(0.0 < v < 1.0 for v in pair_xs):
             raise DomainError("pair grid must lie inside (0, 1)")
+        ctx.ln_gamma_grid(
+            [x + 1.0 for x in pair_xs] + [x + y + 2.0 for x in pair_xs for y in pair_xs]
+        )
         rows.extend(_superadd_row(ctx, x, y) for x in pair_xs for y in pair_xs)
         notes = notes + (f"superadditivity part: {len(pair_xs) ** 2} pairs in (0,1)^2",)
-    params = {"q": p.q, "x0": z.x0}
+    params = {"q": ctx.p.q, "x0": z.x0}
     summary = {
         "lcm_points": int(lcm_xs.size),
         "pair_points": len(pair_xs),
@@ -806,12 +863,13 @@ class ClaimArgs:
 
 @dataclass(frozen=True)
 class Claim:
-    """One registry entry: run(p, args) sweeps the claim, or checks one
-    point when args.x is set; defaults holds the claim's own defaults.
-    sub_unit_only marks a claim stated for 0 < q < 1 only.  order_arg is
-    the run_claim argument that pins a report row's n_order on a re-run."""
+    """One registry entry: run(ctx, args) sweeps the claim at ctx's q,
+    evaluating through ctx, or checks one point when args.x is set;
+    defaults holds the claim's own defaults.  sub_unit_only marks a claim
+    stated for 0 < q < 1 only.  order_arg is the run_claim argument that
+    pins a report row's n_order on a re-run."""
 
-    run: Callable[[QParam, ClaimArgs], VerifyReport]
+    run: Callable[[EvalContext, ClaimArgs], VerifyReport]
     defaults: ClaimArgs = ClaimArgs()
     sub_unit_only: bool = False
     order_arg: str = "orders"
@@ -821,24 +879,23 @@ class Claim:
         return not self.sub_unit_only or p.regime is Regime.SUB_UNIT
 
 
-def _run_ratio_lcm(p: QParam, o: ClaimArgs) -> VerifyReport:
+def _run_ratio_lcm(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
     spec = RatioSpec(o.a, o.b, o.alpha, o.beta)
-    return verify_theorem_ratio_lcm(spec, p, o.grid(), o.orders, o.tol, o.trunc)
+    return _verify_theorem_ratio_lcm(spec, ctx, o.grid(), o.orders, o.tol)
 
 
-def _run_ineq_555(p: QParam, o: ClaimArgs) -> VerifyReport:
+def _run_ineq_555(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
     x1 = 1.0
     if o.x is not None:
         grid = o.grid()
     else:
         grid = x1 + np.geomspace(1e-4, max(o.x_max - x1, 1e-3), o.points)
-    return verify_ineq_555(RatioSpec(o.a, o.b, o.alpha, o.beta), p, x1, grid, o.tol, o.trunc)
+    return _verify_ineq_555(RatioSpec(o.a, o.b, o.alpha, o.beta), ctx, x1, grid, o.tol)
 
 
-def _run_inv_digamma(p: QParam, o: ClaimArgs) -> VerifyReport:
+def _run_inv_digamma(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
     if o.x is not None:
-        return verify_inv_digamma_lcm(p, o.grid(), o.orders, o.tol, o.trunc)
-    ctx = EvalContext(p, o.trunc)
+        return _verify_inv_digamma_lcm(ctx, o.grid(), o.orders, o.tol)
     x0 = ctx.zero().x0
     lo = x0 + 0.1 if o.x_min is None else o.x_min
     clipped = lo < x0 + ZERO_MARGIN
@@ -852,19 +909,22 @@ def _run_inv_digamma(p: QParam, o: ClaimArgs) -> VerifyReport:
     return report
 
 
-def _run_ineq_1(p: QParam, o: ClaimArgs) -> VerifyReport:
+def _run_ineq_1(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
     if o.x is not None:
         y = float(o.b) if o.b is not None else float(o.x)
-        return verify_ineq_1(p, o.a, float(o.x), y, o.tol, o.trunc)
-    ctx = EvalContext(p, o.trunc)
+        return _verify_ineq_1(ctx, o.a, float(o.x), y, o.tol)
     x0 = ctx.zero().x0
     base = make_grid(max(o.x_min, x0 + 0.1), o.x_max, o.points, o.spacing)
     # pairs grow quadratically, so sweep 8 points evenly spaced in index
     if base.size > 8:
         base = base[np.linspace(0, base.size - 1, 8).round().astype(int)]
     xs = [float(v) for v in base]
-    rows = [_ineq_1_row(ctx, o.a, xi, yj) for xi in xs for yj in xs if xi != yj]
-    params = {"q": p.q, "a": o.a, "x0": x0}
+    pairs = [(xi, yj) for xi in xs for yj in xs if xi != yj]
+    # before the mixed points divide by a
+    _check_mean_exponent(o.a)
+    ctx.psi_grid((0, v) for v in xs + [_mean_mix(o.a, x, y) for x, y in pairs])
+    rows = [_ineq_1_row(ctx, o.a, x, y) for x, y in pairs]
+    params = {"q": ctx.p.q, "a": o.a, "x0": x0}
     summary = {"pairs": len(rows), "lo": xs[0], "hi": xs[-1]}
     return _finish(
         "c-ineq-1", params, summary, rows, o.tol,
@@ -872,41 +932,47 @@ def _run_ineq_1(p: QParam, o: ClaimArgs) -> VerifyReport:
     )
 
 
-def _run_ineq_010(p: QParam, o: ClaimArgs) -> VerifyReport:
+def _run_ineq_010(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
     if o.x is not None:
-        return verify_ineq_010(p, o.a, float(o.x), o.tol, o.trunc)
+        return _verify_ineq_010(ctx, o.a, float(o.x), o.tol)
     # before the grid filter divides by a
     _check_mean_exponent(o.a)
-    ctx = EvalContext(p, o.trunc)
     x0 = ctx.zero().x0
     candidates = [float(v) for v in o.grid()]
-    kept = []
+    kept, points = [], [2.0]
     for u in candidates:
         arg = o.a * (u - 1.0) + 2.0
         if u > 1.0 - 2.0 / o.a and u + 1.0 > x0 + ZERO_MARGIN and arg > x0 + ZERO_MARGIN:
             kept.append(u)
-    excluded = len(candidates) - len(kept)
+            points += (u + 1.0, arg)
+    if not kept:
+        raise DomainError(
+            f"no grid point in [{candidates[0]:.6g}, {candidates[-1]:.6g}] has u > 1 - 2/a = "
+            f"{1.0 - 2.0 / o.a:.6g} and u + 1, a(u-1)+2 clear of x0 = {x0:.6g} by {ZERO_MARGIN:g}"
+        )
+    ctx.psi_grid((0, v) for v in points)
     rows = [_ineq_010_row(ctx, o.a, u) for u in kept]
+    excluded = len(candidates) - len(kept)
     notes = ()
     if excluded:
         notes = (f"{excluded} grid points precondition-excluded",)
-    params = {"q": p.q, "a": o.a, "x0": x0}
+    params = {"q": ctx.p.q, "a": o.a, "x0": x0}
     summary = {"candidates": len(candidates), "kept": len(kept)}
     return _finish("c-ineq-010", params, summary, rows, o.tol, notes)
 
 
-def _run_gamma_lcm_superadd(p: QParam, o: ClaimArgs) -> VerifyReport:
+def _run_gamma_lcm_superadd(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
     if o.x is None:
-        return verify_gamma_lcm_and_superadd(p, None, None, o.orders, o.tol, o.trunc)
+        return _verify_gamma_lcm_and_superadd(ctx, None, None, o.orders, o.tol)
     if o.b is None:
-        return verify_gamma_lcm_and_superadd(p, np.empty(0), o.grid(), o.orders, o.tol, o.trunc)
+        return _verify_gamma_lcm_and_superadd(ctx, np.empty(0), o.grid(), o.orders, o.tol)
     # single ordered pair (x, b) of the superadditivity part
     xv, yv = float(o.x), float(o.b)
     if not (0.0 < xv < 1.0 and 0.0 < yv < 1.0):
         raise DomainError(f"pair ({xv}, {yv}) must lie inside (0, 1)^2")
-    rows = [_superadd_row(EvalContext(p, o.trunc), xv, yv)]
+    rows = [_superadd_row(ctx, xv, yv)]
     return _finish(
-        "gamma-lcm-superadd", {"q": p.q}, {"pair_points": 1}, rows, o.tol,
+        "gamma-lcm-superadd", {"q": ctx.p.q}, {"pair_points": 1}, rows, o.tol,
         notes=("single superadditivity pair",),
     )
 
@@ -915,31 +981,34 @@ def _run_gamma_lcm_superadd(p: QParam, o: ClaimArgs) -> VerifyReport:
 CLAIMS: dict[str, Claim] = {
     "t31-ratio-lcm": Claim(_run_ratio_lcm, ClaimArgs(a=1.0, b=2.0, alpha=2.0, beta=1.0)),
     "c-555": Claim(_run_ineq_555, ClaimArgs(a=1.0, b=2.0, alpha=2.0, beta=1.0)),
-    "c-666": Claim(lambda p, o: verify_ineq_666(p, o.n_max, o.tol, o.trunc),
+    "c-666": Claim(lambda ctx, o: _verify_ineq_666(ctx, o.n_max, o.tol),
                    sub_unit_only=True, order_arg="n_max"),
     "g-beta-lcm": Claim(
-        lambda p, o: verify_g_beta_lcm(p, o.beta, o.grid(), o.orders, o.tol, o.trunc),
+        lambda ctx, o: _verify_g_beta_lcm(ctx, o.beta, o.grid(), o.orders, o.tol),
         sub_unit_only=True,
     ),
-    "phi-coeff": Claim(lambda p, o: verify_phi_coeff(p, o.beta, o.n_max, o.tol),
+    "phi-coeff": Claim(lambda ctx, o: verify_phi_coeff(ctx.p, o.beta, o.n_max, o.tol),
                        ClaimArgs(n_max=200), sub_unit_only=True, order_arg="n_max"),
     # x_min None: the sweep starts at x0 + 0.1
     "t34-inv-psi": Claim(_run_inv_digamma, ClaimArgs(x_min=None, orders=4)),
     "c-ineq-1": Claim(_run_ineq_1, ClaimArgs(a=2.0)),
     "c-ineq-010": Claim(_run_ineq_010, ClaimArgs(a=2.0)),
-    "remark-harmonic": Claim(lambda p, o: verify_remark_ineq(p, o.n_max, o.tol, o.trunc),
+    "remark-harmonic": Claim(lambda ctx, o: _verify_remark_ineq(ctx, o.n_max, o.tol),
                              sub_unit_only=True, order_arg="n_max"),
     "gamma-lcm-superadd": Claim(_run_gamma_lcm_superadd),
-    "psi-duplication": Claim(lambda p, o: verify_psi_duplication(p, o.grid(), o.trunc),
+    "psi-duplication": Claim(lambda ctx, o: _verify_psi_duplication(ctx, o.grid()),
                              sub_unit_only=True),
 }
 
 CLAIM_IDS = tuple(CLAIMS)
 
 
-def run_claim(claim_id: str, p: QParam, **overrides) -> VerifyReport:
+def run_claim(claim_id: str, p: QParam | EvalContext, **overrides) -> VerifyReport:
     """Run one registered claim with sweep defaults.
 
+    p is the q parameter, or an EvalContext at that q which several claim
+    runs share so that each value and the digamma zero are computed once;
+    a context carries its own truncation, so trunc must then be omitted.
     The keyword arguments are the ClaimArgs fields; one given as None
     keeps the claim's default, and an unknown name with a value raises
     TypeError.  x switches to single-point mode.  For the paired claims
@@ -953,6 +1022,10 @@ def run_claim(claim_id: str, p: QParam, **overrides) -> VerifyReport:
     args = replace(claim.defaults, **{k: v for k, v in overrides.items() if v is not None})
     if not 0.0 <= args.tol < math.inf:
         raise DomainError(f"tol must be finite and >= 0, got {args.tol}")
+    if not isinstance(p, EvalContext):
+        return claim.run(EvalContext(p, args.trunc), args)
+    if args.trunc is not None:
+        raise DomainError("trunc comes from the evaluation context; omit it")
     return claim.run(p, args)
 
 

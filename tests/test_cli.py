@@ -1,16 +1,25 @@
 """Command-line contract: exit codes, formats, config file, re-run lines."""
 
+import gc
 import hashlib
 import json
 import re
+import weakref
 from pathlib import Path
 
 import pytest
 
-from qfun.cli import CSV_HEADER, _build_parser, _render_csv, main
+import qfun.cli
+import qfun.deriv
+from qfun import EvalContext, QParam, run_claim
+from qfun.cli import CSV_HEADER, DEFAULT_ALL_QS, _build_parser, _render_csv, main
+from qfun.theorems import CLAIM_IDS, CLAIMS
 
 # subcommand -> long flag -> (its argparse Action, whether it appends)
 FLAGS = _build_parser()[1]
+
+# stdout and stderr digests of invocations, captured at the commit it names
+CLI_REFERENCE = json.loads(Path(__file__).with_name("cli_reference.json").read_text("utf-8"))
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +101,15 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "a must exceed 1" in err
+
+    def test_sweep_with_every_point_excluded_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--claim", "c-ineq-010", "--q", "0.5",
+            "--x-min", "0.01", "--x-max", "0.02", "--points", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: no grid point in [0.01, 0.02]")
 
     @pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("claim", ["phi-coeff", "g-beta-lcm"])
@@ -340,6 +358,63 @@ class TestDeterminism:
         found = sorted([w[w.index("--claim") + 1], w[w.index("--q") + 1]] for w in reruns)
         assert found == ref["counterexamples"]
         assert all(float(q) > 1.0 for _, q in found)
+
+    @pytest.mark.parametrize("ref", CLI_REFERENCE["runs"], ids=lambda ref: " ".join(ref["argv"]))
+    def test_matches_pinned_digests(self, capsys, ref):
+        code, out, err = run_cli(capsys, *ref["argv"])
+        assert code == ref["exit_code"]
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ref["stdout_sha256"]
+        assert hashlib.sha256(err.encode("utf-8")).hexdigest() == ref["stderr_sha256"]
+
+
+class TestOneContextPerQ:
+    """qfun all and a multi-claim verify evaluate one q at a time, the claim
+    runs at that q sharing one EvalContext."""
+
+    def test_all_solves_one_zero_per_q(self, capsys, monkeypatch):
+        solves = []
+
+        def counting(p, *args, _solve=qfun.deriv.digamma_zero, **kwargs):
+            solves.append(p.q)
+            return _solve(p, *args, **kwargs)
+
+        monkeypatch.setattr(qfun.deriv, "digamma_zero", counting)
+        assert run_cli(capsys, "all", "--format", "csv")[0] == 1
+        assert sorted(solves) == sorted(DEFAULT_ALL_QS)
+
+    def test_all_reports_equal_per_claim_runs(self):
+        args = _build_parser()[0].parse_args(["all"])
+        want = [
+            run_claim(c, QParam(q)) for c in sorted(CLAIM_IDS) for q in DEFAULT_ALL_QS
+            if CLAIMS[c].supports(QParam(q))
+        ]
+        assert qfun.cli._run_all(args) == want
+
+    def test_earlier_q_contexts_are_released(self, capsys, monkeypatch):
+        made = []
+        init = EvalContext.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(weakref.ref(self))
+
+        def checking_run_claim(claim_id, ctx, **kwargs):
+            # only this q's context and its base-q^2 context may be alive
+            alive = {r().p.q for r in made if r() is not None}
+            assert alive <= {ctx.p.q, ctx.p.q * ctx.p.q}, (claim_id, ctx.p.q, alive)
+            return run_claim(claim_id, ctx, **kwargs)
+
+        monkeypatch.setattr(EvalContext, "__init__", recording_init)
+        monkeypatch.setattr(qfun.cli, "run_claim", checking_run_claim)
+        # a reference cycle would keep a context until a collection runs
+        gc.disable()
+        try:
+            code, out, err = run_cli(capsys, "all", "--format", "csv")
+        finally:
+            gc.enable()
+        assert code == 1, err
+        assert len(made) == 8  # one per q, and one at q^2 for each q < 1
+        assert all(r() is None for r in made)
 
 
 class TestRerunRoundTrip:

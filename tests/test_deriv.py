@@ -19,6 +19,7 @@ from qfun import (
     default_step,
     finite_diff,
     ln_gamma_provider,
+    ln_q_gamma,
     log_derivatives,
     make_grid,
     q_digamma,
@@ -298,6 +299,55 @@ class TestPsiGrid:
         with pytest.raises(DomainError):
             q_psi_grid(p, 0, [1.0, 0.0])
         assert q_psi_grid(p, 3, []) == []
+
+
+class TestLnGammaGrid:
+    """The ln Gamma_q grid pass against one-point ln_q_gamma, its reference."""
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.8, 0.99, 2.0, 5.0])
+    def test_equals_point_evaluations(self, q):
+        p = QParam(q)
+        want = [ln_q_gamma(p, x) for x in TestPsiGrid.XS]
+        assert EvalContext(p).ln_gamma_grid(TestPsiGrid.XS) == want, q
+
+    def test_term_cap_raises_the_first_points_error(self):
+        # with q = 0.8 and a 300-term cap, 0.3 and 1.0001 converge while 2.0
+        # and 1.0 (where ln Gamma_q is 0, so the target is abs_tol) do not
+        p = QParam(0.8)
+        t = Truncation(max_terms=300)
+        xs = [0.3, 1.0001, 2.0, 1.0, 0.3]
+        with pytest.raises(NonConvergent) as info:
+            ln_q_gamma(p, 2.0, t)
+        want = str(info.value)
+        assert want == "term cap 300 reached before the tail target (q=0.8, x=2.0)"
+        with pytest.raises(NonConvergent) as info:
+            EvalContext(p, t).ln_gamma_grid(xs)
+        assert str(info.value) == want
+
+    def test_ln_gamma_returns_the_grid_result(self):
+        ctx = EvalContext(QParam(0.5))
+        got = ctx.ln_gamma_grid([1.5, 0.3, 1.5])
+        assert got[0] is got[2]
+        assert ctx.ln_gamma(1.5) is got[0]
+        assert ctx.ln_gamma(0.3) is got[1]
+        assert ctx.ln_gamma_grid([0.3])[0] is got[1]
+        assert ctx.psi(0, 1.5) is not got[0]
+
+    def test_validation(self):
+        ctx = EvalContext(QParam(0.5))
+        with pytest.raises(DomainError):
+            ctx.ln_gamma_grid([1.0, 0.0])
+        assert ctx.ln_gamma_grid([]) == []
+
+
+class TestSquaredContext:
+    def test_made_once_at_base_q_squared(self):
+        ctx = EvalContext(QParam(0.5), Truncation(rel_tol=1e-12))
+        half = ctx.squared()
+        assert half is ctx.squared()
+        assert half.p == QParam(0.25)
+        assert half.trunc == ctx.trunc
+        assert half.psi(0, 1.5) == q_digamma(QParam(0.25), 1.5, ctx.trunc)
 
 
 class TestPrefetchHook:

@@ -15,6 +15,7 @@ import numpy as np
 
 from qfun import (
     DomainError,
+    EvalContext,
     QParam,
     RatioSpec,
     Truncation,
@@ -625,6 +626,17 @@ class TestRunClaim:
         # the sweep filters its grid by 1 - 2/a, so the check must come first
         with pytest.raises(DomainError, match="a must exceed 1"):
             run_claim("c-ineq-010", QParam(0.5), a=a, x=x)
+
+    def test_ineq_010_sweep_with_every_point_excluded_is_rejected(self):
+        # u + 1 < x0 everywhere on [0.01, 0.02]: no point is examined
+        with pytest.raises(DomainError, match="no grid point in"):
+            run_claim("c-ineq-010", QParam(0.5), x_min=0.01, x_max=0.02, points=3)
+
+    def test_shared_context_owns_the_truncation(self):
+        # qfun all passes one context per q; see tests/test_cli.py
+        ctx = EvalContext(QParam(0.5))
+        with pytest.raises(DomainError, match="trunc comes from the evaluation context"):
+            run_claim("c-666", ctx, trunc=Truncation(rel_tol=1e-10))
 
     def test_unknown_argument_rejected(self):
         with pytest.raises(TypeError):
