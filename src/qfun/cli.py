@@ -192,6 +192,13 @@ def _render_text_reports(reports: list[VerifyReport], args: argparse.Namespace) 
     return out.getvalue()
 
 
+def _margin_label(claim_id: str) -> str:
+    """Text label of an eval, scan or zero row's margin column."""
+    if claim_id == "zero":
+        return "residual"
+    return "budget" if claim_id.endswith("-inversion") else "err_bound"
+
+
 def _render_text_rows(rows: list[dict]) -> str:
     out = io.StringIO()
     for r in rows:
@@ -204,7 +211,7 @@ def _render_text_rows(rows: list[dict]) -> str:
             bits.append(f"x={_num(r['x'])}")
         bits.append(f"value={_num(r['value'])}")
         if r["margin"] is not None:
-            bits.append(f"err_bound={_num(r['margin'])}")
+            bits.append(f"{_margin_label(r['claim_id'])}={_num(r['margin'])}")
         out.write(" ".join(bits) + "\n")
     return out.getvalue()
 

@@ -161,6 +161,31 @@ class TestCsvFormat:
         assert float(x_cell) == pytest.approx(1.4463627156098169, abs=1e-10)
 
 
+class TestTextRows:
+    @pytest.mark.parametrize(
+        "argv, label",
+        [
+            (["zero", "--q", "0.5", "--q", "2"], "residual"),
+            (["eval", "--fn", "digamma-inversion", "--q", "2", "--x", "1.5"], "budget"),
+            (["scan", "--fn", "gamma-inversion", "--q", "2", "--points", "3"], "budget"),
+            (["eval", "--fn", "digamma", "--q", "0.5", "--x", "1"], "err_bound"),
+        ],
+    )
+    def test_margin_is_labelled_by_what_it_holds(self, capsys, argv, label):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines
+        for line in lines:
+            assert re.search(r" (\w+)=\S+$", line).group(1) == label
+
+    def test_zero_residual_is_the_csv_margin(self, capsys):
+        _, text, _ = run_cli(capsys, "zero", "--q", "0.5")
+        _, csv, _ = run_cli(capsys, "zero", "--q", "0.5", "--format", "csv")
+        residual = text.split("residual=")[1].strip()
+        assert residual == csv.splitlines()[1].split(",")[6]
+
+
 class TestJsonFormat:
     def test_verify_payload_mirrors_report(self, capsys):
         _, out, _ = run_cli(

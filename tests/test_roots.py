@@ -5,17 +5,20 @@ series to 1e-21; constants against their defining sums.
 """
 
 import math
+import random
 
 import pytest
 
 from qfun import (
     DomainError,
+    NonConvergent,
     QParam,
     Truncation,
     digamma_zero,
     q_digamma,
     q_euler_mascheroni,
     q_harmonic,
+    q_polygamma,
 )
 
 # mpmath, 40 dps
@@ -26,6 +29,98 @@ X0_FROZEN = {
     2.0: 1.4738231706986189,
     5.0: 1.4854004708358908,
 }
+
+
+
+def plain_zero(p, tol=1e-12, trunc=None, bisect_steps=40, newton_steps=10):
+    """The solver digamma_zero must agree with: double the bracket outward
+    from [1, 2], evaluate every one of bisect_steps midpoints, then take
+    damped Newton steps; returns (x0, residual, bracket) or raises."""
+
+    def f(x):
+        return q_digamma(p, x, trunc).value
+
+    lo, hi = 1.0, 2.0
+    f_lo, f_hi = f(lo), f(hi)
+    while f_lo >= 0.0:
+        lo *= 0.5
+        f_lo = f(lo)
+    while f_hi <= 0.0:
+        hi *= 2.0
+        f_hi = f(hi)
+    x, fx = 0.5 * (lo + hi), None
+    for _ in range(bisect_steps):
+        x = 0.5 * (lo + hi)
+        fx = f(x)
+        if fx == 0.0:
+            lo = hi = x
+            break
+        if fx < 0.0:
+            lo = x
+        else:
+            hi = x
+    if fx is None:
+        fx = f(x)
+    for _ in range(newton_steps):
+        if abs(fx) <= tol:
+            break
+        candidate = x - fx / q_polygamma(p, x, 1, trunc).value
+        if not lo < candidate < hi:
+            candidate = 0.5 * (lo + hi)
+        x = candidate
+        fx = f(x)
+        if fx < 0.0:
+            lo = x
+        elif fx > 0.0:
+            hi = x
+        else:
+            lo = hi = x
+    if abs(fx) > tol:
+        raise NonConvergent(f"residual {abs(fx):.3e} above tol {tol:.3e}")
+    return x, abs(fx), (lo, hi)
+
+
+def _oracle_cases():
+    rng = random.Random(20151)
+    capped = Truncation(max_terms=100_000_000)
+    spread = [math.exp(rng.uniform(math.log(0.01), math.log(50.0))) for _ in range(16)]
+    near_one = [
+        1.0 + rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(math.log(3e-5), math.log(1e-2)))
+        for _ in range(20)
+    ]
+    cases = [(q, None, {}) for q in (0.2, 0.5, 0.8, 2.0, 5.0, *spread)]
+    cases += [(q, capped, {}) for q in near_one]
+    for kw in (
+        {"bisect_steps": 0},
+        {"bisect_steps": 5},
+        {"bisect_steps": 60},
+        {"tol": 1e-3},
+        {"tol": 1e-15},
+        {"tol": 1e-15, "newton_steps": 0},
+    ):
+        cases += [(q, None, kw) for q in (0.05, 0.5, 0.95, 1.5, 30.0)]
+    cases.append((1.0 - 2e-4, capped, {"tol": 1e-3, "bisect_steps": 60}))
+    return [
+        pytest.param(q, trunc, kw, id=f"q={q!r}" + "".join(f",{k}={v}" for k, v in kw.items()))
+        for q, trunc, kw in cases
+    ]
+
+
+class TestMatchesPlainBisection:
+    """digamma_zero skips the midpoints whose sign is not in doubt; x0,
+    residual and bracket must be those of evaluating them all."""
+
+    @pytest.mark.parametrize("q, trunc, kw", _oracle_cases())
+    def test_bit_identical(self, q, trunc, kw):
+        p = QParam(q, allow_near_one=True)
+        try:
+            want = plain_zero(p, trunc=trunc, **kw)
+        except NonConvergent:
+            with pytest.raises(NonConvergent):
+                digamma_zero(p, trunc=trunc, **kw)
+            return
+        z = digamma_zero(p, trunc=trunc, **kw)
+        assert (z.x0, z.residual, z.bracket) == want
 
 
 class TestDigammaZero:
@@ -78,6 +173,27 @@ class TestDigammaZero:
             z = digamma_zero(QParam(q))
             assert all(a != b for a, b in zip(xs, xs[1:])), q
             assert z.iterations == len(xs), q
+
+    def test_default_solves_make_few_evaluations(self, monkeypatch):
+        import qfun.roots
+
+        xs = []
+
+        def counting(p, x, trunc=None):
+            xs.append(x)
+            return q_digamma(p, x, trunc)
+
+        monkeypatch.setattr(qfun.roots, "q_digamma", counting)
+        for q in (0.5, 2.0, 1.001):
+            xs.clear()
+            z = digamma_zero(QParam(q))
+            assert z.iterations == len(xs) <= 20, q
+
+    @pytest.mark.parametrize("name", ["bisect_steps", "newton_steps"])
+    @pytest.mark.parametrize("steps", [-3, 2.5, True, "4"])
+    def test_rejects_step_counts_other_than_non_negative_ints(self, name, steps):
+        with pytest.raises(DomainError, match=f"{name} must be an int >= 0"):
+            digamma_zero(QParam(0.5), **{name: steps})
 
     @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
     def test_rejects_non_positive_or_non_finite_tol(self, tol):
