@@ -84,6 +84,19 @@ class EvalContext:
         self._zero: ZeroResult | None = None
         self._squared: EvalContext | None = None
 
+    @classmethod
+    def of(cls, p: QParam | EvalContext, trunc: Truncation | None = None) -> EvalContext:
+        """p itself when it is a context, or else a new context at (p, trunc).
+
+        Every public verifier and provider resolves its p argument here.  A
+        context carries its own truncation, so trunc must then be omitted.
+        """
+        if not isinstance(p, EvalContext):
+            return cls(p, trunc)
+        if trunc is not None:
+            raise DomainError("trunc comes from the evaluation context; omit it")
+        return p
+
     def psi(self, k: int, x: float) -> EvalResult:
         r = self._results.get((k, x))
         if r is None:
@@ -304,13 +317,13 @@ def certify_lcm(
     )
 
 
-def ln_gamma_provider(p: QParam, trunc: Truncation | None = None) -> LogDerivProvider:
+def ln_gamma_provider(
+    p: QParam | EvalContext, trunc: Truncation | None = None
+) -> LogDerivProvider:
     """ln Gamma_q and its derivatives: d(1) is the q-digamma, d(n) for
     n >= 2 the order n-1 q-polygamma."""
-    return _ln_gamma_provider(EvalContext(p, trunc))
+    ctx = EvalContext.of(p, trunc)
 
-
-def _ln_gamma_provider(ctx: EvalContext) -> LogDerivProvider:
     def d(n: int, x: float) -> float:
         if n < 1:
             raise UnsupportedOrder(f"derivative order must be >= 1, got {n}")
@@ -324,7 +337,7 @@ def _ln_gamma_provider(ctx: EvalContext) -> LogDerivProvider:
 
 
 def ratio_provider(
-    p: QParam,
+    p: QParam | EvalContext,
     a: float,
     b: float,
     alpha: float,
@@ -336,12 +349,7 @@ def ratio_provider(
     The n-th log-derivative is alpha a^n psi^(n-1)(a x) - beta b^n psi^(n-1)(b x),
     with psi^(0) the q-digamma.
     """
-    return _ratio_provider(EvalContext(p, trunc), a, b, alpha, beta)
-
-
-def _ratio_provider(
-    ctx: EvalContext, a: float, b: float, alpha: float, beta: float
-) -> LogDerivProvider:
+    ctx = EvalContext.of(p, trunc)
     if not (0.0 < a < b):
         raise DomainError(f"need 0 < a < b, got a={a}, b={b}")
 

@@ -54,9 +54,10 @@ class ZeroResult:
     bracket: tuple[float, float]
 
 
-def _check_count(name: str, n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"{name} must be an int >= 0, got {n!r}")
+def _check_count(name: str, n: int, lo: int) -> None:
+    """Raise DomainError unless n is an int (not a bool) and n >= lo."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < lo:
+        raise DomainError(f"{name} must be an int >= {lo}, got {n!r}")
 
 
 def digamma_zero(
@@ -96,8 +97,8 @@ def digamma_zero(
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be finite and > 0, got {tol}")
-    _check_count("bisect_steps", bisect_steps)
-    _check_count("newton_steps", newton_steps)
+    _check_count("bisect_steps", bisect_steps, 0)
+    _check_count("newton_steps", newton_steps, 0)
     t = trunc or DEFAULT_TRUNCATION
     values: dict[float, float] = {}
 
@@ -239,6 +240,6 @@ def q_harmonic(p: QParam, n: int) -> float:
     """
     if p.regime is not Regime.SUB_UNIT:
         raise DomainError("q_harmonic takes 0 < q < 1")
-    _check_count("n", n)
+    _check_count("n", n, 0)
     lnq = math.log(p.q)
     return math.fsum(-math.exp(j * lnq) / math.expm1(j * lnq) for j in range(1, n + 1))

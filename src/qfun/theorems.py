@@ -6,9 +6,11 @@ carrying the worst margin, the first counterexample if any, and notes on
 branch choices or excluded points.  Wherever a claim involves products or
 powers of gamma values the comparison happens in log space.  The CLAIMS
 registry maps the stable claim-id strings onto these verifiers and regimes.
-Every evaluator value goes through one EvalContext per verification, or one
-per q shared by several claim runs (run_claim takes it in place of q), so
-the runs solve for the digamma zero once and compute each value once.
+Every public verifier and provider, and run_claim, takes p as a QParam or
+as an EvalContext at that q, resolved by EvalContext.of; a context carries
+its own truncation.  Every evaluator value goes through that one context,
+so claim runs that share a context solve for the digamma zero once and
+compute each value once.
 """
 
 from __future__ import annotations
@@ -31,13 +33,14 @@ from .deriv import (
     N_MAX,
     EvalContext,
     LogDerivProvider,
-    _ln_gamma_provider,
-    _ratio_provider,
     certify_lcm,
+    ln_gamma_provider,
     log_derivatives,
     make_grid,
+    ratio_provider,
 )
-from .roots import digamma_zero, q_euler_mascheroni, q_harmonic  # noqa: F401 (kept importable here)
+from .roots import _check_count, q_euler_mascheroni, q_harmonic
+from .roots import digamma_zero  # noqa: F401 (kept importable here)
 
 __all__ = [
     "BALANCE_TOL",
@@ -212,7 +215,7 @@ def _log_psi(ctx: EvalContext, x: float) -> float:
 
 def verify_theorem_ratio_lcm(
     spec: RatioSpec,
-    p: QParam,
+    p: QParam | EvalContext,
     grid: np.ndarray | None = None,
     n_orders: int = N_MAX,
     tol: float = DEFAULT_TOL,
@@ -226,12 +229,7 @@ def verify_theorem_ratio_lcm(
     q > 1 the necessity direction is not asserted, so unbalanced input is
     reported as out of scope rather than scanned.
     """
-    return _verify_theorem_ratio_lcm(spec, EvalContext(p, trunc), grid, n_orders, tol)
-
-
-def _verify_theorem_ratio_lcm(
-    spec: RatioSpec, ctx: EvalContext, grid: np.ndarray | None, n_orders: int, tol: float
-) -> VerifyReport:
+    ctx = EvalContext.of(p, trunc)
     p = ctx.p
     if grid is None:
         grid = _default_grid()
@@ -246,7 +244,7 @@ def _verify_theorem_ratio_lcm(
             tol,
             notes=("necessity scan skipped: only asserted for 0 < q < 1",),
         )
-    provider = _ratio_provider(ctx, spec.a, spec.b, spec.alpha, spec.beta)
+    provider = ratio_provider(ctx, spec.a, spec.b, spec.alpha, spec.beta)
     cm = certify_lcm(provider, grid, n_orders, tol)
     if sufficiency:
         notes = ("sufficiency branch: balanced exponents with alpha >= 0, expected pass",)
@@ -258,15 +256,11 @@ def _verify_theorem_ratio_lcm(
 
 
 def ratio_log_middle(
-    spec: RatioSpec, p: QParam, x1: float, x: float, trunc: Truncation | None = None
+    spec: RatioSpec, p: QParam | EvalContext, x1: float, x: float, trunc: Truncation | None = None
 ) -> float:
     """Log of the normalized ratio appearing in the two-sided bound:
     alpha [lnG(ax) - lnG(ax1)] - beta [lnG(bx) - lnG(bx1)]."""
-    return _ratio_log_middle(spec, EvalContext(p, trunc), x1, x)
-
-
-def _ratio_log_middle(spec: RatioSpec, ctx: EvalContext, x1: float, x: float) -> float:
-    lng = ctx.ln_gamma
+    lng = EvalContext.of(p, trunc).ln_gamma
     return spec.alpha * (lng(spec.a * x).value - lng(spec.a * x1).value) - spec.beta * (
         lng(spec.b * x).value - lng(spec.b * x1).value
     )
@@ -274,7 +268,7 @@ def _ratio_log_middle(spec: RatioSpec, ctx: EvalContext, x1: float, x: float) ->
 
 def verify_ineq_555(
     spec: RatioSpec,
-    p: QParam,
+    p: QParam | EvalContext,
     x1: float = 1.0,
     grid: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
@@ -285,12 +279,7 @@ def verify_ineq_555(
     In log space: alpha a (x - x1) [psi(a x1) - psi(b x1)] <= ln(middle) <= 0
     for every grid x > x1, each side with slack tol.
     """
-    return _verify_ineq_555(spec, EvalContext(p, trunc), x1, grid, tol)
-
-
-def _verify_ineq_555(
-    spec: RatioSpec, ctx: EvalContext, x1: float, grid: np.ndarray | None, tol: float
-) -> VerifyReport:
+    ctx = EvalContext.of(p, trunc)
     if not spec.balanced():
         raise DomainError("the two-sided bound needs balanced exponents (alpha a = beta b)")
     if spec.alpha < 0.0 or spec.beta < 0.0:
@@ -303,11 +292,11 @@ def _verify_ineq_555(
     if any(v <= x1 for v in xs):
         raise DomainError("every grid point must lie strictly right of x1")
     slope = spec.alpha * spec.a * (ctx.psi(0, spec.a * x1).value - ctx.psi(0, spec.b * x1).value)
-    # one grid pass for every ln Gamma_q point _ratio_log_middle reads
+    # one grid pass for every ln Gamma_q point ratio_log_middle reads
     ctx.ln_gamma_grid(v for x in [x1] + xs for v in (spec.a * x, spec.b * x))
     rows = []
     for x in xs:
-        mid = _ratio_log_middle(spec, ctx, x1, x)
+        mid = ratio_log_middle(spec, ctx, x1, x)
         lower = slope * (x - x1)
         rows.append(_row(None, x, mid, min(mid - lower, -mid)))
     params = {
@@ -317,22 +306,18 @@ def _verify_ineq_555(
 
 
 def verify_ineq_666(
-    p: QParam,
+    p: QParam | EvalContext,
     n_max: int = 20,
     tol: float = DEFAULT_TOL,
     trunc: Truncation | None = None,
 ) -> VerifyReport:
     """exp[2q(n-1) ln(q)/(1-q)] <= Gamma_q(n)^2 / Gamma_q(2n) <= 1 for
     integers n = 1..n_max, checked in log space."""
-    return _verify_ineq_666(EvalContext(p, trunc), n_max, tol)
-
-
-def _verify_ineq_666(ctx: EvalContext, n_max: int, tol: float) -> VerifyReport:
+    ctx = EvalContext.of(p, trunc)
     p = ctx.p
     if p.regime is not Regime.SUB_UNIT:
         raise DomainError("this bound is stated for 0 < q < 1")
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
-        raise DomainError(f"n_max must be an int >= 1, got {n_max!r}")
+    _check_count("n_max", n_max, 1)
     lnq = math.log(p.q)
     ctx.ln_gamma_grid(v for n in range(1, n_max + 1) for v in (float(n), 2.0 * n))
     rows = []
@@ -348,7 +333,7 @@ def _verify_ineq_666(ctx: EvalContext, n_max: int, tol: float) -> VerifyReport:
 # duplication identity and the exponentially corrected ratio square
 
 def psi_duplication_residual(
-    p: QParam, x: float, trunc: Truncation | None = None
+    p: QParam | EvalContext, x: float, trunc: Truncation | None = None
 ) -> ResidualCheck:
     """|psi_q(2x) - ln(1+q) - psi_{q^2}(x)/2 - psi_{q^2}(x+1/2)/2| with its
     combined error budget.
@@ -356,7 +341,7 @@ def psi_duplication_residual(
     Both sides come from independent series, so a passing residual
     certifies the duplication identity at this point.
     """
-    return _duplication_residuals(EvalContext(p, trunc), [x])[0]
+    return _duplication_residuals(EvalContext.of(p, trunc), [x])[0]
 
 
 def _duplication_residuals(ctx: EvalContext, xs: Sequence[float]) -> list[ResidualCheck]:
@@ -381,17 +366,14 @@ def _duplication_residuals(ctx: EvalContext, xs: Sequence[float]) -> list[Residu
 
 
 def verify_psi_duplication(
-    p: QParam,
+    p: QParam | EvalContext,
     grid: np.ndarray | None = None,
     trunc: Truncation | None = None,
 ) -> VerifyReport:
     """Sweep the duplication residual; margin is budget - residual and the
     pass rule is margin >= 0, so every point must meet its own error
     budget with no extra slack."""
-    return _verify_psi_duplication(EvalContext(p, trunc), grid)
-
-
-def _verify_psi_duplication(ctx: EvalContext, grid: np.ndarray | None) -> VerifyReport:
+    ctx = EvalContext.of(p, trunc)
     if grid is None:
         grid = _default_grid()
     xs = [float(x) for x in np.asarray(grid, dtype=np.float64).ravel()]
@@ -409,23 +391,29 @@ def _verify_psi_duplication(ctx: EvalContext, grid: np.ndarray | None) -> Verify
     )
 
 
-def _g_beta_weight(p: QParam, beta: float | None) -> float:
-    """beta as given, or beta_star(q) when None; it must be finite."""
-    b = beta_star(p) if beta is None else float(beta)
+def _g_beta_weight(ctx: EvalContext, beta: float | None) -> float:
+    """beta as given, or beta_star(q) when None; it must be finite.  Both
+    g_beta claims are stated for 0 < q < 1 only, whatever beta is."""
+    if ctx.p.regime is not Regime.SUB_UNIT:
+        raise DomainError("the corrected ratio square is stated for 0 < q < 1")
+    b = beta_star(ctx) if beta is None else float(beta)
     if not math.isfinite(b):
         raise DomainError(f"beta must be a finite real, got {b!r}")
     return b
 
 
-def beta_star(p: QParam) -> float:
+def beta_star(p: QParam | EvalContext) -> float:
     """Threshold -13 ln(q) / (6 (1 - q^2)) above which the corrected ratio
     square is certified monotone, for 0 < q < 1."""
+    p = EvalContext.of(p).p
     if p.regime is not Regime.SUB_UNIT:
         raise DomainError("beta_star takes 0 < q < 1")
     return -13.0 * math.log(p.q) / (6.0 * (1.0 - p.q * p.q))
 
 
-def ln_g_beta(p: QParam, beta: float, x: float, trunc: Truncation | None = None) -> float:
+def ln_g_beta(
+    p: QParam | EvalContext, beta: float, x: float, trunc: Truncation | None = None
+) -> float:
     """Direct log of the exponentially corrected ratio square:
     -ln(1+q) + 2[lnG_{q^2}(x+1/2) - lnG_{q^2}(x+1)] + beta(1-q^2)q^{2x}/(2(1-q^{2x}))
     + psi_q(2x).
@@ -433,11 +421,12 @@ def ln_g_beta(p: QParam, beta: float, x: float, trunc: Truncation | None = None)
     Deliberately avoids the duplication substitution so finite differences
     of this value cross-check g_beta_log_deriv.
     """
+    ctx = EvalContext.of(p, trunc)
+    p = ctx.p
     if p.regime is not Regime.SUB_UNIT:
         raise DomainError("the corrected ratio square is stated for 0 < q < 1")
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
-    ctx = EvalContext(p, trunc)
     half = ctx.squared()
     e = math.exp(2.0 * x * math.log(p.q))
     frac = e / (1.0 - e)
@@ -450,7 +439,7 @@ def ln_g_beta(p: QParam, beta: float, x: float, trunc: Truncation | None = None)
 
 
 def g_beta_log_deriv(
-    p: QParam, beta: float, n: int, x: float, trunc: Truncation | None = None
+    p: QParam | EvalContext, beta: float, n: int, x: float, trunc: Truncation | None = None
 ) -> float:
     """n-th derivative of ln g_beta, assembled analytically.
 
@@ -464,7 +453,8 @@ def g_beta_log_deriv(
 
     with every psi taken at base q^2 and psi^(0) the digamma.
     """
-    return _g_beta_log_deriv(p, EvalContext(p, trunc).squared(), beta, n, x)
+    ctx = EvalContext.of(p, trunc)
+    return _g_beta_log_deriv(ctx.p, ctx.squared(), beta, n, x)
 
 
 def _g_beta_log_deriv(p: QParam, half: EvalContext, beta: float, n: int, x: float) -> float:
@@ -485,18 +475,16 @@ def _g_beta_psi_keys(p: QParam, n: int, x: float) -> tuple[tuple[int, float], ..
     the order _g_beta_log_deriv reads them."""
     if p.regime is not Regime.SUB_UNIT:
         raise DomainError("the corrected ratio square is stated for 0 < q < 1")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"derivative order must be an int >= 1, got {n!r}")
+    _check_count("derivative order", n, 1)
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
     return ((n, x + 1.0), (n, x), (n - 1, x + 0.5), (n - 1, x + 1.0), (n, x + 0.5))
 
 
-def g_beta_provider(p: QParam, beta: float, trunc: Truncation | None = None) -> LogDerivProvider:
-    return _g_beta_provider(EvalContext(p, trunc), beta)
-
-
-def _g_beta_provider(ctx: EvalContext, beta: float) -> LogDerivProvider:
+def g_beta_provider(
+    p: QParam | EvalContext, beta: float, trunc: Truncation | None = None
+) -> LogDerivProvider:
+    ctx = EvalContext.of(p, trunc)
     p, half = ctx.p, ctx.squared()
 
     def d(n: int, x: float) -> float:
@@ -510,7 +498,7 @@ def _g_beta_provider(ctx: EvalContext, beta: float) -> LogDerivProvider:
 
 
 def verify_g_beta_lcm(
-    p: QParam,
+    p: QParam | EvalContext,
     beta: float | None = None,
     grid: np.ndarray | None = None,
     n_orders: int = N_MAX,
@@ -524,17 +512,11 @@ def verify_g_beta_lcm(
     first, since the analytic derivatives lean on it; a gate failure
     fails the claim without running the sweep.
     """
-    return _verify_g_beta_lcm(EvalContext(p, trunc), beta, grid, n_orders, tol)
-
-
-def _verify_g_beta_lcm(
-    ctx: EvalContext, beta: float | None, grid: np.ndarray | None, n_orders: int, tol: float
-) -> VerifyReport:
-    p = ctx.p
+    ctx = EvalContext.of(p, trunc)
     if grid is None:
         grid = _default_grid()
-    b = _g_beta_weight(p, beta)
-    params = {"q": p.q, "beta": b}
+    b = _g_beta_weight(ctx, beta)
+    params = {"q": ctx.p.q, "beta": b}
     xs = np.asarray(grid, dtype=np.float64).ravel()
     gate = xs[:: max(1, xs.size // 8)]
     gate_xs = [float(x) for x in gate]
@@ -548,17 +530,16 @@ def _verify_g_beta_lcm(
                 tol,
                 notes=("duplication gate failed; sweep not run",),
             )
-    cm = certify_lcm(_g_beta_provider(ctx, b), grid, n_orders, tol)
+    cm = certify_lcm(g_beta_provider(ctx, b), grid, n_orders, tol)
     notes = (f"duplication gate passed on {gate.size} points",)
     return _finish("g-beta-lcm", params, _grid_summary(grid), _cm_rows(cm), tol, notes)
 
 
-def phi_series_coefficient(beta: float, p: QParam, n: int) -> float:
+def phi_series_coefficient(beta: float, p: QParam | EvalContext, n: int) -> float:
     """Coefficient c_n = -beta(1-q^2)/(2 ln q) - 1 - 2^{-n} + 1/((n+1) 2^{n-1})
     from the series whose nonnegativity drives the g_beta certification."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"n must be an int >= 1, got {n!r}")
-    q = p.q
+    _check_count("n", n, 1)
+    q = EvalContext.of(p).p.q
     return (
         -beta * (1.0 - q * q) / (2.0 * math.log(q))
         - 1.0
@@ -568,39 +549,36 @@ def phi_series_coefficient(beta: float, p: QParam, n: int) -> float:
 
 
 def verify_phi_coeff(
-    p: QParam,
+    p: QParam | EvalContext,
     beta: float | None = None,
     n_max: int = 200,
     tol: float = DEFAULT_TOL,
 ) -> VerifyReport:
     """c_n >= 0 for n = 1..n_max; beta defaults to beta_star(q), where the
     minimum sits exactly at zero (index n = 2)."""
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
-        raise DomainError(f"n_max must be an int >= 1, got {n_max!r}")
-    b = _g_beta_weight(p, beta)
+    ctx = EvalContext.of(p)
+    _check_count("n_max", n_max, 1)
+    b = _g_beta_weight(ctx, beta)
     rows = []
     for n in range(1, n_max + 1):
-        c_n = phi_series_coefficient(b, p, n)
+        c_n = phi_series_coefficient(b, ctx, n)
         rows.append(_row(n, None, c_n, c_n))
-    return _finish("phi-coeff", {"q": p.q, "beta": b}, {"n_max": n_max}, rows, tol)
+    return _finish("phi-coeff", {"q": ctx.p.q, "beta": b}, {"n_max": n_max}, rows, tol)
 
 
 # ---------------------------------------------------------------------------
 # right of the digamma zero: reciprocal monotonicity and mean inequalities
 
 def inv_digamma_provider(
-    p: QParam, trunc: Truncation | None = None
+    p: QParam | EvalContext, trunc: Truncation | None = None
 ) -> tuple[LogDerivProvider, float]:
     """Provider for ln(1/psi_q) on (x0, inf), plus the located x0.
 
     Derivatives of ln psi_q come from psi_q and its analytic derivatives
     through the log-derivative triangle; the sign flip gives 1/psi_q.
     """
-    provider = _inv_digamma_provider(EvalContext(p, trunc))
-    return provider, provider.lo
+    ctx = EvalContext.of(p, trunc)
 
-
-def _inv_digamma_provider(ctx: EvalContext) -> LogDerivProvider:
     def d(n: int, x: float) -> float:
         values = [ctx.psi(k, x).value for k in range(0, n + 1)]
         return -log_derivatives(values)[n - 1]
@@ -608,12 +586,13 @@ def _inv_digamma_provider(ctx: EvalContext) -> LogDerivProvider:
     def prefetch(n: int, xs: Sequence[float]) -> None:
         ctx.psi_grid((k, x) for x in xs for k in range(0, n + 1))
 
+    x0 = ctx.zero().x0
     name = f"inv_digamma(q={ctx.p.q:g})"
-    return LogDerivProvider(d=d, lo=ctx.zero().x0, hi=math.inf, name=name, prefetch=prefetch)
+    return LogDerivProvider(d=d, lo=x0, hi=math.inf, name=name, prefetch=prefetch), x0
 
 
 def verify_inv_digamma_lcm(
-    p: QParam,
+    p: QParam | EvalContext,
     grid: np.ndarray | None = None,
     n_orders: int = 4,
     tol: float = DEFAULT_TOL,
@@ -624,14 +603,8 @@ def verify_inv_digamma_lcm(
     The grid must clear x0 by ZERO_MARGIN; the default covers
     [x0 + 0.1, 20].
     """
-    return _verify_inv_digamma_lcm(EvalContext(p, trunc), grid, n_orders, tol)
-
-
-def _verify_inv_digamma_lcm(
-    ctx: EvalContext, grid: np.ndarray | None, n_orders: int, tol: float
-) -> VerifyReport:
-    provider = _inv_digamma_provider(ctx)
-    x0 = provider.lo
+    ctx = EvalContext.of(p, trunc)
+    provider, x0 = inv_digamma_provider(ctx)
     if grid is None:
         grid = make_grid(x0 + 0.1, DEFAULT_X_MAX, DEFAULT_POINTS, DEFAULT_SPACING)
     xs = np.asarray(grid, dtype=np.float64).ravel()
@@ -651,7 +624,7 @@ def _verify_inv_digamma_lcm(
 
 
 def verify_ineq_1(
-    p: QParam,
+    p: QParam | EvalContext,
     a: float,
     x: float,
     y: float,
@@ -663,10 +636,7 @@ def verify_ineq_1(
     Checked in log space at the single point (x, y); the mixed argument is
     a convex combination, so it stays right of the zero automatically.
     """
-    return _verify_ineq_1(EvalContext(p, trunc), a, x, y, tol)
-
-
-def _verify_ineq_1(ctx: EvalContext, a: float, x: float, y: float, tol: float) -> VerifyReport:
+    ctx = EvalContext.of(p, trunc)
     rows = [_ineq_1_row(ctx, a, x, y)]
     params = {"q": ctx.p.q, "a": a, "x": x, "y": y, "x0": ctx.zero().x0}
     return _finish("c-ineq-1", params, {"points": 1}, rows, tol)
@@ -693,7 +663,7 @@ def _ineq_1_row(ctx: EvalContext, a: float, x: float, y: float) -> dict:
 
 
 def verify_ineq_010(
-    p: QParam,
+    p: QParam | EvalContext,
     a: float,
     u: float,
     tol: float = DEFAULT_TOL,
@@ -704,10 +674,7 @@ def verify_ineq_010(
     All three psi arguments must sit right of the zero so the real powers
     exist; u and the derived argument a(u-1)+2 are both checked.
     """
-    return _verify_ineq_010(EvalContext(p, trunc), a, u, tol)
-
-
-def _verify_ineq_010(ctx: EvalContext, a: float, u: float, tol: float) -> VerifyReport:
+    ctx = EvalContext.of(p, trunc)
     rows = [_ineq_010_row(ctx, a, u)]
     params = {"q": ctx.p.q, "a": a, "u": u, "x0": ctx.zero().x0}
     return _finish("c-ineq-010", params, {"points": 1}, rows, tol)
@@ -728,7 +695,7 @@ def _ineq_010_row(ctx: EvalContext, a: float, u: float) -> dict:
 
 
 def verify_remark_ineq(
-    p: QParam,
+    p: QParam | EvalContext,
     n_max: int = 20,
     tol: float = DEFAULT_TOL,
     trunc: Truncation | None = None,
@@ -740,15 +707,11 @@ def verify_remark_ineq(
     Euler-Mascheroni constant and the q-harmonic numbers; a cross-check
     confirms it reproduces psi(n+1) before the margins are trusted.
     """
-    return _verify_remark_ineq(EvalContext(p, trunc), n_max, tol)
-
-
-def _verify_remark_ineq(ctx: EvalContext, n_max: int, tol: float) -> VerifyReport:
+    ctx = EvalContext.of(p, trunc)
     p = ctx.p
     if p.regime is not Regime.SUB_UNIT:
         raise DomainError("this bound is stated for 0 < q < 1")
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
-        raise DomainError(f"n_max must be an int >= 1, got {n_max!r}")
+    _check_count("n_max", n_max, 1)
     lnq = math.log(p.q)
     # one grid pass for every psi point below; n = 1 gives psi(2)
     ctx.psi_grid((0, v) for n in range(1, n_max + 1) for v in (float(n + 1), 2.0 * n))
@@ -770,7 +733,7 @@ def _verify_remark_ineq(ctx: EvalContext, n_max: int, tol: float) -> VerifyRepor
 
 
 def verify_gamma_lcm_and_superadd(
-    p: QParam,
+    p: QParam | EvalContext,
     grid_x: np.ndarray | None = None,
     grid_lcm: np.ndarray | None = None,
     n_orders: int = N_MAX,
@@ -783,16 +746,7 @@ def verify_gamma_lcm_and_superadd(
     Pass grid_x with zero points to skip the pair part, or grid_lcm with
     zero points to skip the monotonicity part.
     """
-    return _verify_gamma_lcm_and_superadd(EvalContext(p, trunc), grid_x, grid_lcm, n_orders, tol)
-
-
-def _verify_gamma_lcm_and_superadd(
-    ctx: EvalContext,
-    grid_x: np.ndarray | None,
-    grid_lcm: np.ndarray | None,
-    n_orders: int,
-    tol: float,
-) -> VerifyReport:
+    ctx = EvalContext.of(p, trunc)
     z = ctx.zero()
     if grid_lcm is None:
         grid_lcm = make_grid(DEFAULT_X_MIN, z.x0 - ZERO_MARGIN, DEFAULT_POINTS, DEFAULT_SPACING)
@@ -807,7 +761,7 @@ def _verify_gamma_lcm_and_superadd(
             raise DomainError(
                 f"monotonicity grid reaches {float(lcm_xs.max()):.6g}, not left of x0 = {z.x0:.6g}"
             )
-        cm = certify_lcm(_ln_gamma_provider(ctx), lcm_xs, n_orders, tol)
+        cm = certify_lcm(ln_gamma_provider(ctx), lcm_xs, n_orders, tol)
         rows.extend(_cm_rows(cm))
         notes = notes + (f"monotonicity part: orders 1..{n_orders} on (0, x0), x0 = {z.x0!r}",)
     if pair_xs:
@@ -881,7 +835,7 @@ class Claim:
 
 def _run_ratio_lcm(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
     spec = RatioSpec(o.a, o.b, o.alpha, o.beta)
-    return _verify_theorem_ratio_lcm(spec, ctx, o.grid(), o.orders, o.tol)
+    return verify_theorem_ratio_lcm(spec, ctx, o.grid(), o.orders, o.tol)
 
 
 def _run_ineq_555(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
@@ -890,12 +844,12 @@ def _run_ineq_555(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
         grid = o.grid()
     else:
         grid = x1 + np.geomspace(1e-4, max(o.x_max - x1, 1e-3), o.points)
-    return _verify_ineq_555(RatioSpec(o.a, o.b, o.alpha, o.beta), ctx, x1, grid, o.tol)
+    return verify_ineq_555(RatioSpec(o.a, o.b, o.alpha, o.beta), ctx, x1, grid, o.tol)
 
 
 def _run_inv_digamma(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
     if o.x is not None:
-        return _verify_inv_digamma_lcm(ctx, o.grid(), o.orders, o.tol)
+        return verify_inv_digamma_lcm(ctx, o.grid(), o.orders, o.tol)
     x0 = ctx.zero().x0
     lo = x0 + 0.1 if o.x_min is None else o.x_min
     clipped = lo < x0 + ZERO_MARGIN
@@ -903,7 +857,7 @@ def _run_inv_digamma(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
         lo = x0 + 0.1
     if not lo < o.x_max:
         raise DomainError(f"x range ({lo:.6g}, {o.x_max:.6g}) empty right of x0 = {x0:.6g}")
-    report = _verify_inv_digamma_lcm(ctx, make_grid(lo, o.x_max, o.points, o.spacing), o.orders, o.tol)
+    report = verify_inv_digamma_lcm(ctx, make_grid(lo, o.x_max, o.points, o.spacing), o.orders, o.tol)
     if clipped:
         report = replace(report, notes=report.notes + ("x range clipped right of the digamma zero",))
     return report
@@ -912,7 +866,7 @@ def _run_inv_digamma(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
 def _run_ineq_1(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
     if o.x is not None:
         y = float(o.b) if o.b is not None else float(o.x)
-        return _verify_ineq_1(ctx, o.a, float(o.x), y, o.tol)
+        return verify_ineq_1(ctx, o.a, float(o.x), y, o.tol)
     x0 = ctx.zero().x0
     base = make_grid(max(o.x_min, x0 + 0.1), o.x_max, o.points, o.spacing)
     # pairs grow quadratically, so sweep 8 points evenly spaced in index
@@ -934,7 +888,7 @@ def _run_ineq_1(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
 
 def _run_ineq_010(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
     if o.x is not None:
-        return _verify_ineq_010(ctx, o.a, float(o.x), o.tol)
+        return verify_ineq_010(ctx, o.a, float(o.x), o.tol)
     # before the grid filter divides by a
     _check_mean_exponent(o.a)
     x0 = ctx.zero().x0
@@ -963,9 +917,9 @@ def _run_ineq_010(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
 
 def _run_gamma_lcm_superadd(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
     if o.x is None:
-        return _verify_gamma_lcm_and_superadd(ctx, None, None, o.orders, o.tol)
+        return verify_gamma_lcm_and_superadd(ctx, None, None, o.orders, o.tol)
     if o.b is None:
-        return _verify_gamma_lcm_and_superadd(ctx, np.empty(0), o.grid(), o.orders, o.tol)
+        return verify_gamma_lcm_and_superadd(ctx, np.empty(0), o.grid(), o.orders, o.tol)
     # single ordered pair (x, b) of the superadditivity part
     xv, yv = float(o.x), float(o.b)
     if not (0.0 < xv < 1.0 and 0.0 < yv < 1.0):
@@ -981,22 +935,22 @@ def _run_gamma_lcm_superadd(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
 CLAIMS: dict[str, Claim] = {
     "t31-ratio-lcm": Claim(_run_ratio_lcm, ClaimArgs(a=1.0, b=2.0, alpha=2.0, beta=1.0)),
     "c-555": Claim(_run_ineq_555, ClaimArgs(a=1.0, b=2.0, alpha=2.0, beta=1.0)),
-    "c-666": Claim(lambda ctx, o: _verify_ineq_666(ctx, o.n_max, o.tol),
+    "c-666": Claim(lambda ctx, o: verify_ineq_666(ctx, o.n_max, o.tol),
                    sub_unit_only=True, order_arg="n_max"),
     "g-beta-lcm": Claim(
-        lambda ctx, o: _verify_g_beta_lcm(ctx, o.beta, o.grid(), o.orders, o.tol),
+        lambda ctx, o: verify_g_beta_lcm(ctx, o.beta, o.grid(), o.orders, o.tol),
         sub_unit_only=True,
     ),
-    "phi-coeff": Claim(lambda ctx, o: verify_phi_coeff(ctx.p, o.beta, o.n_max, o.tol),
+    "phi-coeff": Claim(lambda ctx, o: verify_phi_coeff(ctx, o.beta, o.n_max, o.tol),
                        ClaimArgs(n_max=200), sub_unit_only=True, order_arg="n_max"),
     # x_min None: the sweep starts at x0 + 0.1
     "t34-inv-psi": Claim(_run_inv_digamma, ClaimArgs(x_min=None, orders=4)),
     "c-ineq-1": Claim(_run_ineq_1, ClaimArgs(a=2.0)),
     "c-ineq-010": Claim(_run_ineq_010, ClaimArgs(a=2.0)),
-    "remark-harmonic": Claim(lambda ctx, o: _verify_remark_ineq(ctx, o.n_max, o.tol),
+    "remark-harmonic": Claim(lambda ctx, o: verify_remark_ineq(ctx, o.n_max, o.tol),
                              sub_unit_only=True, order_arg="n_max"),
     "gamma-lcm-superadd": Claim(_run_gamma_lcm_superadd),
-    "psi-duplication": Claim(lambda ctx, o: _verify_psi_duplication(ctx, o.grid()),
+    "psi-duplication": Claim(lambda ctx, o: verify_psi_duplication(ctx, o.grid()),
                              sub_unit_only=True),
 }
 
@@ -1022,11 +976,7 @@ def run_claim(claim_id: str, p: QParam | EvalContext, **overrides) -> VerifyRepo
     args = replace(claim.defaults, **{k: v for k, v in overrides.items() if v is not None})
     if not 0.0 <= args.tol < math.inf:
         raise DomainError(f"tol must be finite and >= 0, got {args.tol}")
-    if not isinstance(p, EvalContext):
-        return claim.run(EvalContext(p, args.trunc), args)
-    if args.trunc is not None:
-        raise DomainError("trunc comes from the evaluation context; omit it")
-    return claim.run(p, args)
+    return claim.run(EvalContext.of(p, args.trunc), args)
 
 
 def rerun_kwargs(rep: VerifyReport, row: dict) -> dict:

@@ -74,6 +74,14 @@ class TestExitCodes:
         assert code == 2
         assert "0 < q < 1" in err
 
+    @pytest.mark.parametrize("claim", ["phi-coeff", "g-beta-lcm"])
+    def test_regime_violation_with_explicit_beta_exits_two(self, capsys, claim):
+        # phi-coeff once checked its regime only while taking the default beta
+        code, out, err = run_cli(capsys, "verify", "--claim", claim, "--q", "2", "--beta", "1")
+        assert code == 2
+        assert out == ""
+        assert "0 < q < 1" in err
+
     @pytest.mark.parametrize("tol", ["nan", "-10", "inf"])
     def test_bad_tol_exits_two(self, capsys, tol):
         code, out, err = run_cli(

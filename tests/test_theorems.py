@@ -6,6 +6,7 @@ code with the verifier (finite differences of the directly assembled
 function, brute sums, or closed forms from the functional equation).
 """
 
+import inspect
 import math
 import random
 
@@ -16,6 +17,7 @@ import numpy as np
 from qfun import (
     DomainError,
     EvalContext,
+    LogDerivProvider,
     QParam,
     RatioSpec,
     Truncation,
@@ -45,6 +47,8 @@ from qfun import (
     verify_remark_ineq,
     verify_theorem_ratio_lcm,
 )
+import qfun.deriv
+import qfun.theorems
 from qfun.theorems import CLAIM_IDS, CLAIMS, TIGHT_MARGIN, rerun_kwargs
 
 
@@ -660,17 +664,39 @@ class TestRunClaim:
             run_claim(claim, QParam(0.5), tol=tol)
 
 
+# run_claim arguments that replace each claim's defaults; a claim stated for
+# 0 < q < 1 only must reject q > 1 whatever it is given
+EXPLICIT_ARGS = {
+    "t31-ratio-lcm": {"a": 1.0, "b": 3.0, "alpha": 3.0, "beta": 1.0, "orders": 3},
+    "c-555": {"a": 1.0, "b": 3.0, "alpha": 3.0, "beta": 1.0, "points": 8},
+    "c-666": {"n_max": 5},
+    "g-beta-lcm": {"beta": 1.0},
+    "phi-coeff": {"beta": 1.0, "n_max": 5},
+    "t34-inv-psi": {"orders": 2, "points": 8},
+    "c-ineq-1": {"a": 3.0, "points": 4},
+    "c-ineq-010": {"a": 3.0, "points": 8},
+    "remark-harmonic": {"n_max": 5},
+    "gamma-lcm-superadd": {"orders": 2},
+    "psi-duplication": {"x": 1.5},
+}
+
+
 class TestClaimRegistry:
-    @pytest.mark.parametrize("claim", CLAIM_IDS)
-    def test_regime_matches_verifier(self, claim):
+    @pytest.mark.parametrize(
+        "claim, kwargs",
+        [pytest.param(c, {}, id=c) for c in CLAIM_IDS]
+        + [pytest.param(c, EXPLICIT_ARGS.get(c), id=f"{c}-explicit") for c in CLAIM_IDS],
+    )
+    def test_regime_matches_verifier(self, claim, kwargs):
+        assert kwargs is not None, f"EXPLICIT_ARGS has no entry for {claim}"
         p = QParam(2.0)
         if CLAIMS[claim].sub_unit_only:
             assert not CLAIMS[claim].supports(p)
             with pytest.raises(DomainError):
-                run_claim(claim, p)
+                run_claim(claim, p, **kwargs)
         else:
             assert CLAIMS[claim].supports(p)
-            assert run_claim(claim, p).claim_id == claim
+            assert run_claim(claim, p, **kwargs).claim_id == claim
 
     def test_all_sweep_makes_45_claim_runs(self):
         from qfun.cli import DEFAULT_ALL_QS
@@ -688,3 +714,109 @@ class TestClaimRegistry:
         sweep = run_claim(claim, p)
         point = run_claim(claim, p, **rerun_kwargs(sweep, sweep.worst_point))
         assert point.worst_margin == sweep.worst_margin
+
+
+def _p_functions() -> list[str]:
+    """The public functions of theorems and deriv that take a q parameter p."""
+    return [
+        name
+        for mod in (qfun.theorems, qfun.deriv)
+        for name in mod.__all__
+        if inspect.isfunction(getattr(mod, name))
+        and "p" in inspect.signature(getattr(mod, name)).parameters
+    ]
+
+
+_SWEEP = make_grid(0.5, 4.0, 6)
+
+# name -> (arguments before p, arguments after p, keyword arguments), all at q = 0.5
+CONTEXT_SAMPLES = {
+    "verify_theorem_ratio_lcm": ((BALANCED,), (_SWEEP, 3), {}),
+    "ratio_log_middle": ((BALANCED,), (1.0, 2.5), {}),
+    "verify_ineq_555": ((BALANCED,), (1.0, make_grid(1.5, 6.0, 6)), {}),
+    "verify_ineq_666": ((), (5,), {}),
+    "psi_duplication_residual": ((), (1.5,), {}),
+    "verify_psi_duplication": ((), (_SWEEP,), {}),
+    "beta_star": ((), (), {}),
+    "ln_g_beta": ((), (1.0, 1.5), {}),
+    "g_beta_log_deriv": ((), (1.0, 2, 1.5), {}),
+    "g_beta_provider": ((), (1.0,), {}),
+    "verify_g_beta_lcm": ((), (1.0, _SWEEP, 3), {}),
+    "phi_series_coefficient": ((1.0,), (3,), {}),
+    "verify_phi_coeff": ((), (None, 10), {}),
+    "inv_digamma_provider": ((), (), {}),
+    "verify_inv_digamma_lcm": ((), (make_grid(2.0, 8.0, 6), 3), {}),
+    "verify_ineq_1": ((), (2.0, 2.0, 3.0), {}),
+    "verify_ineq_010": ((), (2.0, 1.5), {}),
+    "verify_remark_ineq": ((), (5,), {}),
+    "verify_gamma_lcm_and_superadd": (
+        (), (make_grid(0.0, 1.0, 3, "linear"), make_grid(0.1, 1.2, 4), 3), {}
+    ),
+    "run_claim": (("c-666",), (), {"n_max": 5}),
+    "ln_gamma_provider": ((), (), {}),
+    "ratio_provider": ((), (1.0, 2.0, 2.0, 1.0), {}),
+}
+
+
+def _comparable(result):
+    """result as == can compare it: a provider's closures are replaced by
+    the derivatives they return at sample points."""
+    if isinstance(result, tuple):
+        return tuple(_comparable(r) for r in result)
+    if isinstance(result, LogDerivProvider):
+        xs = (result.lo + 0.5, result.lo + 2.0)
+        derivs = [result.d(n, x) for n in (1, 2) for x in xs]
+        return (result.name, result.lo, result.hi, derivs)
+    return result
+
+
+class TestContextContract:
+    """Every public function that takes p takes a QParam or an EvalContext
+    at that q, and with a context evaluates through it alone."""
+
+    @pytest.mark.parametrize("name", _p_functions())
+    def test_shared_context_gives_the_qparam_result(self, monkeypatch, name):
+        assert name in CONTEXT_SAMPLES, f"CONTEXT_SAMPLES has no arguments for {name}"
+        fn = getattr(qfun.theorems, name, None) or getattr(qfun.deriv, name)
+        before, after, kwargs = CONTEXT_SAMPLES[name]
+        want = _comparable(fn(*before, QParam(0.5), *after, **kwargs))
+
+        ctx = EvalContext(QParam(0.5))
+        ctx.squared()  # the base-q^2 context belongs to the shared one
+        made = []
+        init = EvalContext.__init__
+
+        def recording_init(self, *args, **kw):
+            init(self, *args, **kw)
+            made.append(self)
+
+        monkeypatch.setattr(EvalContext, "__init__", recording_init)
+        assert _comparable(fn(*before, ctx, *after, **kwargs)) == want
+        assert made == []
+
+        params = inspect.signature(fn).parameters.values()
+        if any(v.name == "trunc" or v.kind is v.VAR_KEYWORD for v in params):
+            with pytest.raises(DomainError, match="trunc comes from the evaluation context"):
+                fn(*before, ctx, *after, **kwargs, trunc=Truncation(rel_tol=1e-10))
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("bad", [0, -3, 2.0, True])
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda v: verify_ineq_666(QParam(0.5), n_max=v), "n_max must be an int >= 1, got {!r}"),
+            (lambda v: verify_phi_coeff(QParam(0.5), n_max=v), "n_max must be an int >= 1, got {!r}"),
+            (lambda v: verify_remark_ineq(QParam(0.5), n_max=v), "n_max must be an int >= 1, got {!r}"),
+            (lambda v: phi_series_coefficient(1.0, QParam(0.5), v), "n must be an int >= 1, got {!r}"),
+            (
+                lambda v: g_beta_log_deriv(QParam(0.5), 1.0, v, 1.5),
+                "derivative order must be an int >= 1, got {!r}",
+            ),
+        ],
+        ids=["c-666", "phi-coeff", "remark-harmonic", "phi-coefficient", "g-beta-order"],
+    )
+    def test_rejects_non_int_or_below_one(self, call, message, bad):
+        with pytest.raises(DomainError) as info:
+            call(bad)
+        assert str(info.value) == message.format(bad)
