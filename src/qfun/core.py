@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -176,33 +176,42 @@ def _fp_allowance(*magnitudes: float) -> float:
     return 1e-13 * (1.0 + math.fsum(abs(m) for m in magnitudes))
 
 
-def _lambert_tails(
-    q: float, n: int, last_k: int, rows: Iterable[tuple[float, float]]
-) -> list[float]:
-    """Majorants for sum_{k > last_k} k^n q^{kx} / (1 - q^k), 0 < q < 1, one
-    per row given as its (x ln q, q^x).
+def _lambert_tail(q: float, x: float, n: int, last_k: int) -> float:
+    """Majorant for sum_{k > last_k} k^n q^{kx} / (1 - q^k), 0 < q < 1.
 
     Uses 1 - q^k >= 1 - q and the term-ratio envelope
-    ((k+1)/k)^n q^x <= rho, evaluated at k = last_k + 1.  The factors that
-    depend on last_k alone are taken once for all rows.
+    ((k+1)/k)^n q^x <= rho, evaluated at k = last_k + 1.
     """
-    grow = ((last_k + 2) / (last_k + 1)) ** n
-    log_k = n * math.log(last_k + 1)
-    out = []
-    for log_r, r in rows:
-        rho = grow * r
-        if rho >= 1.0:
-            out.append(math.inf)
-            continue
-        log_first = log_k + (last_k + 1) * log_r
-        out.append(0.0 if log_first < _LN_TINY else math.exp(log_first) / ((1.0 - q) * (1.0 - rho)))
-    return out
-
-
-def _lambert_tail(q: float, x: float, n: int, last_k: int) -> float:
-    """The _lambert_tails majorant at one x."""
     log_r = x * math.log(q)
-    return _lambert_tails(q, n, last_k, [(log_r, math.exp(log_r))])[0]
+    rho = ((last_k + 2) / (last_k + 1)) ** n * math.exp(log_r)
+    if rho >= 1.0:
+        return math.inf
+    log_first = n * math.log(last_k + 1) + (last_k + 1) * log_r
+    return 0.0 if log_first < _LN_TINY else math.exp(log_first) / ((1.0 - q) * (1.0 - rho))
+
+
+def _lambert_tails(
+    q: float, ns: np.ndarray, last_k: int, xl: np.ndarray, r: np.ndarray
+) -> np.ndarray:
+    """The _lambert_tail majorants of rows given as their orders ns, x ln q
+    and q^x, with the same float operations per row.
+
+    The factors that depend on an order and last_k alone are taken once
+    per order.  The exponential stays math.exp per row: np.exp rounds some
+    arguments differently.
+    """
+    top = int(ns.max())
+    grow = np.array([((last_k + 2) / (last_k + 1)) ** n for n in range(top + 1)])
+    log_k = np.array([n * math.log(last_k + 1) for n in range(top + 1)])
+    rho = grow[ns] * r
+    log_first = log_k[ns] + (last_k + 1) * xl
+    diverges = rho >= 1.0
+    out = np.where(diverges, math.inf, 0.0)
+    big = ~diverges & ~(log_first < _LN_TINY)
+    if big.any():
+        first = np.array([math.exp(v) for v in log_first[big].tolist()])
+        out[big] = first / ((1.0 - q) * (1.0 - rho[big]))
+    return out
 
 
 def _lambert_sum(
@@ -221,11 +230,17 @@ def _lambert_sum(
     while k0 <= trunc.max_terms:
         k1 = min(k0 + chunk - 1, trunc.max_terms)
         k = np.arange(k0, k1 + 1, dtype=np.float64)
-        num = np.exp(k * (x * lnq))
+        # k^n q^{kx} / (1 - q^k), in place: each long chunk allocates as
+        # few fresh arrays as it can
+        num = k * (x * lnq)
+        np.exp(num, out=num)
         if n:
-            num = num * k**n
-        den = -np.expm1(k * lnq)
-        chunk_sums.append(float(np.sum(num / den)))
+            num *= k**n
+        den = k * lnq
+        np.expm1(den, out=den)
+        np.negative(den, out=den)
+        num /= den
+        chunk_sums.append(float(np.sum(num)))
         partial = math.fsum(chunk_sums)
         tail = _lambert_tail(q, x, n, k1)
         if abs(scale) * tail <= trunc.target(offset + scale * partial):
@@ -238,106 +253,138 @@ def _lambert_sum(
 
 
 def _chunk_rows(
-    row_args: np.ndarray,
+    count: int,
     trunc: Truncation,
     offsets: Sequence[float],
-    scale: float,
+    scales: Sequence[float],
     chunk: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
-    tails: Callable[[int, list[int]], list[float]],
-) -> list:
-    """The chunk loop of a grid pass, one row per entry of row_args; returns
-    (partial, tail, terms) per row, or None for a row that reached the term
-    cap.
+    tails: Callable[[int, np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chunk loop of a grid pass over count rows; returns the arrays
+    (partial, tail, terms), with terms 0 for a row that reached the term cap.
 
     Every row sums its terms k = 1, 2, ... in the chunks of the one-point
-    sums (64 terms, doubling to _CHUNK_LIMIT) and leaves once |scale| * tail
-    meets the truncation target at its assembled value offsets[i] + scale *
-    partial, so a row's result does not depend on the other rows: per
-    element the float operations are those of the one-point sum, and each
-    row's chunk sum runs along its contiguous axis.  chunk(k) takes a
-    chunk's term indices and returns the map from a block of row_args to the
-    block's terms; tails(k1, rows) gives those rows' tail majorants after
-    term k1.  Rows are blocked so no temporary holds more than _BLOCK_TERMS
-    terms, or one row's chunk.
+    sums (64 terms, doubling to _CHUNK_LIMIT) and leaves once
+    |scales[i]| * tail meets the truncation target at its assembled value
+    offsets[i] + scales[i] * partial, so a row's result does not depend on
+    the other rows: per element the float operations are those of the
+    one-point sum.  Each row's chunk sum runs along its contiguous axis, and
+    its partial is math.fsum of its chunk sums, which for one chunk is that
+    sum and for two the float sum of both.  The partials, tails and the
+    stop test are arrays over the rows still active.  chunk(k) takes a
+    chunk's term indices and returns the map from an array of row indices
+    to those rows' terms; tails(k1, rows) gives the rows' tail majorants
+    after term k1.  Rows are blocked so no temporary holds more than
+    _BLOCK_TERMS terms, or one row's chunk.
     """
-    abs_scale = abs(scale)
+    offsets = np.asarray(offsets, dtype=np.float64)
+    scales = np.asarray(scales, dtype=np.float64)
+    abs_scales = np.abs(scales)
     rel_tol, abs_tol = trunc.rel_tol, trunc.abs_tol
-    chunk_sums: list[list[float]] = [[] for _ in range(len(row_args))]
-    out: list = [None] * len(row_args)
-    active = list(range(len(row_args)))
+    partials = np.zeros(count)
+    tails_out = np.zeros(count)
+    terms = np.zeros(count, dtype=np.int64)
+    active = np.arange(count)
+    # chunk sums of the active rows, one array per chunk so far
+    sums: list[np.ndarray] = []
     k0 = 1
     size = _CHUNK_START
-    while active and k0 <= trunc.max_terms:
+    while active.size and k0 <= trunc.max_terms:
         k1 = min(k0 + size - 1, trunc.max_terms)
         terms_of = chunk(np.arange(k0, k1 + 1, dtype=np.float64))
-        rows = max(1, _BLOCK_TERMS // (k1 - k0 + 1))
-        finished = False
-        for b in range(0, len(active), rows):
-            block = active[b : b + rows]
-            sums = np.add.reduce(terms_of(row_args[b : b + rows]), 1).tolist()
-            for i, s, tail in zip(block, sums, tails(k1, block)):
-                acc = chunk_sums[i]
-                acc.append(s)
-                partial = math.fsum(acc)
-                # Truncation.target, inlined: this runs per row and chunk
-                if abs_scale * tail <= max(rel_tol * abs(offsets[i] + scale * partial), abs_tol):
-                    out[i] = (partial, tail, k1)
-                    finished = True
-        if finished:
-            keep = [j for j, i in enumerate(active) if out[i] is None]
-            active = [active[j] for j in keep]
-            row_args = row_args[keep]
+        step = max(1, _BLOCK_TERMS // (k1 - k0 + 1))
+        blocks = [
+            np.add.reduce(terms_of(active[b : b + step]), 1) for b in range(0, active.size, step)
+        ]
+        sums.append(blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
+        if len(sums) == 1:
+            partial = sums[0]
+        elif len(sums) == 2:
+            partial = sums[0] + sums[1]
+        else:
+            partial = np.array([math.fsum(row) for row in zip(*(s.tolist() for s in sums))])
+        tail = tails(k1, active)
+        # Truncation.target, elementwise
+        target = np.maximum(rel_tol * np.abs(offsets[active] + scales[active] * partial), abs_tol)
+        done = abs_scales[active] * tail <= target
+        if done.any():
+            rows = active[done]
+            partials[rows] = partial[done]
+            tails_out[rows] = tail[done]
+            terms[rows] = k1
+            keep = ~done
+            active = active[keep]
+            sums = [s[keep] for s in sums]
         k0 = k1 + 1
         size = min(size * 2, _CHUNK_LIMIT)
-    return out
+    return partials, tails_out, terms
 
 
 def _lambert_rows(
     q: float,
-    xs: Sequence[float],
-    n: int,
+    ns: np.ndarray,
+    xs: np.ndarray,
     trunc: Truncation,
-    offsets: Sequence[float],
-    scale: float,
-) -> list[tuple[float, float, int]]:
-    """Chunked sums of k^n q^{kx} / (1 - q^k) over k >= 1, one row per x,
-    for 0 < q < 1; returns (partial, tail, terms) per row.
+    offsets: np.ndarray,
+    scales: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chunked sums of k^n q^{kx} / (1 - q^k) over k >= 1, one row per
+    order n of ns and x of xs, for 0 < q < 1; returns the arrays (partial,
+    tail, terms).
 
-    The caller assembles row i's value as offsets[i] + scale * partial; the
-    stop rule therefore compares |scale| * tail against the truncation
-    target taken at that assembled value (see _chunk_rows).  Each row's
-    x ln q and q^x are taken once, so its stop test calls no Python
-    function.  A single x takes _lambert_sum, the same sum without the
-    per-chunk cost of broadcasting over rows.
+    The caller assembles row i's value as offsets[i] + scales[i] * partial;
+    the stop rule therefore compares |scales[i]| * tail against the
+    truncation target taken at that assembled value (see _chunk_rows).
+    Each chunk takes 1 - q^k once and k^n once per order present.  Raises
+    NonConvergent for the first row that reaches the term cap.
     """
-    if len(xs) == 1:
-        return [_lambert_sum(q, xs[0], n, trunc, offsets[0], scale)]
     lnq = math.log(q)
-    xl = np.multiply(xs, lnq)  # x * ln q of each row
-    ratios = [(v, math.exp(v)) for v in xl.tolist()]
+    xl = xs * lnq  # x * ln q of each row
+    r = np.array([math.exp(v) for v in xl.tolist()])
+    top = int(ns.max())
+    orders = sorted(set(ns.tolist()) - {0})
 
     def chunk(k: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         den = -np.expm1(k * lnq)
+        # k^n for every order present, made once per chunk while the table
+        # is no larger than a block; k^0 = 1 leaves a term's bits as they are
+        powers = None
+        if orders and (top + 1) * k.size <= _BLOCK_TERMS:
+            powers = np.ones((top + 1, k.size))
+            for n in orders:
+                powers[n] = k**n
 
-        def terms_of(xl_block: np.ndarray) -> np.ndarray:
-            # in place, with k^n made per block: fewer live arrays than the
-            # one-x expression k^n q^{kx} / (1 - q^k), and the same roundings
-            terms = np.exp(np.multiply.outer(xl_block, k))
-            if n:
-                terms *= k**n
+        def terms_of(rows: np.ndarray) -> np.ndarray:
+            # in place: fewer live arrays than the one-x expression
+            # k^n q^{kx} / (1 - q^k), and the same roundings
+            terms = np.multiply.outer(xl[rows], k)
+            np.exp(terms, out=terms)
+            if powers is not None:
+                terms *= powers[ns[rows]]
+            elif orders:
+                # a block of long chunks has few rows: k^n once per order
+                # among them
+                made: dict[int, np.ndarray] = {}
+                for j, n in enumerate(ns[rows].tolist()):
+                    if n:
+                        if n not in made:
+                            made[n] = k**n
+                        terms[j] *= made[n]
             terms /= den
             return terms
 
         return terms_of
 
     out = _chunk_rows(
-        xl, trunc, offsets, scale, chunk,
-        lambda k1, rows: _lambert_tails(q, n, k1, [ratios[i] for i in rows]),
+        len(xs), trunc, offsets, scales, chunk,
+        lambda k1, rows: _lambert_tails(q, ns[rows], k1, xl[rows], r[rows]),
     )
-    if None in out:
+    capped = np.flatnonzero(out[2] == 0)
+    if capped.size:
+        i = capped[0]
         raise NonConvergent(
             f"term cap {trunc.max_terms} reached before the tail target "
-            f"(q={q}, x={xs[out.index(None)]}, order={n})"
+            f"(q={q}, x={float(xs[i])}, order={int(ns[i])})"
         )
     return out
 
@@ -379,9 +426,16 @@ def _logprod_sum(
     while j0 < trunc.max_terms:
         j1 = min(j0 + chunk - 1, trunc.max_terms - 1)
         j = np.arange(j0, j1 + 1, dtype=np.float64)
-        a = -np.expm1((j + 1.0) * lnq)
-        b = -np.expm1((j + x) * lnq)
-        chunk_sums.append(float(np.sum(np.log(a) - np.log(b))))
+        # ln(1 - q^{j+1}) - ln(1 - q^{j+x}), in place as in _lambert_sum
+        a = j + 1.0
+        b = j + x
+        for u in (a, b):
+            u *= lnq
+            np.expm1(u, out=u)
+            np.negative(u, out=u)
+            np.log(u, out=u)
+        a -= b
+        chunk_sums.append(float(np.sum(a)))
         partial = math.fsum(chunk_sums)
         tail = _logprod_tail(q, x, j1 + 1)
         if stop_target is not None:
@@ -405,22 +459,24 @@ def _logprod_rows(
     if len(xs) == 1:
         return [_logprod_sum(q, xs[0], trunc, offsets[0])]
     lnq = math.log(q)
+    xa = np.asarray(xs, dtype=np.float64)
 
     def chunk(k: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         j = k - 1.0  # the j of _logprod_sum, exact
         log_a = np.log(-np.expm1((j + 1.0) * lnq))
-        return lambda x_block: log_a - np.log(-np.expm1(np.add.outer(x_block, j) * lnq))
+        return lambda rows: log_a - np.log(-np.expm1(np.add.outer(xa[rows], j) * lnq))
 
-    out = _chunk_rows(
-        np.asarray(xs, dtype=np.float64), trunc, offsets, 1.0, chunk,
-        lambda k1, rows: [_logprod_tail(q, xs[i], k1) for i in rows],
+    partials, tails, terms = _chunk_rows(
+        len(xs), trunc, offsets, np.ones(len(xs)), chunk,
+        lambda k1, rows: np.array([_logprod_tail(q, xs[i], k1) for i in rows.tolist()]),
     )
-    if None in out:
+    capped = np.flatnonzero(terms == 0)
+    if capped.size:
         raise NonConvergent(
             f"term cap {trunc.max_terms} reached before the tail target "
-            f"(q={q}, x={xs[out.index(None)]})"
+            f"(q={q}, x={xs[capped[0]]})"
         )
-    return out
+    return list(zip(partials.tolist(), tails.tolist(), terms.tolist()))
 
 
 def _ln_gamma_parts(p: QParam, x: float) -> tuple[float, float]:
@@ -482,7 +538,7 @@ def q_digamma(p: QParam, x: float, trunc: Truncation | None = None) -> EvalResul
     |ln q| q^{(K+1)x} / ((1-q)(1-q^x)).  Super-unit q uses the mirrored
     series -ln(q-1) + ln q [x - 1/2 - sum_{k>=1} q^{-kx}/(1-q^{-k})].
     """
-    return _psi_rows(p, 0, [_check_x(x)], trunc or DEFAULT_TRUNCATION)[0]
+    return _psi_rows(p, [0], [_check_x(x)], trunc or DEFAULT_TRUNCATION)[0]
 
 
 def q_polygamma(p: QParam, x: float, n: int, trunc: Truncation | None = None) -> EvalResult:
@@ -500,7 +556,7 @@ def q_polygamma(p: QParam, x: float, n: int, trunc: Truncation | None = None) ->
         raise UnsupportedOrder(f"derivative order must be an int, got {n!r}")
     if not 1 <= n <= MAX_DERIV_ORDER:
         raise UnsupportedOrder(f"derivative order {n} outside 1..{MAX_DERIV_ORDER}")
-    return _psi_rows(p, n, [x], trunc or DEFAULT_TRUNCATION)[0]
+    return _psi_rows(p, [n], [x], trunc or DEFAULT_TRUNCATION)[0]
 
 
 def q_psi_grid(
@@ -514,39 +570,72 @@ def q_psi_grid(
     whatever the other points.  Raises NonConvergent for the first x, in
     the order given, that reaches the term cap.
     """
-    xs = [_check_x(x) for x in xs]
-    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= MAX_DERIV_ORDER:
-        raise UnsupportedOrder(f"psi order must be an int in 0..{MAX_DERIV_ORDER}, got {k!r}")
-    return _psi_rows(p, k, xs, trunc or DEFAULT_TRUNCATION)
+    return _psi_orders(p, {k: list(xs)}, trunc or DEFAULT_TRUNCATION)
 
 
-def _psi_rows(p: QParam, k: int, xs: list[float], t: Truncation) -> list[EvalResult]:
-    """psi^(k) at checked points: each regime's series assembled around one
-    _lambert_rows pass."""
+def _psi_orders(
+    p: QParam, points: dict[int, list[float]], t: Truncation
+) -> list[EvalResult]:
+    """psi^(k)(x) for every order k of points and every x of points[k], in
+    one pass, order-major; the multi-order case of q_psi_grid, with its
+    checks and its guarantees.  A term cap raises NonConvergent for the
+    first key, in that order, that reaches it."""
+    ks: list[int] = []
+    xs: list[float] = []
+    for k, pts in points.items():
+        # a finite sum of positive floats has no point _check_x would reject
+        if not (
+            set(map(type, pts)) <= {float}
+            and min(pts, default=1.0) > 0.0
+            and math.isfinite(sum(pts))
+        ):
+            pts = [_check_x(x) for x in pts]
+        if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= MAX_DERIV_ORDER:
+            raise UnsupportedOrder(f"psi order must be an int in 0..{MAX_DERIV_ORDER}, got {k!r}")
+        xs += pts
+        ks += [k] * len(pts)
+    return _psi_rows(p, ks, xs, t)
+
+
+def _psi_rows(p: QParam, ks: list[int], xs: list[float], t: Truncation) -> list[EvalResult]:
+    """psi^(k)(x) at every checked order k of ks and point x of xs: each
+    regime's series assembled around one _lambert_rows pass.  A single
+    point takes _lambert_sum and float arithmetic, without the per-call
+    cost of arrays."""
+    if not xs:
+        return []
     q = p.q
     lnq = math.log(q)
     sub_unit = p.regime is Regime.SUB_UNIT
-    if k == 0:
-        if sub_unit:
-            heads = [-math.log1p(-q)] * len(xs)
-            base, scale = q, lnq
-        else:
-            heads = [-math.log(q - 1.0) + lnq * (x - 0.5) for x in xs]
-            base, scale = 1.0 / q, -lnq
-        rows = _lambert_rows(base, xs, 0, t, heads, scale)
-        return [
-            EvalResult(head + scale * s, abs(scale) * tail, terms)
-            for head, (s, tail, terms) in zip(heads, rows)
-        ]
     # super-unit q transfers the derivatives from 1/q
     base = q if sub_unit else 1.0 / q
-    scale = math.log(base) ** (k + 1)
-    rows = _lambert_rows(base, xs, k, t, [0.0] * len(xs), scale)
-    out = [EvalResult(scale * s, abs(scale) * tail, terms) for s, tail, terms in rows]
-    if not sub_unit and k == 1:
+    scale_of = [math.log(base) ** (k + 1) for k in range(max(ks) + 1)]
+    # psi^(0) has its own head and the ln q of its regime
+    scale_of[0] = lnq if sub_unit else -lnq
+    head = -math.log1p(-q) if sub_unit else -math.log(q - 1.0)
+    if len(xs) == 1:
+        (k,), (x,) = ks, xs
+        scale = scale_of[k]
+        h = 0.0 if k else head if sub_unit else head + lnq * (x - 0.5)
+        s, tail, terms = _lambert_sum(base, x, k, t, h, scale)
+        value = h + scale * s if k == 0 else scale * s
+        if k == 1 and not sub_unit:
+            value += lnq
+        return [EvalResult(value, abs(scale) * tail, terms)]
+    k_arr = np.array(ks)
+    x_arr = np.array(xs, dtype=np.float64)
+    scales = np.array(scale_of)[k_arr]
+    if not sub_unit:
+        head = head + lnq * (x_arr - 0.5)
+    heads = np.where(k_arr == 0, head, 0.0)
+    partials, tails, terms = _lambert_rows(base, k_arr, x_arr, t, heads, scales)
+    values = scales * partials
+    values = np.where(k_arr == 0, heads + values, values)
+    if not sub_unit:
         # only n = 1 picks up the ln q of the linear term relating the regimes
-        out = [EvalResult(r.value + lnq, r.err_bound, r.terms) for r in out]
-    return out
+        values = np.where(k_arr == 1, values + lnq, values)
+    errs = np.abs(scales) * tails
+    return list(map(EvalResult, values.tolist(), errs.tolist(), terms.tolist()))
 
 
 def q_bracket(p: QParam, x: float) -> float:

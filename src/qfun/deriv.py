@@ -27,10 +27,10 @@ from .core import (
     Truncation,
     UnsupportedOrder,
     _ln_gamma_rows,
+    _psi_orders,
     ln_q_gamma,
     q_digamma,
     q_polygamma,
-    q_psi_grid,
 )
 from .roots import ZeroResult, digamma_zero
 
@@ -107,19 +107,30 @@ class EvalContext:
     def psi_grid(self, keys: Iterable[tuple[int, float]]) -> list[EvalResult]:
         """psi(k, x) for every (k, x) of keys, in their order.
 
-        The missing keys are evaluated in one q_psi_grid pass per order k,
-        orders taken as they first appear, and stored under the keys psi
-        reads, so psi(k, x) then returns the identical result.
+        The missing keys of every order are evaluated in one pass, each
+        bit-identical to a one-point evaluation, and stored under the keys
+        psi reads, so psi(k, x) then returns the identical result.  The
+        pass takes them order-major: orders as they first appear, and each
+        order's points as they first appear; a term cap raises
+        NonConvergent for the first key in that order that reaches it.
+        Keys missing at one x alone are that point's one-point evaluations,
+        made by psi in the same order.
         """
         keys = list(keys)
-        missing: dict[int, dict[float, None]] = {}
-        for k, x in keys:
-            if (k, x) not in self._results:
-                missing.setdefault(k, {})[x] = None
-        for k, xs in missing.items():
-            for x, r in zip(xs, q_psi_grid(self.p, k, list(xs), self.trunc)):
-                self._results[k, x] = r
-        return [self._results[key] for key in keys]
+        results = self._results
+        new = [key for key in dict.fromkeys(keys) if key not in results]
+        if new and all(x == new[0][1] for _, x in new):
+            for k, x in new:
+                self.psi(k, x)
+        elif new:
+            missing: dict[int, list[float]] = {}
+            for k, x in new:
+                missing.setdefault(k, []).append(x)
+            rows = iter(_psi_orders(self.p, missing, self.trunc))
+            for k, xs in missing.items():
+                for x in xs:
+                    results[k, x] = next(rows)
+        return [results[key] for key in keys]
 
     def ln_gamma(self, x: float) -> EvalResult:
         # ln Gamma_q is the antiderivative of psi^(0), so it is kept as order -1
@@ -159,16 +170,43 @@ class EvalContext:
 class LogDerivProvider:
     """Analytic derivatives of ln f on the open interval (lo, hi).
 
-    d(n, x) returns the n-th derivative of ln f at x, n >= 1.  prefetch,
-    when set, takes (n, xs) and evaluates in one grid pass what d(n, x)
-    reads at every x of xs; certify_lcm calls it once per order.
+    d(n, x) returns the n-th derivative of ln f at x, n >= 1.  d_grid, when
+    set, takes (orders, xs) and returns d(n, x) for every n of orders and x
+    of xs as a float array of shape (len(orders), len(xs)); certify_lcm
+    calls it once per sweep.  from_grid states a provider by its d_grid
+    alone, with d its one-point case.
     """
 
     d: Callable[[int, float], float]
     lo: float
     hi: float
     name: str
-    prefetch: Callable[[int, Sequence[float]], object] | None = None
+    d_grid: Callable[[Sequence[int], Sequence[float]], np.ndarray] | None = None
+
+    @classmethod
+    def from_grid(
+        cls,
+        d_grid: Callable[[Sequence[int], Sequence[float]], np.ndarray],
+        lo: float,
+        hi: float,
+        name: str,
+    ) -> LogDerivProvider:
+        def d(n: int, x: float) -> float:
+            return float(d_grid([n], [x])[0, 0])
+
+        return cls(d=d, lo=lo, hi=hi, name=name, d_grid=d_grid)
+
+
+def _psi_values(ctx: EvalContext, keys: Iterable[tuple[int, float]], shape: tuple) -> np.ndarray:
+    """The values of ctx.psi_grid(keys) as a float array of the given shape."""
+    return np.array([r.value for r in ctx.psi_grid(keys)]).reshape(shape)
+
+
+def _check_orders(orders: Sequence[int]) -> None:
+    """Log-derivatives start at order 1."""
+    for n in orders:
+        if n < 1:
+            raise UnsupportedOrder(f"derivative order must be >= 1, got {n}")
 
 
 @dataclass(frozen=True)
@@ -245,24 +283,27 @@ def finite_diff(
     return acc / step**n
 
 
-def log_derivatives(values: Sequence[float]) -> list[float]:
-    """Derivatives of ln f from derivatives of f at one point.
+def log_derivatives(values: Sequence) -> list:
+    """Derivatives of ln f from derivatives of f.
 
-    values is (f, f', ..., f^(N)) with f > 0; returns [(ln f)', ..., (ln f)^(N)]
-    via the recursion (ln f)^(n) = B_n - sum_{m=1}^{n-1} C(n-1, m-1) (ln f)^(m) B_{n-m}
-    with B_k = f^(k)/f.
+    values is (f, f', ..., f^(N)) with f > 0, each a float at one point or
+    an array over points; returns [(ln f)', ..., (ln f)^(N)] alike, via the
+    recursion (ln f)^(n) = B_n - sum_{m=1}^{n-1} C(n-1, m-1) (ln f)^(m) B_{n-m}
+    with B_k = f^(k)/f, taken per point.
     """
     if len(values) < 2:
         raise DomainError("need at least (f, f') to form a log-derivative")
     f0 = values[0]
-    if not f0 > 0.0:
-        raise DomainError(f"ln f needs f > 0, got f = {f0!r}")
+    low = np.ravel(f0)
+    low = low[~(low > 0.0)]
+    if low.size:
+        raise DomainError(f"ln f needs f > 0, got f = {low[0].item()!r}")
     b = [v / f0 for v in values]
-    u: list[float] = [b[1]]
+    u: list = [b[1]]
     for n in range(2, len(values)):
         acc = b[n]
         for m in range(1, n):
-            acc -= math.comb(n - 1, m - 1) * u[m - 1] * b[n - m]
+            acc = acc - math.comb(n - 1, m - 1) * u[m - 1] * b[n - m]
         u.append(acc)
     return u
 
@@ -275,8 +316,10 @@ def certify_lcm(
 ) -> CMReport:
     """Check (-1)^n (ln f)^(n) >= -tol for n = 1..n_orders over the grid.
 
-    Sweeps ascending order then ascending x, so the reported violation is
-    the lowest-order, leftmost one.
+    The margins of all orders are one array, from the provider's d_grid or
+    else from d in ascending order then grid order, and are reduced in that
+    order: the reported violation is the lowest-order, leftmost one, and
+    the worst margin the first of the least ones.
     """
     if n_orders < 1:
         raise DomainError(f"n_orders must be >= 1, got {n_orders}")
@@ -290,20 +333,25 @@ def certify_lcm(
             raise DomainError(
                 f"grid point {x!r} outside provider domain ({provider.lo}, {provider.hi})"
             )
-    worst = math.inf
-    worst_order, worst_x = 1, xs[0]
+    orders = range(1, n_orders + 1)
+    if provider.d_grid is None:
+        d = np.array([[provider.d(n, x) for x in xs] for n in orders], dtype=np.float64)
+    else:
+        d = np.asarray(provider.d_grid(orders, xs), dtype=np.float64)
+        if d.shape != (n_orders, len(xs)):
+            raise ValueError(f"d_grid returned shape {d.shape}, expected {(n_orders, len(xs))}")
+    signs = np.array([-1.0 if n % 2 else 1.0 for n in orders])
+    margins = (signs[:, None] * d).ravel()
+    # the first least margin in order-then-x order; a NaN margin never
+    # counts, as it never compares below another
+    i = int(np.argmin(np.where(np.isnan(margins), math.inf, margins)))
+    worst = math.inf if np.isnan(margins[i]) else float(margins[i])
+    worst_order, worst_x = i // len(xs) + 1, xs[i % len(xs)]
+    below = np.flatnonzero(margins < -tol)
     violation: tuple[int, float, float] | None = None
-    for n in range(1, n_orders + 1):
-        if provider.prefetch is not None:
-            provider.prefetch(n, xs)
-        sign = -1.0 if n % 2 else 1.0
-        for x in xs:
-            margin = sign * provider.d(n, x)
-            if margin < worst:
-                worst = margin
-                worst_order, worst_x = n, x
-            if violation is None and margin < -tol:
-                violation = (n, x, margin)
+    if below.size:
+        j = int(below[0])
+        violation = (j // len(xs) + 1, xs[j % len(xs)], float(margins[j]))
     return CMReport(
         name=provider.name,
         orders_checked=n_orders,
@@ -324,16 +372,11 @@ def ln_gamma_provider(
     n >= 2 the order n-1 q-polygamma."""
     ctx = EvalContext.of(p, trunc)
 
-    def d(n: int, x: float) -> float:
-        if n < 1:
-            raise UnsupportedOrder(f"derivative order must be >= 1, got {n}")
-        return ctx.psi(n - 1, x).value
+    def d_grid(orders: Sequence[int], xs: Sequence[float]) -> np.ndarray:
+        _check_orders(orders)
+        return _psi_values(ctx, [(n - 1, x) for n in orders for x in xs], (len(orders), len(xs)))
 
-    def prefetch(n: int, xs: Sequence[float]) -> None:
-        ctx.psi_grid((n - 1, x) for x in xs)
-
-    name = f"ln_q_gamma(q={ctx.p.q:g})"
-    return LogDerivProvider(d=d, lo=0.0, hi=math.inf, name=name, prefetch=prefetch)
+    return LogDerivProvider.from_grid(d_grid, 0.0, math.inf, f"ln_q_gamma(q={ctx.p.q:g})")
 
 
 def ratio_provider(
@@ -353,16 +396,13 @@ def ratio_provider(
     if not (0.0 < a < b):
         raise DomainError(f"need 0 < a < b, got a={a}, b={b}")
 
-    def d(n: int, x: float) -> float:
-        if n < 1:
-            raise UnsupportedOrder(f"derivative order must be >= 1, got {n}")
-        return (
-            alpha * a**n * ctx.psi(n - 1, a * x).value
-            - beta * b**n * ctx.psi(n - 1, b * x).value
-        )
-
-    def prefetch(n: int, xs: Sequence[float]) -> None:
-        ctx.psi_grid(key for x in xs for key in ((n - 1, a * x), (n - 1, b * x)))
+    def d_grid(orders: Sequence[int], xs: Sequence[float]) -> np.ndarray:
+        _check_orders(orders)
+        keys = [key for n in orders for x in xs for key in ((n - 1, a * x), (n - 1, b * x))]
+        psi_a, psi_b = np.moveaxis(_psi_values(ctx, keys, (len(orders), len(xs), 2)), 2, 0)
+        c_a = np.array([[alpha * a**n] for n in orders])
+        c_b = np.array([[beta * b**n] for n in orders])
+        return c_a * psi_a - c_b * psi_b
 
     name = f"gamma_ratio(q={ctx.p.q:g}, a={a:g}, b={b:g}, alpha={alpha:g}, beta={beta:g})"
-    return LogDerivProvider(d=d, lo=0.0, hi=math.inf, name=name, prefetch=prefetch)
+    return LogDerivProvider.from_grid(d_grid, 0.0, math.inf, name)

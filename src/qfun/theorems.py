@@ -33,6 +33,8 @@ from .deriv import (
     N_MAX,
     EvalContext,
     LogDerivProvider,
+    _check_orders,
+    _psi_values,
     certify_lcm,
     ln_gamma_provider,
     log_derivatives,
@@ -391,11 +393,15 @@ def verify_psi_duplication(
     )
 
 
-def _g_beta_weight(ctx: EvalContext, beta: float | None) -> float:
-    """beta as given, or beta_star(q) when None; it must be finite.  Both
-    g_beta claims are stated for 0 < q < 1 only, whatever beta is."""
-    if ctx.p.regime is not Regime.SUB_UNIT:
+def _check_g_beta_regime(p: QParam) -> None:
+    """Every g_beta claim and formula is stated for 0 < q < 1 only."""
+    if p.regime is not Regime.SUB_UNIT:
         raise DomainError("the corrected ratio square is stated for 0 < q < 1")
+
+
+def _g_beta_weight(ctx: EvalContext, beta: float | None) -> float:
+    """beta as given, or beta_star(q) when None; it must be finite."""
+    _check_g_beta_regime(ctx.p)
     b = beta_star(ctx) if beta is None else float(beta)
     if not math.isfinite(b):
         raise DomainError(f"beta must be a finite real, got {b!r}")
@@ -423,8 +429,7 @@ def ln_g_beta(
     """
     ctx = EvalContext.of(p, trunc)
     p = ctx.p
-    if p.regime is not Regime.SUB_UNIT:
-        raise DomainError("the corrected ratio square is stated for 0 < q < 1")
+    _check_g_beta_regime(p)
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
     half = ctx.squared()
@@ -451,50 +456,52 @@ def g_beta_log_deriv(
         + psi^(n)(x)/2 + psi^(n)(x+1/2)/2
         - beta (1-q^2)/2 * [psi^(n)(x+1) - psi^(n)(x)] / ln(q^2)
 
-    with every psi taken at base q^2 and psi^(0) the digamma.
+    with every psi taken at base q^2 and psi^(0) the digamma; the one-point
+    case of g_beta_provider's d_grid.
     """
     ctx = EvalContext.of(p, trunc)
-    return _g_beta_log_deriv(ctx.p, ctx.squared(), beta, n, x)
+    return float(_g_beta_d_grid(ctx, beta)([n], [x])[0, 0])
 
 
-def _g_beta_log_deriv(p: QParam, half: EvalContext, beta: float, n: int, x: float) -> float:
-    # psi^(n) at x+1 and x, psi^(n-1) at x+1/2 and x+1, psi^(n) at x+1/2
-    n_x1, n_x, m_xh, m_x1, n_xh = (half.psi(*key).value for key in _g_beta_psi_keys(p, n, x))
+def _g_beta_d_grid(
+    ctx: EvalContext, beta: float
+) -> Callable[[Sequence[int], Sequence[float]], np.ndarray]:
+    """The d_grid of ln g_beta at ctx's q: the formula of g_beta_log_deriv
+    over (order, x) arrays."""
+    p, half = ctx.p, ctx.squared()
     ln_q2 = 2.0 * math.log(p.q)
-    dfrac = -(n_x1 - n_x) / ln_q2
-    return (
-        2.0 * (m_xh - m_x1)
-        + 0.5 * n_x
-        + 0.5 * n_xh
-        + 0.5 * beta * (1.0 - p.q * p.q) * dfrac
-    )
+    # the grouping of 0.5 * beta * (1 - q^2) * dfrac, taken once
+    weight = 0.5 * beta * (1.0 - p.q * p.q)
 
+    def d_grid(orders: Sequence[int], xs: Sequence[float]) -> np.ndarray:
+        _check_g_beta_regime(p)
+        for n in orders:
+            _check_count("derivative order", n, 1)
+        for x in xs:
+            if not x > 0.0:
+                raise DomainError(f"x must be positive, got {x}")
+        # psi^(n) at x+1 and x, psi^(n-1) at x+1/2 and x+1, psi^(n) at x+1/2
+        keys = [
+            key
+            for n in orders
+            for x in xs
+            for key in ((n, x + 1.0), (n, x), (n - 1, x + 0.5), (n - 1, x + 1.0), (n, x + 0.5))
+        ]
+        n_x1, n_x, m_xh, m_x1, n_xh = np.moveaxis(
+            _psi_values(half, keys, (len(orders), len(xs), 5)), 2, 0
+        )
+        dfrac = -(n_x1 - n_x) / ln_q2
+        return 2.0 * (m_xh - m_x1) + 0.5 * n_x + 0.5 * n_xh + weight * dfrac
 
-def _g_beta_psi_keys(p: QParam, n: int, x: float) -> tuple[tuple[int, float], ...]:
-    """The base-q^2 psi keys the n-th derivative of ln g_beta reads at x, in
-    the order _g_beta_log_deriv reads them."""
-    if p.regime is not Regime.SUB_UNIT:
-        raise DomainError("the corrected ratio square is stated for 0 < q < 1")
-    _check_count("derivative order", n, 1)
-    if not x > 0.0:
-        raise DomainError(f"x must be positive, got {x}")
-    return ((n, x + 1.0), (n, x), (n - 1, x + 0.5), (n - 1, x + 1.0), (n, x + 0.5))
+    return d_grid
 
 
 def g_beta_provider(
     p: QParam | EvalContext, beta: float, trunc: Truncation | None = None
 ) -> LogDerivProvider:
     ctx = EvalContext.of(p, trunc)
-    p, half = ctx.p, ctx.squared()
-
-    def d(n: int, x: float) -> float:
-        return _g_beta_log_deriv(p, half, beta, n, x)
-
-    def prefetch(n: int, xs: Sequence[float]) -> None:
-        half.psi_grid(key for x in xs for key in _g_beta_psi_keys(p, n, x))
-
-    name = f"g_beta(q={p.q:g}, beta={beta:g})"
-    return LogDerivProvider(d=d, lo=0.0, hi=math.inf, name=name, prefetch=prefetch)
+    name = f"g_beta(q={ctx.p.q:g}, beta={beta:g})"
+    return LogDerivProvider.from_grid(_g_beta_d_grid(ctx, beta), 0.0, math.inf, name)
 
 
 def verify_g_beta_lcm(
@@ -539,7 +546,9 @@ def phi_series_coefficient(beta: float, p: QParam | EvalContext, n: int) -> floa
     """Coefficient c_n = -beta(1-q^2)/(2 ln q) - 1 - 2^{-n} + 1/((n+1) 2^{n-1})
     from the series whose nonnegativity drives the g_beta certification."""
     _check_count("n", n, 1)
-    q = EvalContext.of(p).p.q
+    p = EvalContext.of(p).p
+    _check_g_beta_regime(p)
+    q = p.q
     return (
         -beta * (1.0 - q * q) / (2.0 * math.log(q))
         - 1.0
@@ -579,16 +588,16 @@ def inv_digamma_provider(
     """
     ctx = EvalContext.of(p, trunc)
 
-    def d(n: int, x: float) -> float:
-        values = [ctx.psi(k, x).value for k in range(0, n + 1)]
-        return -log_derivatives(values)[n - 1]
-
-    def prefetch(n: int, xs: Sequence[float]) -> None:
-        ctx.psi_grid((k, x) for x in xs for k in range(0, n + 1))
+    def d_grid(orders: Sequence[int], xs: Sequence[float]) -> np.ndarray:
+        _check_orders(orders)
+        top = max(orders)
+        psi = _psi_values(ctx, [(k, x) for k in range(top + 1) for x in xs], (top + 1, len(xs)))
+        u = log_derivatives(list(psi))
+        return -np.array([u[n - 1] for n in orders])
 
     x0 = ctx.zero().x0
     name = f"inv_digamma(q={ctx.p.q:g})"
-    return LogDerivProvider(d=d, lo=x0, hi=math.inf, name=name, prefetch=prefetch), x0
+    return LogDerivProvider.from_grid(d_grid, x0, math.inf, name), x0
 
 
 def verify_inv_digamma_lcm(

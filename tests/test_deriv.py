@@ -2,8 +2,13 @@
 
 import dataclasses
 import math
+import random
 
+import numpy as np
 import pytest
+
+import qfun.core
+import qfun.deriv
 
 from qfun import (
     CMReport,
@@ -281,6 +286,43 @@ class TestPsiGrid:
             ctx = EvalContext(p)
             assert ctx.psi_grid((k, x) for x in self.XS) == want, (q, k)
 
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.8, 0.99, 2.0, 5.0])
+    def test_one_mixed_order_pass_equals_point_evaluations(self, q, monkeypatch):
+        p = QParam(q)
+        keys = [(k, x) for x in self.XS for k in range(9)]
+        random.Random(str(q)).shuffle(keys)
+        passes = []
+        one_pass = qfun.deriv._psi_orders
+        monkeypatch.setattr(
+            qfun.deriv, "_psi_orders", lambda *args: passes.append(args) or one_pass(*args)
+        )
+        got = EvalContext(p).psi_grid(keys)
+        assert len(passes) == 1
+        assert got == [q_digamma(p, x) if k == 0 else q_polygamma(p, x, k) for k, x in keys]
+
+    def test_term_cap_raises_the_first_capped_keys_error(self):
+        # with q = 0.5 and a 1000-term cap, psi^(0) converges at these
+        # points, psi^(1) fails at 0.0451 and 0.045, psi^(k >= 2) at 0.05 too
+        p = QParam(0.5)
+        t = Truncation(max_terms=1000)
+
+        def per_point(k, x):
+            with pytest.raises(NonConvergent) as info:
+                q_digamma(p, x, t) if k == 0 else q_polygamma(p, x, k, t)
+            return str(info.value)
+
+        # the kernel: the first capped row in the order given
+        ks, xs = [1, 0, 2, 3, 1], [0.4, 0.045, 0.0451, 0.05, 0.045]
+        with pytest.raises(NonConvergent) as info:
+            qfun.core._psi_rows(p, ks, xs, t)
+        assert str(info.value) == per_point(2, 0.0451)
+        # the context: orders as they first appear (0, 3, 1, 2), each
+        # order's points as they first appear
+        keys = [(0, 0.045), (3, 2.0), (1, 0.4), (3, 0.05), (1, 0.045), (0, 0.05), (2, 0.0451)]
+        with pytest.raises(NonConvergent) as info:
+            EvalContext(p, t).psi_grid(keys)
+        assert str(info.value) == per_point(3, 0.05)
+
     def test_psi_returns_the_grid_result(self):
         ctx = EvalContext(QParam(0.5))
         keys = [(2, 1.5), (0, 0.3), (2, 1.5), (1, 0.3)]
@@ -350,20 +392,32 @@ class TestSquaredContext:
         assert half.psi(0, 1.5) == q_digamma(QParam(0.25), 1.5, ctx.trunc)
 
 
-class TestPrefetchHook:
-    def test_called_once_per_order_after_domain_checks(self):
+class TestGridHook:
+    def test_called_once_per_sweep_after_domain_checks(self):
         calls = []
+
+        def d_grid(orders, xs):
+            calls.append((list(orders), list(xs)))
+            return np.array([[(-1.0) ** n] * len(xs) for n in orders])
+
         prov = LogDerivProvider(
-            d=lambda n, x: (-1.0) ** n, lo=0.0, hi=math.inf, name="flat",
-            prefetch=lambda n, xs: calls.append((n, list(xs))),
+            d=lambda n, x: (-1.0) ** n, lo=0.0, hi=math.inf, name="flat", d_grid=d_grid
         )
         grid = make_grid(1.0, 2.0, points=4)
         certify_lcm(prov, grid, n_orders=3)
-        assert calls == [(n, [float(x) for x in grid]) for n in (1, 2, 3)]
+        assert calls == [([1, 2, 3], [float(x) for x in grid])]
         calls.clear()
         with pytest.raises(DomainError):
             certify_lcm(prov, [1.0, -1.0])
         assert calls == []
+
+    def test_rejects_a_grid_of_the_wrong_shape(self):
+        prov = LogDerivProvider(
+            d=lambda n, x: 1.0, lo=0.0, hi=math.inf, name="short",
+            d_grid=lambda orders, xs: np.ones((len(orders), len(xs) - 1)),
+        )
+        with pytest.raises(ValueError, match="d_grid returned shape"):
+            certify_lcm(prov, [1.0, 2.0], n_orders=2)
 
     @pytest.mark.parametrize("q", [0.3, 0.7, 2.0])
     def test_provider_without_hook_gives_same_report(self, q):
@@ -375,7 +429,7 @@ class TestPrefetchHook:
             lambda: ln_gamma_provider(p),
         ):
             hooked = make()
-            assert hooked.prefetch is not None
+            assert hooked.d_grid is not None
             plain = make()
             by_hand = LogDerivProvider(d=plain.d, lo=plain.lo, hi=plain.hi, name=plain.name)
             assert certify_lcm(hooked, grid) == certify_lcm(by_hand, grid)
@@ -395,8 +449,116 @@ class TestPrefetchHook:
 
         hooked = ratio_provider(p, a=1.0, b=2.0, alpha=2.0, beta=1.0, trunc=t)
         per_point = dataclasses.replace(
-            ratio_provider(p, a=1.0, b=2.0, alpha=2.0, beta=1.0, trunc=t), prefetch=None
+            ratio_provider(p, a=1.0, b=2.0, alpha=2.0, beta=1.0, trunc=t), d_grid=None
         )
         want = sweep(per_point)
         assert want == "term cap 1000 reached before the tail target (q=0.5, x=0.0451, order=1)"
         assert sweep(hooked) == want
+
+
+def plain_certify(provider, grid, n_orders=N_MAX, tol=1e-9):
+    """The sweep certify_lcm must agree with: read d(n, x) one point at a
+    time, ascending order then grid order, keeping the first strictly
+    smaller margin and the first one below -tol."""
+    xs = [float(x) for x in np.asarray(grid, dtype=np.float64).ravel()]
+    worst = math.inf
+    worst_order, worst_x = 1, xs[0]
+    violation = None
+    for n in range(1, n_orders + 1):
+        sign = -1.0 if n % 2 else 1.0
+        for x in xs:
+            margin = sign * provider.d(n, x)
+            if margin < worst:
+                worst = margin
+                worst_order, worst_x = n, x
+            if violation is None and margin < -tol:
+                violation = (n, x, margin)
+    return CMReport(
+        name=provider.name,
+        orders_checked=n_orders,
+        grid=tuple(xs),
+        worst_margin=worst,
+        worst_order=worst_order,
+        worst_x=worst_x,
+        violation=violation,
+        passed=violation is None,
+        tol=tol,
+    )
+
+
+class TestCertifyReduction:
+    """certify_lcm's array reduction against the plain sweep, on margins
+    chosen for their edge cases; repr tells -0.0 from 0.0."""
+
+    XS = [0.5, 1.0, 2.0, 4.0]
+    TOL = 1e-9
+    NAN, INF = math.nan, math.inf
+    CASES = {
+        "all-nan": [[NAN] * 4] * 3,
+        "nan-and-inf": [[NAN, INF, NAN, INF], [INF, NAN, INF, NAN], [NAN] * 4],
+        "all-inf": [[INF] * 4] * 3,
+        "nan-before-minimum": [[NAN, 2.0, 1.0, NAN], [3.0, NAN, 1.0, 5.0], [NAN, 1.0, 4.0, 2.0]],
+        "zero-first": [[1.0, 0.0, -0.0, 2.0], [-0.0, 0.0, 1.0, 1.0], [0.0, 3.0, -0.0, 1.0]],
+        "minus-zero-first": [[1.0, -0.0, 0.0, 2.0], [0.0, -0.0, 1.0, 1.0], [-0.0, 3.0, 0.0, 1.0]],
+        "minus-inf": [[1.0, 2.0, -INF, 0.5], [-INF, NAN, -INF, 0.0], [-1.0, 2.0, 3.0, -INF]],
+        "exactly-minus-tol": [[1.0, -TOL, 2.0, -TOL], [-TOL, 3.0, -TOL, 1.0], [2.0, -TOL, 1.0, 5.0]],
+        "just-below-minus-tol": [
+            [1.0, -TOL, 2.0, 3.0],
+            [-TOL, math.nextafter(-TOL, -INF), -TOL, 1.0],
+            [-2 * TOL, -TOL, -2 * TOL, 5.0],
+        ],
+        "ties-below-tol": [[5.0, -3.0, 2.0, -3.0], [-3.0, -1.0, -3.0, 0.0], [-3.0, -3.0, 1.0, -2.0]],
+    }
+
+    @classmethod
+    def provider(cls, margins, hook: bool):
+        """A provider whose margin at order n and grid point i is
+        margins[n - 1][i]; d = sign * margin gives it back exactly."""
+        index = {x: i for i, x in enumerate(cls.XS)}
+
+        def d(n, x):
+            return (-1.0 if n % 2 else 1.0) * margins[n - 1][index[x]]
+
+        d_grid = None
+        if hook:
+            def d_grid(orders, xs):
+                return np.array([[d(n, x) for x in xs] for n in orders])
+
+        return LogDerivProvider(d=d, lo=0.0, hi=math.inf, name="table", d_grid=d_grid)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("hook", [False, True])
+    def test_equals_the_plain_sweep(self, case, hook):
+        margins = self.CASES[case]
+        want = plain_certify(self.provider(margins, False), self.XS, 3, self.TOL)
+        got = certify_lcm(self.provider(margins, hook), self.XS, 3, self.TOL)
+        assert got == want
+        assert repr(got) == repr(want)
+
+    def test_tol_zero_keeps_minus_zero(self):
+        margins = self.CASES["minus-zero-first"]
+        want = plain_certify(self.provider(margins, False), self.XS, 3, 0.0)
+        got = certify_lcm(self.provider(margins, False), self.XS, 3, 0.0)
+        assert want.passed and repr(got) == repr(want)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_tables_equal_the_plain_sweep(self, seed):
+        # few distinct values, so ties and signed zeros are common
+        rng = random.Random(seed)
+        pool = [0.0, -0.0, 1.0, -1.0, -self.TOL, 2e-9, -2e-9, math.nan, math.inf, -math.inf]
+        margins = [[rng.choice(pool) for _ in self.XS] for _ in range(4)]
+        want = plain_certify(self.provider(margins, False), self.XS, 4, self.TOL)
+        for hook in (False, True):
+            got = certify_lcm(self.provider(margins, hook), self.XS, 4, self.TOL)
+            assert repr(got) == repr(want), margins
+
+    def test_d_is_read_in_order_major_order(self):
+        seen = []
+
+        def d(n, x):
+            seen.append((n, x))
+            return (-1.0) ** n
+
+        prov = LogDerivProvider(d=d, lo=0.0, hi=math.inf, name="flat")
+        certify_lcm(prov, [2.0, 1.0, 3.0], n_orders=2)
+        assert seen == [(n, x) for n in (1, 2) for x in (2.0, 1.0, 3.0)]

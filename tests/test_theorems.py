@@ -396,6 +396,11 @@ class TestPhiCoefficients:
         for n in (1, 10, 100):
             assert phi_series_coefficient(50.0, p, n) > 0.0
 
+    def test_super_unit_q_rejected(self):
+        # the coefficient belongs to the g_beta claims, stated for 0 < q < 1
+        with pytest.raises(DomainError, match="the corrected ratio square is stated for 0 < q < 1"):
+            phi_series_coefficient(1.0, QParam(2.0), 3)
+
 
 class TestInvDigammaLcm:
     def test_passes_right_of_zero(self):
