@@ -176,17 +176,27 @@ def _fp_allowance(*magnitudes: float) -> float:
     return 1e-13 * (1.0 + math.fsum(abs(m) for m in magnitudes))
 
 
+def _tail_factors(n: int, last_k: int) -> tuple[float, float]:
+    """The factors of the order-n tail majorant after term last_k that
+    depend on n and last_k alone: ((last_k + 2) / (last_k + 1))^n and
+    n ln(last_k + 1)."""
+    return ((last_k + 2) / (last_k + 1)) ** n, n * math.log(last_k + 1)
+
+
 def _lambert_tail(q: float, x: float, n: int, last_k: int) -> float:
     """Majorant for sum_{k > last_k} k^n q^{kx} / (1 - q^k), 0 < q < 1.
 
     Uses 1 - q^k >= 1 - q and the term-ratio envelope
-    ((k+1)/k)^n q^x <= rho, evaluated at k = last_k + 1.
+    ((k+1)/k)^n q^x <= rho, evaluated at k = last_k + 1.  _lambert_tails
+    is this majorant over rows, with the same float operations per row:
+    the two change together.
     """
+    grow, log_k = _tail_factors(n, last_k)
     log_r = x * math.log(q)
-    rho = ((last_k + 2) / (last_k + 1)) ** n * math.exp(log_r)
+    rho = grow * math.exp(log_r)
     if rho >= 1.0:
         return math.inf
-    log_first = n * math.log(last_k + 1) + (last_k + 1) * log_r
+    log_first = log_k + (last_k + 1) * log_r
     return 0.0 if log_first < _LN_TINY else math.exp(log_first) / ((1.0 - q) * (1.0 - rho))
 
 
@@ -194,15 +204,12 @@ def _lambert_tails(
     q: float, ns: np.ndarray, last_k: int, xl: np.ndarray, r: np.ndarray
 ) -> np.ndarray:
     """The _lambert_tail majorants of rows given as their orders ns, x ln q
-    and q^x, with the same float operations per row.
-
-    The factors that depend on an order and last_k alone are taken once
-    per order.  The exponential stays math.exp per row: np.exp rounds some
-    arguments differently.
+    and q^x, with the same float operations per row: the two change
+    together.  Each order's _tail_factors are taken once; the
+    exponential stays math.exp per row, since np.exp rounds some arguments
+    differently, and a call per row would cost more than the arithmetic.
     """
-    top = int(ns.max())
-    grow = np.array([((last_k + 2) / (last_k + 1)) ** n for n in range(top + 1)])
-    log_k = np.array([n * math.log(last_k + 1) for n in range(top + 1)])
+    grow, log_k = np.array([_tail_factors(n, last_k) for n in range(int(ns.max()) + 1)]).T
     rho = grow[ns] * r
     log_first = log_k[ns] + (last_k + 1) * xl
     diverges = rho >= 1.0
@@ -583,13 +590,7 @@ def _psi_orders(
     ks: list[int] = []
     xs: list[float] = []
     for k, pts in points.items():
-        # a finite sum of positive floats has no point _check_x would reject
-        if not (
-            set(map(type, pts)) <= {float}
-            and min(pts, default=1.0) > 0.0
-            and math.isfinite(sum(pts))
-        ):
-            pts = [_check_x(x) for x in pts]
+        pts = [_check_x(x) for x in pts]
         if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= MAX_DERIV_ORDER:
             raise UnsupportedOrder(f"psi order must be an int in 0..{MAX_DERIV_ORDER}, got {k!r}")
         xs += pts

@@ -113,23 +113,17 @@ class EvalContext:
         pass takes them order-major: orders as they first appear, and each
         order's points as they first appear; a term cap raises
         NonConvergent for the first key in that order that reaches it.
-        Keys missing at one x alone are that point's one-point evaluations,
-        made by psi in the same order.
         """
         keys = list(keys)
         results = self._results
         new = [key for key in dict.fromkeys(keys) if key not in results]
-        if new and all(x == new[0][1] for _, x in new):
-            for k, x in new:
-                self.psi(k, x)
-        elif new:
-            missing: dict[int, list[float]] = {}
-            for k, x in new:
-                missing.setdefault(k, []).append(x)
-            rows = iter(_psi_orders(self.p, missing, self.trunc))
-            for k, xs in missing.items():
-                for x in xs:
-                    results[k, x] = next(rows)
+        missing: dict[int, list[float]] = {}
+        for k, x in new:
+            missing.setdefault(k, []).append(x)
+        rows = iter(_psi_orders(self.p, missing, self.trunc))
+        for k, xs in missing.items():
+            for x in xs:
+                results[k, x] = next(rows)
         return [results[key] for key in keys]
 
     def ln_gamma(self, x: float) -> EvalResult:

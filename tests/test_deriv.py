@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -341,6 +342,13 @@ class TestPsiGrid:
         with pytest.raises(DomainError):
             q_psi_grid(p, 0, [1.0, 0.0])
         assert q_psi_grid(p, 3, []) == []
+
+    @pytest.mark.parametrize("k", [0.0, 9, True])
+    @pytest.mark.parametrize("xs", [[1.5], [1.5, 2.5]])
+    def test_context_rejects_bad_orders_at_any_point_count(self, k, xs):
+        want = f"psi order must be an int in 0..8, got {k!r}"
+        with pytest.raises(UnsupportedOrder, match=re.escape(want)):
+            EvalContext(QParam(0.5)).psi_grid((k, x) for x in xs)
 
 
 class TestLnGammaGrid:

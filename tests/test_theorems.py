@@ -432,11 +432,11 @@ class TestInvDigammaLcm:
     def test_order_sweep_evaluates_each_psi_once(self, monkeypatch):
         # orders 1..4 at one x need psi^(0..4): five evaluations, not 1+2+3+4
         prov, x0 = inv_digamma_provider(QParam(0.5))
-        digammas = _record_calls(monkeypatch, "q_digamma")
-        polygammas = _record_calls(monkeypatch, "q_polygamma")
+        passes = _record_calls(monkeypatch, "_psi_orders")
         for n in range(1, 5):
             prov.d(n, x0 + 1.0)
-        calls = [args[1:] for args in digammas + polygammas]
+        # every psi evaluation of a context is a key of one grid pass
+        calls = [(k, x) for _, points, _ in passes for k, xs in points.items() for x in xs]
         assert len(calls) == 5
         assert len(set(calls)) == 5
 
