@@ -48,10 +48,14 @@ _LN_TINY = -745.0
 
 _CHUNK_START = 64
 _CHUNK_LIMIT = 65536
-# a grid pass blocks its rows so each temporary holds at most this many
-# terms (64 KiB); 512 KiB blocks kept about 1.4 MB more resident over 1,500
-# certification sweeps and ran no faster
+# no term array holds more than this many terms (64 KiB): a longer chunk is
+# summed block by block.  Fresh 512 KiB arrays page-faulted on every chunk
+# of the one-point sums, and 512 KiB grid blocks kept about 1.4 MB more
+# resident over 1,500 certification sweeps and ran no faster
 _BLOCK_TERMS = 8192
+# a table of block denominators (_block_den) covers at most this many terms
+# (2 MiB); without a bound it grows with the longest sum that uses it
+_DEN_TABLE_TERMS = 32 * _BLOCK_TERMS
 
 
 class DomainError(ValueError):
@@ -222,33 +226,55 @@ def _lambert_tails(
 
 
 def _lambert_sum(
-    q: float, x: float, n: int, trunc: Truncation, offset: float, scale: float
+    q: float,
+    x: float,
+    n: int,
+    trunc: Truncation,
+    offset: float,
+    scale: float,
+    dens: list[np.ndarray] | None = None,
 ) -> tuple[float, float, int]:
     """Chunked sum of k^n q^{kx} / (1 - q^k) over k >= 1, for 0 < q < 1.
 
     The caller assembles the final value as offset + scale * partial; the
     stop rule therefore compares |scale| * tail against the truncation
-    target taken at that assembled value.
+    target taken at that assembled value.  A chunk is summed in blocks of
+    at most _BLOCK_TERMS terms; consecutive blocks of one length reuse
+    their arrays, so the chunks past _BLOCK_TERMS allocate nothing beyond
+    the entries they add to dens.  The
+    partial is math.fsum of the block sums.  dens, when given, is a table
+    of block denominators shared by the sums of one solve at this q and
+    term cap (see _block_den).
     """
     lnq = math.log(q)
-    chunk_sums: list[float] = []
+    xl = x * lnq
+    sums: list[float] = []
+    k = num = den = power = None
+    i = 0  # blocks so far
     k0 = 1
     chunk = _CHUNK_START
     while k0 <= trunc.max_terms:
         k1 = min(k0 + chunk - 1, trunc.max_terms)
-        k = np.arange(k0, k1 + 1, dtype=np.float64)
-        # k^n q^{kx} / (1 - q^k), in place: each long chunk allocates as
-        # few fresh arrays as it can
-        num = k * (x * lnq)
-        np.exp(num, out=num)
-        if n:
-            num *= k**n
-        den = k * lnq
-        np.expm1(den, out=den)
-        np.negative(den, out=den)
-        num /= den
-        chunk_sums.append(float(np.sum(num)))
-        partial = math.fsum(chunk_sums)
+        for b0 in range(k0, k1 + 1, _BLOCK_TERMS):
+            m = min(_BLOCK_TERMS, k1 + 1 - b0)
+            if k is not None and k.size == m:
+                k += m  # the last block ended at b0 - 1
+            else:
+                k = np.arange(b0, b0 + m, dtype=np.float64)
+                num, den = np.empty(m), np.empty(m)
+                power = np.empty(m) if n else None
+            # k^n q^{kx} / (1 - q^k), every ufunc in place.  Dividing by
+            # q^k - 1 and negating the block sum gives the bits of dividing
+            # by 1 - q^k, since rounding is symmetric in sign, and saves a
+            # pass
+            np.multiply(k, xl, out=num)
+            np.exp(num, out=num)
+            if n:
+                num *= np.power(k, n, out=power)
+            num /= _block_den(k, lnq, den, dens, i)
+            sums.append(-float(np.add.reduce(num)))
+            i += 1
+        partial = _running_fsum(sums)
         tail = _lambert_tail(q, x, n, k1)
         if abs(scale) * tail <= trunc.target(offset + scale * partial):
             return partial, tail, k1
@@ -257,6 +283,46 @@ def _lambert_sum(
     raise NonConvergent(
         f"term cap {trunc.max_terms} reached before the tail target (q={q}, x={x}, order={n})"
     )
+
+
+def _block_den(
+    k: np.ndarray, lnq: float, out: np.ndarray, dens: list[np.ndarray] | None, i: int
+) -> np.ndarray:
+    """q^k - 1 over block i of a sum, as expm1(k ln q) written to out, or
+    read from the table dens when that holds the block.
+
+    A table belongs to one q and one term cap, so that its entry i is
+    block i of every sum that uses it.  A block missing from the table
+    joins it while the table covers at most _DEN_TABLE_TERMS terms.
+    """
+    if dens is not None:
+        if i < len(dens):
+            return dens[i]
+        if k[-1] <= _DEN_TABLE_TERMS:
+            out = np.empty(k.size)
+            dens.append(out)
+    np.multiply(k, lnq, out=out)
+    return np.expm1(out, out=out)
+
+
+def _running_fsum(sums: list[float]) -> float:
+    """math.fsum(sums), for a list that grows by a few floats per call.
+
+    A long list is replaced in place by the few floats r1, r2, ... with its
+    exact sum, each the rounded rest of that sum after the ones before.
+    fsum rounds the exact sum once, so summing the short list with later
+    floats gives the bits of summing the whole list, and the cost per call
+    stays flat instead of growing with the blocks summed.
+    """
+    partial = math.fsum(sums)
+    if len(sums) > 32 and math.isfinite(partial):
+        exact: list[float] = []
+        r = partial
+        while r:
+            exact.append(r)
+            r = math.fsum(sums + [-v for v in exact])
+        sums[:] = exact
+    return partial
 
 
 def _chunk_rows(
@@ -275,14 +341,15 @@ def _chunk_rows(
     |scales[i]| * tail meets the truncation target at its assembled value
     offsets[i] + scales[i] * partial, so a row's result does not depend on
     the other rows: per element the float operations are those of the
-    one-point sum.  Each row's chunk sum runs along its contiguous axis, and
-    its partial is math.fsum of its chunk sums, which for one chunk is that
+    one-point sum.  Each row's block sum runs along its contiguous axis, and
+    its partial is math.fsum of its block sums, which for one block is that
     sum and for two the float sum of both.  The partials, tails and the
-    stop test are arrays over the rows still active.  chunk(k) takes a
-    chunk's term indices and returns the map from an array of row indices
-    to those rows' terms; tails(k1, rows) gives the rows' tail majorants
-    after term k1.  Rows are blocked so no temporary holds more than
-    _BLOCK_TERMS terms, or one row's chunk.
+    stop test are arrays over the rows still active.  chunk(k) takes the
+    term indices of a block, at most _BLOCK_TERMS of them, and returns the
+    map from an array of row indices to those rows' terms; tails(k1, rows)
+    gives the rows' tail majorants after term k1.  A chunk longer than a
+    block is summed block by block, and the rows are grouped so no
+    temporary holds more than _BLOCK_TERMS terms.
     """
     offsets = np.asarray(offsets, dtype=np.float64)
     scales = np.asarray(scales, dtype=np.float64)
@@ -292,18 +359,21 @@ def _chunk_rows(
     tails_out = np.zeros(count)
     terms = np.zeros(count, dtype=np.int64)
     active = np.arange(count)
-    # chunk sums of the active rows, one array per chunk so far
+    # block sums of the active rows, one array per block so far
     sums: list[np.ndarray] = []
     k0 = 1
     size = _CHUNK_START
     while active.size and k0 <= trunc.max_terms:
         k1 = min(k0 + size - 1, trunc.max_terms)
-        terms_of = chunk(np.arange(k0, k1 + 1, dtype=np.float64))
-        step = max(1, _BLOCK_TERMS // (k1 - k0 + 1))
-        blocks = [
-            np.add.reduce(terms_of(active[b : b + step]), 1) for b in range(0, active.size, step)
-        ]
-        sums.append(blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
+        for b0 in range(k0, k1 + 1, _BLOCK_TERMS):
+            m = min(_BLOCK_TERMS, k1 + 1 - b0)
+            terms_of = chunk(np.arange(b0, b0 + m, dtype=np.float64))
+            step = _BLOCK_TERMS // m
+            groups = [
+                np.add.reduce(terms_of(active[g : g + step]), 1)
+                for g in range(0, active.size, step)
+            ]
+            sums.append(groups[0] if len(groups) == 1 else np.concatenate(groups))
         if len(sums) == 1:
             partial = sums[0]
         elif len(sums) == 2:
@@ -424,26 +494,34 @@ def _logprod_sum(
 
     stop_target, when given, is an absolute target on the log scale; the
     exponentiated gamma uses it so its bound stays relative on the gamma
-    scale even when |ln value| is large.
+    scale even when |ln value| is large.  Chunks are summed in blocks, as
+    in _lambert_sum.
     """
     lnq = math.log(q)
-    chunk_sums: list[float] = []
+    sums: list[float] = []
+    j = a = b = None
     j0 = 0
     chunk = _CHUNK_START
     while j0 < trunc.max_terms:
         j1 = min(j0 + chunk - 1, trunc.max_terms - 1)
-        j = np.arange(j0, j1 + 1, dtype=np.float64)
-        # ln(1 - q^{j+1}) - ln(1 - q^{j+x}), in place as in _lambert_sum
-        a = j + 1.0
-        b = j + x
-        for u in (a, b):
-            u *= lnq
-            np.expm1(u, out=u)
-            np.negative(u, out=u)
-            np.log(u, out=u)
-        a -= b
-        chunk_sums.append(float(np.sum(a)))
-        partial = math.fsum(chunk_sums)
+        for b0 in range(j0, j1 + 1, _BLOCK_TERMS):
+            m = min(_BLOCK_TERMS, j1 + 1 - b0)
+            if j is not None and j.size == m:
+                j += m  # the last block ended at b0 - 1
+            else:
+                j = np.arange(b0, b0 + m, dtype=np.float64)
+                a, b = np.empty(m), np.empty(m)
+            # ln(1 - q^{j+1}) - ln(1 - q^{j+x}), every ufunc in place
+            np.add(j, 1.0, out=a)
+            np.add(j, x, out=b)
+            for u in (a, b):
+                u *= lnq
+                np.expm1(u, out=u)
+                np.negative(u, out=u)
+                np.log(u, out=u)
+            a -= b
+            sums.append(float(np.add.reduce(a)))
+        partial = _running_fsum(sums)
         tail = _logprod_tail(q, x, j1 + 1)
         if stop_target is not None:
             target = max(stop_target, trunc.abs_tol)
@@ -545,7 +623,7 @@ def q_digamma(p: QParam, x: float, trunc: Truncation | None = None) -> EvalResul
     |ln q| q^{(K+1)x} / ((1-q)(1-q^x)).  Super-unit q uses the mirrored
     series -ln(q-1) + ln q [x - 1/2 - sum_{k>=1} q^{-kx}/(1-q^{-k})].
     """
-    return _psi_rows(p, [0], [_check_x(x)], trunc or DEFAULT_TRUNCATION)[0]
+    return _psi_point(p, 0, _check_x(x), trunc or DEFAULT_TRUNCATION)
 
 
 def q_polygamma(p: QParam, x: float, n: int, trunc: Truncation | None = None) -> EvalResult:
@@ -563,7 +641,7 @@ def q_polygamma(p: QParam, x: float, n: int, trunc: Truncation | None = None) ->
         raise UnsupportedOrder(f"derivative order must be an int, got {n!r}")
     if not 1 <= n <= MAX_DERIV_ORDER:
         raise UnsupportedOrder(f"derivative order {n} outside 1..{MAX_DERIV_ORDER}")
-    return _psi_rows(p, [n], [x], trunc or DEFAULT_TRUNCATION)[0]
+    return _psi_point(p, n, x, trunc or DEFAULT_TRUNCATION)
 
 
 def q_psi_grid(
@@ -598,31 +676,51 @@ def _psi_orders(
     return _psi_rows(p, ks, xs, t)
 
 
-def _psi_rows(p: QParam, ks: list[int], xs: list[float], t: Truncation) -> list[EvalResult]:
-    """psi^(k)(x) at every checked order k of ks and point x of xs: each
-    regime's series assembled around one _lambert_rows pass.  A single
-    point takes _lambert_sum and float arithmetic, without the per-call
-    cost of arrays."""
-    if not xs:
-        return []
+def _psi_parts(p: QParam, top: int) -> tuple[float, list[float], float]:
+    """(base, scale_of, head) of psi^(k) up to order top: psi^(k) is
+    scale_of[k] times the Lambert sum at base, plus head for k = 0, which
+    at q > 1 also takes ln q (x - 1/2)."""
     q = p.q
     lnq = math.log(q)
+    # psi^(0) has its own head and the ln q of its regime; super-unit q
+    # transfers the derivatives from 1/q
+    if p.regime is Regime.SUB_UNIT:
+        base, scale0, head = q, lnq, -math.log1p(-q)
+    else:
+        base, scale0, head = 1.0 / q, -lnq, -math.log(q - 1.0)
+    return base, [scale0] + [math.log(base) ** (k + 1) for k in range(1, top + 1)], head
+
+
+def _psi_point(
+    p: QParam, k: int, x: float, t: Truncation, dens: list[np.ndarray] | None = None
+) -> EvalResult:
+    """psi^(k)(x) at one checked order k and point x, by _lambert_sum and
+    float arithmetic, without the per-call cost of arrays.  dens is
+    _lambert_sum's table of block denominators, for the evaluations of one
+    solve at p and t."""
+    base, scale_of, head = _psi_parts(p, k)
     sub_unit = p.regime is Regime.SUB_UNIT
-    # super-unit q transfers the derivatives from 1/q
-    base = q if sub_unit else 1.0 / q
-    scale_of = [math.log(base) ** (k + 1) for k in range(max(ks) + 1)]
-    # psi^(0) has its own head and the ln q of its regime
-    scale_of[0] = lnq if sub_unit else -lnq
-    head = -math.log1p(-q) if sub_unit else -math.log(q - 1.0)
+    lnq = math.log(p.q)
+    scale = scale_of[k]
+    h = 0.0 if k else head if sub_unit else head + lnq * (x - 0.5)
+    s, tail, terms = _lambert_sum(base, x, k, t, h, scale, dens)
+    value = h + scale * s if k == 0 else scale * s
+    if k == 1 and not sub_unit:
+        value += lnq
+    return EvalResult(value, abs(scale) * tail, terms)
+
+
+def _psi_rows(p: QParam, ks: list[int], xs: list[float], t: Truncation) -> list[EvalResult]:
+    """psi^(k)(x) at every checked order k of ks and point x of xs: each
+    regime's series assembled around one _lambert_rows pass, or a single
+    point by _psi_point."""
+    if not xs:
+        return []
     if len(xs) == 1:
-        (k,), (x,) = ks, xs
-        scale = scale_of[k]
-        h = 0.0 if k else head if sub_unit else head + lnq * (x - 0.5)
-        s, tail, terms = _lambert_sum(base, x, k, t, h, scale)
-        value = h + scale * s if k == 0 else scale * s
-        if k == 1 and not sub_unit:
-            value += lnq
-        return [EvalResult(value, abs(scale) * tail, terms)]
+        return [_psi_point(p, ks[0], xs[0], t)]
+    lnq = math.log(p.q)
+    sub_unit = p.regime is Regime.SUB_UNIT
+    base, scale_of, head = _psi_parts(p, max(ks))
     k_arr = np.array(ks)
     x_arr = np.array(xs, dtype=np.float64)
     scales = np.array(scale_of)[k_arr]

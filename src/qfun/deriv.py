@@ -81,6 +81,7 @@ class EvalContext:
         self.p = p
         self.trunc = trunc or DEFAULT_TRUNCATION
         self._results: dict[tuple[int, float], EvalResult] = {}
+        self._ln_gammas: dict[float, EvalResult] = {}
         self._zero: ZeroResult | None = None
         self._squared: EvalContext | None = None
 
@@ -127,11 +128,10 @@ class EvalContext:
         return [results[key] for key in keys]
 
     def ln_gamma(self, x: float) -> EvalResult:
-        # ln Gamma_q is the antiderivative of psi^(0), so it is kept as order -1
-        r = self._results.get((-1, x))
+        r = self._ln_gammas.get(x)
         if r is None:
             r = ln_q_gamma(self.p, x, self.trunc)
-            self._results[-1, x] = r
+            self._ln_gammas[x] = r
         return r
 
     def ln_gamma_grid(self, xs: Iterable[float]) -> list[EvalResult]:
@@ -141,10 +141,10 @@ class EvalContext:
         ln_q_gamma, and stored under the keys ln_gamma reads.
         """
         xs = list(xs)
-        missing = [x for x in dict.fromkeys(xs) if (-1, x) not in self._results]
-        for x, r in zip(missing, _ln_gamma_rows(self.p, missing, self.trunc)):
-            self._results[-1, x] = r
-        return [self._results[-1, x] for x in xs]
+        results = self._ln_gammas
+        missing = [x for x in dict.fromkeys(xs) if x not in results]
+        results.update(zip(missing, _ln_gamma_rows(self.p, missing, self.trunc)))
+        return [results[x] for x in xs]
 
     def zero(self) -> ZeroResult:
         if self._zero is None:

@@ -24,8 +24,8 @@ from .core import (
     Regime,
     Truncation,
     _fp_allowance,
+    _psi_point,
     q_digamma,
-    q_polygamma,
 )
 
 __all__ = ["BracketError", "ZeroResult", "digamma_zero", "q_euler_mascheroni", "q_harmonic"]
@@ -80,6 +80,8 @@ def digamma_zero(
     not in doubt is not evaluated: _locate first finds [a, b] with computed
     psi(a) < 0 < psi(b), then m <= a - w becomes lo and m >= b + w becomes
     hi.  iterations counts the q-digamma evaluations made, each point once.
+    They and the psi' evaluations are those of q_digamma and q_polygamma,
+    bit for bit, and share one table of the series denominators 1 - q^k.
 
     Why the window w = 2E / s is safe.  psi is increasing and concave
     (psi'' < 0 in both regimes), so psi' >= psi'(hi) >= s on [lo, hi],
@@ -101,14 +103,15 @@ def digamma_zero(
     _check_count("newton_steps", newton_steps, 0)
     t = trunc or DEFAULT_TRUNCATION
     values: dict[float, float] = {}
+    dens: list = []  # the shared denominators, filled by the first sums
 
     def f(x: float) -> float:
         if x not in values:
-            values[x] = q_digamma(p, x, t).value
+            values[x] = _psi_point(p, 0, x, t, dens).value
         return values[x]
 
     def slope(x: float) -> float:
-        return q_polygamma(p, x, 1, t).value
+        return _psi_point(p, 1, x, t, dens).value
 
     lo, hi = 1.0, 2.0
     f_lo, f_hi = f(lo), f(hi)
@@ -130,7 +133,7 @@ def digamma_zero(
     width = math.ldexp(hi - lo, -bisect_steps)
     window = math.inf
     if width < hi - lo:
-        d = q_polygamma(p, hi, 1, t)
+        d = _psi_point(p, 1, hi, t, dens)
         s = d.value - d.err_bound - _fp_allowance(d.value)
         if s > 0.0:
             err = t.target(max(-f_lo, f_hi)) + _fp_allowance(f_lo, f_hi)

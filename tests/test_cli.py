@@ -3,7 +3,10 @@
 import gc
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -398,6 +401,21 @@ class TestDeterminism:
         assert code == ref["exit_code"]
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ref["stdout_sha256"]
         assert hashlib.sha256(err.encode("utf-8")).hexdigest() == ref["stderr_sha256"]
+
+
+def test_python_m_qfun_runs_from_a_checkout(tmp_path):
+    # the package's __main__, found through PYTHONPATH alone
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "QFUN_CONFIG")}
+    env["PYTHONPATH"] = str(src)
+    argv = ["all", "--format", "text"]
+    run = subprocess.run(
+        [sys.executable, "-m", "qfun", *argv], cwd=tmp_path, env=env, capture_output=True
+    )
+    (ref,) = [r for r in CLI_REFERENCE["runs"] if r["argv"] == argv]
+    assert run.returncode == ref["exit_code"] == 1
+    assert hashlib.sha256(run.stdout).hexdigest() == ref["stdout_sha256"]
+    assert hashlib.sha256(run.stderr).hexdigest() == ref["stderr_sha256"]
 
 
 class TestOneContextPerQ:

@@ -6,9 +6,12 @@ plain Python loops so they share no code with the implementation.
 """
 
 import math
+import random
+import tracemalloc
 
 import pytest
 
+import qfun.core
 from qfun import (
     DomainError,
     EvalResult,
@@ -18,6 +21,7 @@ from qfun import (
     Truncation,
     UnsupportedOrder,
     digamma_inversion_residual,
+    digamma_zero,
     gamma_inversion_residual,
     ln_q_gamma,
     q_bracket,
@@ -302,3 +306,52 @@ class TestEvalResult:
         loose = q_digamma(p, 0.5, Truncation(rel_tol=1e-6)).terms
         tight = q_digamma(p, 0.5, Truncation(rel_tol=1e-14)).terms
         assert tight > loose
+
+
+def test_running_fsum_equals_fsum_of_every_float_so_far():
+    # the list is shortened to a few floats of the same exact sum; the
+    # partials stay math.fsum of everything summed, bit for bit
+    # signed powers of two spread over 80 binades: their exact sums need
+    # several floats, and ties in the last rounding are common
+    rng = random.Random(7)
+    for _ in range(50):
+        summed, sums = [], []
+        for _ in range(40):
+            new = [rng.choice((-1.0, 1.0)) * 2.0 ** rng.randint(-80, 0) for _ in range(8)]
+            summed += new
+            sums += new
+            assert qfun.core._running_fsum(sums) == math.fsum(summed)
+        assert len(sums) < 40
+
+
+def traced_peak(call) -> int:
+    """Peak traced allocation of call(), in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """Long sums work in blocks of _BLOCK_TERMS terms, so their memory does
+    not grow with the chunk length."""
+
+    P = QParam(0.9999, allow_near_one=True)
+    T = Truncation(max_terms=100_000_000)
+
+    def test_one_point_sum_stays_below_512_kib(self):
+        # 1,179,584 terms, in chunks of up to 65,536; 2,049 KiB when each
+        # chunk was one array
+        r = q_polygamma(self.P, 0.5, 6, self.T)
+        assert r.terms == 1_179_584
+        assert traced_peak(lambda: q_polygamma(self.P, 0.5, 6, self.T)) < 512 * 1024
+
+    def test_zero_solve_stays_within_its_table_and_buffers(self):
+        # the solve's table of block denominators, at most _DEN_TABLE_TERMS
+        # floats, and the work arrays of one sum: four blocks, three half
+        # blocks while they grow, and room for the small objects
+        core = qfun.core
+        bound = 8 * (core._DEN_TABLE_TERMS + 6 * core._BLOCK_TERMS)
+        assert traced_peak(lambda: digamma_zero(self.P, trunc=self.T)) <= bound

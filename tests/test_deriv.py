@@ -301,6 +301,20 @@ class TestPsiGrid:
         assert len(passes) == 1
         assert got == [q_digamma(p, x) if k == 0 else q_polygamma(p, x, k) for k, x in keys]
 
+    @pytest.mark.parametrize("q", [0.999, 1.001])
+    def test_near_one_equals_point_evaluations_past_one_block(self, q):
+        # sums of up to 786,368 terms, summed in blocks of 8,192 past the
+        # first 16,320; 0.01 would take millions
+        p = QParam(q, allow_near_one=True)
+        t = Truncation(max_terms=100_000_000)
+        xs = [x for x in self.XS if x > 0.01]
+        keys = [(k, x) for x in xs for k in range(9)]
+        want = [q_digamma(p, x, t) if k == 0 else q_polygamma(p, x, k, t) for k, x in keys]
+        assert max(r.terms for r in want) > 16_320
+        for k in range(9):
+            assert q_psi_grid(p, k, xs, t) == want[k::9], (q, k)
+        assert EvalContext(p, t).psi_grid(keys) == want
+
     def test_term_cap_raises_the_first_capped_keys_error(self):
         # with q = 0.5 and a 1000-term cap, psi^(0) converges at these
         # points, psi^(1) fails at 0.0451 and 0.045, psi^(k >= 2) at 0.05 too
@@ -388,6 +402,28 @@ class TestLnGammaGrid:
         with pytest.raises(DomainError):
             ctx.ln_gamma_grid([1.0, 0.0])
         assert ctx.ln_gamma_grid([]) == []
+
+    @pytest.mark.parametrize(
+        "fill",
+        [lambda ctx: ctx.ln_gamma(1.5), lambda ctx: ctx.ln_gamma_grid([1.5])],
+        ids=["ln_gamma", "ln_gamma_grid"],
+    )
+    def test_order_minus_one_stays_unsupported(self, fill):
+        # ln Gamma_q is not psi^(-1): once ln_gamma has run, both psi calls
+        # still raise what they raised before
+        ctx = EvalContext(QParam(0.5))
+
+        def errors():
+            found = []
+            for call in (lambda: ctx.psi(-1, 1.5), lambda: ctx.psi_grid([(-1, 1.5)])):
+                with pytest.raises(UnsupportedOrder) as info:
+                    call()
+                found.append(str(info.value))
+            return found
+
+        before = errors()
+        fill(ctx)
+        assert errors() == before
 
 
 class TestSquaredContext:

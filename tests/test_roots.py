@@ -162,14 +162,16 @@ class TestDigammaZero:
     def test_no_point_evaluated_twice_in_a_row(self, monkeypatch):
         import qfun.roots
 
+        point = qfun.roots._psi_point
         for q in (0.5, 2.0):
             xs = []
 
-            def recording(p, x, trunc=None):
-                xs.append(x)
-                return q_digamma(p, x, trunc)
+            def recording(p, k, x, trunc, dens=None):
+                if k == 0:
+                    xs.append(x)
+                return point(p, k, x, trunc, dens)
 
-            monkeypatch.setattr(qfun.roots, "q_digamma", recording)
+            monkeypatch.setattr(qfun.roots, "_psi_point", recording)
             z = digamma_zero(QParam(q))
             assert all(a != b for a, b in zip(xs, xs[1:])), q
             assert z.iterations == len(xs), q
@@ -177,13 +179,15 @@ class TestDigammaZero:
     def test_default_solves_make_few_evaluations(self, monkeypatch):
         import qfun.roots
 
+        point = qfun.roots._psi_point
         xs = []
 
-        def counting(p, x, trunc=None):
-            xs.append(x)
-            return q_digamma(p, x, trunc)
+        def counting(p, k, x, trunc, dens=None):
+            if k == 0:
+                xs.append(x)
+            return point(p, k, x, trunc, dens)
 
-        monkeypatch.setattr(qfun.roots, "q_digamma", counting)
+        monkeypatch.setattr(qfun.roots, "_psi_point", counting)
         for q in (0.5, 2.0, 1.001):
             xs.clear()
             z = digamma_zero(QParam(q))
