@@ -9,6 +9,7 @@ inversion identities remain genuine cross-checks rather than definitions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -56,6 +57,19 @@ _BLOCK_TERMS = 8192
 # a table of block denominators (_block_den) covers at most this many terms
 # (2 MiB); without a bound it grows with the longest sum that uses it
 _DEN_TABLE_TERMS = 32 * _BLOCK_TERMS
+# psi^(k) leaves the Lambert series for the Euler-Maclaurin sum (_psi_em)
+# only where the series provably cannot stop within this many terms, so
+# every sum that it finishes within them keeps its bits
+_EM_SWITCH = 2**21
+# the last chunk end at or below _EM_SWITCH: the chunks of 64 to 65,536
+# terms end at 131,008, then 30 more of 65,536 follow
+_EM_REACH = 131_008 + 30 * _CHUNK_LIMIT
+# _psi_em sums the first terms directly up to y0 = x + M >= _EM_SHIFT when
+# |ln q| <= 0.5, where Euler-Maclaurin at y0 gains a factor of about
+# (k + 2N)^2 / (2 pi y0)^2 per correction order N; for |ln q| > 0.5 the
+# direct part runs until p^M < e^-46.  At most _EM_ORDERS orders are taken
+_EM_SHIFT = 20
+_EM_ORDERS = 20
 
 
 class DomainError(ValueError):
@@ -70,6 +84,12 @@ class UnsupportedOrder(ValueError):
     """Derivative order outside the supported range."""
 
 
+def _check_count(name: str, n: int, lo: int) -> None:
+    """Raise DomainError unless n is an int (not a bool) and n >= lo."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < lo:
+        raise DomainError(f"{name} must be an int >= {lo}, got {n!r}")
+
+
 class Regime(Enum):
     SUB_UNIT = "sub_unit"
     SUPER_UNIT = "super_unit"
@@ -80,9 +100,11 @@ class QParam:
     """Deformation parameter with its regime guard.
 
     q must be a positive real other than 1.  Values with |q - 1| < 1e-4 are
-    rejected by default because term counts scale like 1/|ln q| there; pass
-    allow_near_one=True (and, if needed, a raised term cap) to evaluate
-    close to the classical limit.
+    rejected by default because series term counts scale like 1/|ln q|
+    there; pass allow_near_one=True to evaluate close to the classical
+    limit.  psi^(k) needs no raised term cap there, since it switches to an
+    Euler-Maclaurin sum where the Lambert series would need more than 2^21
+    terms; ln Gamma_q and Gamma_q may need one (Truncation(max_terms=...)).
     """
 
     q: float
@@ -129,8 +151,7 @@ class Truncation:
             raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if not (0.0 <= self.abs_tol < math.inf):
             raise DomainError(f"abs_tol must be finite and >= 0, got {self.abs_tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
+        _check_count("max_terms", self.max_terms, 1)
 
     def target(self, value_estimate: float) -> float:
         return max(self.rel_tol * abs(value_estimate), self.abs_tol)
@@ -622,6 +643,9 @@ def q_digamma(p: QParam, x: float, trunc: Truncation | None = None) -> EvalResul
     Sub-unit q: -ln(1-q) + ln q * sum_{k>=1} q^{kx}/(1-q^k), tail bounded by
     |ln q| q^{(K+1)x} / ((1-q)(1-q^x)).  Super-unit q uses the mirrored
     series -ln(q-1) + ln q [x - 1/2 - sum_{k>=1} q^{-kx}/(1-q^{-k})].
+    Where that series provably cannot stop within 2^21 terms (near q = 1,
+    or at tiny x), a shift plus Euler-Maclaurin sum takes its place, with
+    its certified remainder as err_bound.
     """
     return _psi_point(p, 0, _check_x(x), trunc or DEFAULT_TRUNCATION)
 
@@ -634,7 +658,8 @@ def q_polygamma(p: QParam, x: float, n: int, trunc: Truncation | None = None) ->
     upper limit tied to n (which sometimes appears in print) is not the
     derivative and would break the sign pattern (-1)^{n+1}.  Super-unit q
     transfers derivatives from 1/q; only n = 1 picks up the extra ln q from
-    the linear term relating the two regimes.
+    the linear term relating the two regimes.  The Euler-Maclaurin sum
+    replaces the series where q_digamma's does.
     """
     x = _check_x(x)
     if not isinstance(n, int) or isinstance(n, bool):
@@ -652,7 +677,8 @@ def q_psi_grid(
 
     The points share one chunk loop and each stops on its own tail
     majorant, so every result is bit-identical to a one-point evaluation,
-    whatever the other points.  Raises NonConvergent for the first x, in
+    whatever the other points; a point that the one-point evaluation takes
+    by Euler-Maclaurin is taken so here too.  Raises NonConvergent for the first x, in
     the order given, that reaches the term cap.
     """
     return _psi_orders(p, {k: list(xs)}, trunc or DEFAULT_TRUNCATION)
@@ -691,33 +717,226 @@ def _psi_parts(p: QParam, top: int) -> tuple[float, list[float], float]:
     return base, [scale0] + [math.log(base) ** (k + 1) for k in range(1, top + 1)], head
 
 
+def _psi_offsets(p: QParam, k: int, x: float, head: float) -> tuple[float, float]:
+    """(h, e) with psi^(k)(x) = h + e + the series part: h is head at k = 0,
+    with ln q (x - 1/2) at q > 1, and the offset that the Lambert stop
+    target is taken at; e is the ln q that only k = 1 at q > 1 picks up from
+    the linear term relating the regimes."""
+    if p.regime is Regime.SUB_UNIT:
+        return (0.0 if k else head), 0.0
+    lnq = math.log(p.q)
+    return (0.0 if k else head + lnq * (x - 0.5)), (lnq if k == 1 else 0.0)
+
+
 def _psi_point(
     p: QParam, k: int, x: float, t: Truncation, dens: list[np.ndarray] | None = None
 ) -> EvalResult:
-    """psi^(k)(x) at one checked order k and point x, by _lambert_sum and
-    float arithmetic, without the per-call cost of arrays.  dens is
-    _lambert_sum's table of block denominators, for the evaluations of one
-    solve at p and t."""
+    """psi^(k)(x) at one checked order k and point x: by _psi_em where the
+    Lambert sum provably cannot stop within _EM_SWITCH terms, else by
+    _psi_lambert."""
+    em = _em_instead(p, k, x, t)
+    return em if em is not None else _psi_lambert(p, k, x, t, dens)
+
+
+def _psi_lambert(
+    p: QParam, k: int, x: float, t: Truncation, dens: list[np.ndarray] | None = None
+) -> EvalResult:
+    """psi^(k)(x) by _lambert_sum and float arithmetic, without the per-call
+    cost of arrays.  dens is _lambert_sum's table of block denominators,
+    for the evaluations of one solve at p and t."""
     base, scale_of, head = _psi_parts(p, k)
-    sub_unit = p.regime is Regime.SUB_UNIT
-    lnq = math.log(p.q)
+    h, e = _psi_offsets(p, k, x, head)
     scale = scale_of[k]
-    h = 0.0 if k else head if sub_unit else head + lnq * (x - 0.5)
     s, tail, terms = _lambert_sum(base, x, k, t, h, scale, dens)
     value = h + scale * s if k == 0 else scale * s
-    if k == 1 and not sub_unit:
-        value += lnq
+    if e:
+        value += e
     return EvalResult(value, abs(scale) * tail, terms)
 
 
+def _lambert_may_pass(lnb: float, ks, xs):
+    """Whether the Lambert sum at base e^lnb may take more than _EM_REACH
+    terms, for orders ks at points xs (floats or arrays): False where its
+    tail majorant at term _EM_REACH underflows to 0, so that it stops there
+    at the latest.  The float operations are _lambert_tail's."""
+    return ks * math.log(_EM_REACH + 1) + (_EM_REACH + 1) * (xs * lnb) >= _LN_TINY
+
+
+def _em_instead(p: QParam, k: int, x: float, t: Truncation) -> EvalResult | None:
+    """_psi_em's psi^(k)(x) where the Lambert sum provably cannot stop
+    within _EM_SWITCH terms, else None.
+
+    The tail majorant's underflow point caps the Lambert term count from
+    above, and below the switch the Lambert sum is taken at once.
+    Otherwise the Euler-Maclaurin result is kept if _lambert_floor, which
+    bounds the term count from below, exceeds the switch.  Where _psi_em
+    itself cannot meet t, the Lambert sum is taken as before.
+    """
+    if not _lambert_may_pass(math.log(_psi_parts(p, 0)[0]), k, x):
+        return None
+    try:
+        em = _psi_em(p, k, x, t)
+    except NonConvergent:
+        return None
+    return em if _lambert_floor(p, k, x, t, em) > _EM_SWITCH else None
+
+
+def _lambert_floor(p: QParam, k: int, x: float, t: Truncation, em: EvalResult) -> float:
+    """A lower bound on the terms that the Lambert sum of psi^(k)(x) takes,
+    given em, a psi^(k)(x) value with its error bound.
+
+    The sum's assembled value runs monotonically from h to value - e (see
+    _psi_offsets), so em caps its stop target at target.  At base
+    p = e^-lam, the tail majorant after term K is infinite while
+    rho = ((K+2)/(K+1))^k p^x >= 1, which holds for K + 2 <= k / (lam x),
+    and after that at least T(K) = (K+1)^k p^{(K+1)x} / ((1-p)(1-p^x)).
+    So the sum can stop only past that K, where lam^{k+1} T(K) <= target
+    or where the majorant underflows to 0: where
+    g(K) = k ln(K+1) - (K+1) lam x <= c.  g is concave and falls from
+    K + 1 = k / (lam x) on, so the bisection keeps lo below the least such K.
+    """
+    base, _, head = _psi_parts(p, 0)
+    h, e = _psi_offsets(p, k, x, head)
+    cap = (max(abs(h), abs(em.value - e)) + em.err_bound) * (1.0 + 1e-9)
+    target = max(t.rel_tol * cap, t.abs_tol)
+    lam = -math.log(base)
+    lx = lam * x
+    if not lx > 0.0 or not math.isfinite(k / lx):
+        return math.inf
+    c = _LN_TINY
+    if target > 0.0:
+        log_den = math.log(-math.expm1(-lam)) + math.log(-math.expm1(-lx))
+        c = max(c, math.log(target) + log_den - (k + 1) * math.log(lam))
+    c += 1e-6 * (1.0 + abs(c))  # room for the rounding of both sides
+
+    def g(kk: float) -> float:
+        return k * math.log1p(kk) - (kk + 1.0) * lx
+
+    lo = max(1.0, k / lx - 3.0)  # rho >= 1 below, with a term to spare
+    if g(lo) <= c:
+        return math.floor(lo)
+    hi = max(2.0 * lo, -c / lx)
+    while g(hi) > c:
+        lo, hi = hi, 2.0 * hi
+        if math.isinf(hi):
+            return math.inf
+    while hi - lo > 1e-3 * lo:
+        mid = 0.5 * (lo + hi)
+        if g(mid) > c:
+            lo = mid
+        else:
+            hi = mid
+    return math.floor(lo) + 1.0
+
+
+@functools.cache
+def _eulerian(s: int) -> tuple[float, ...]:
+    """The coefficients of the Eulerian polynomial A_s, which has
+    Li_{-s}(u) = u A_s(u) / (1 - u)^{s+1}: A_0 = A_1 = 1 and
+    A(n, i) = (i+1) A(n-1, i) + (n-i) A(n-1, i-1), exact in ints."""
+    row = [1]
+    for n in range(2, s + 1):
+        prev = [0, *row, 0]
+        row = [(i + 1) * prev[i + 1] + (n - i) * prev[i] for i in range(n)]
+    return tuple(map(float, row))
+
+
+@functools.cache
+def _em_weights() -> tuple[float, ...]:
+    """B_{2i} / (2i)! for i = 1.._EM_ORDERS, from the exact Bernoulli
+    numbers of sum_{j <= m} C(m+1, j) B_j = 0."""
+    from fractions import Fraction  # on first use: it costs 2.5 ms to import
+
+    b = [Fraction(1)]
+    for m in range(1, 2 * _EM_ORDERS + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return tuple(float(b[2 * i] / math.factorial(2 * i)) for i in range(1, _EM_ORDERS + 1))
+
+
+def _dl(m: int, lam: float, y: float) -> float:
+    """D^m L(y) for m >= 1, with L(y) = ln(1 - p^y) and ln p = -lam:
+    -(ln p)^m Li_{1-m}(p^y) = (-1)^{m+1} w^m u A_{m-1}(u) with u = p^y and
+    w = lam / (1 - u).  A_{m-1} has positive coefficients, so nothing
+    cancels near u = 1.  Raises OverflowError where w^m overflows."""
+    a = -lam * y
+    u = math.exp(a)
+    poly = 0.0
+    for c in _eulerian(m - 1):
+        poly = poly * u + c
+    v = (lam / -math.expm1(a)) ** m * u * poly
+    return v if m % 2 else -v
+
+
+def _psi_em(p: QParam, k: int, x: float, t: Truncation) -> EvalResult:
+    """psi^(k)(x) = h + e - sum_{j >= 0} D^{k+1} L(x + j) (see
+    _psi_offsets and _dl), for any q and 0 <= k <= 8, with O(10^2) work.
+
+    The first M terms are summed directly, up to y0 = x + M (see
+    _EM_SHIFT); the rest is -D^k L(y0) + D^{k+1} L(y0) / 2
+    - sum_{i=1}^{N} B_{2i} / (2i)! D^{k+2i} L(y0) + R_N by Euler-Maclaurin.
+    Every D^m L keeps one sign on [y0, inf), so
+    |R_N| <= 2 zeta(2N) / (2 pi)^{2N} |D^{k+2N} L(y0)| (Johansson, Numer.
+    Algorithms 69, 2015), which is the size of the last order taken; that
+    bound is err_bound, and N grows until it meets t.target.  terms is
+    M + N, counted against t.max_terms.  Raises NonConvergent where the
+    bound cannot meet the target within _EM_ORDERS orders or the term cap,
+    or the value overflows.
+    """
+    lam = abs(math.log(p.q))
+    h, e = _psi_offsets(p, k, x, _psi_parts(p, 0)[2])
+    m = math.ceil(46.0 / lam) if lam > 0.5 else max(0, math.ceil(_EM_SHIFT - x))
+    y0 = x + m
+    try:
+        start = h - math.fsum(_dl(k + 1, lam, x + j) for j in range(m)) + e
+        if k:
+            d_k = _dl(k, lam, y0)
+        else:  # L(y0) itself, accurate for p^y0 near 0 and near 1
+            a = -lam * y0
+            d_k = math.log(-math.expm1(a)) if a > -math.log(2.0) else math.log1p(-math.exp(a))
+        parts = [start, d_k, -0.5 * _dl(k + 1, lam, y0)]
+        for n, weight in enumerate(_em_weights()[: max(0, t.max_terms - m)], 1):
+            parts.append(weight * _dl(k + 2 * n, lam, y0))
+            value = math.fsum(parts)
+            err = abs(parts[-1])
+            if err <= t.target(value) and math.isfinite(value):
+                return EvalResult(value, err, m + n)
+    except OverflowError:
+        pass
+    raise NonConvergent(
+        f"Euler-Maclaurin bound above the tail target within {_EM_ORDERS} orders and the "
+        f"term cap {t.max_terms} (q={p.q}, x={x}, order={k})"
+    )
+
+
 def _psi_rows(p: QParam, ks: list[int], xs: list[float], t: Truncation) -> list[EvalResult]:
-    """psi^(k)(x) at every checked order k of ks and point x of xs: each
-    regime's series assembled around one _lambert_rows pass, or a single
-    point by _psi_point."""
+    """psi^(k)(x) at every checked order k of ks and point x of xs, each
+    row as _psi_point takes it: a row whose Lambert sum provably cannot stop
+    within _EM_SWITCH terms by _psi_em, the others by one _lambert_rows
+    pass, or a single point by _psi_point."""
     if not xs:
         return []
     if len(xs) == 1:
         return [_psi_point(p, ks[0], xs[0], t)]
+    base = _psi_parts(p, 0)[0]
+    may_pass = _lambert_may_pass(math.log(base), np.array(ks), np.array(xs, dtype=np.float64))
+    if not may_pass.any():
+        return _psi_lambert_rows(p, ks, xs, t)
+    out: list[EvalResult | None] = [None] * len(xs)
+    for i in np.flatnonzero(may_pass).tolist():
+        out[i] = _em_instead(p, ks[i], xs[i], t)
+    rows = [i for i, r in enumerate(out) if r is None]
+    if rows:
+        lambert = _psi_lambert_rows(p, [ks[i] for i in rows], [xs[i] for i in rows], t)
+        for i, r in zip(rows, lambert):
+            out[i] = r
+    return out
+
+
+def _psi_lambert_rows(
+    p: QParam, ks: list[int], xs: list[float], t: Truncation
+) -> list[EvalResult]:
+    """psi^(k)(x) at every checked order k of ks and point x of xs, each
+    regime's series assembled around one _lambert_rows pass."""
     lnq = math.log(p.q)
     sub_unit = p.regime is Regime.SUB_UNIT
     base, scale_of, head = _psi_parts(p, max(ks))

@@ -26,6 +26,7 @@ from .core import (
     QParam,
     Truncation,
     UnsupportedOrder,
+    _check_count,
     _ln_gamma_rows,
     _psi_orders,
     ln_q_gamma,
@@ -230,8 +231,7 @@ def make_grid(
     """Evaluation grid on (lo, hi), endpoints pulled inward by GRID_PULL."""
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"need finite lo < hi, got ({lo}, {hi})")
-    if points < 2:
-        raise DomainError(f"points must be >= 2, got {points}")
+    _check_count("points", points, 2)
     if spacing == "linear":
         pad = GRID_PULL * (hi - lo)
         return np.linspace(lo + pad, hi - pad, points)
@@ -262,8 +262,8 @@ def finite_diff(
 
     Raises DomainError if a stencil point would leave (lo, hi).
     """
-    if n not in _STENCILS:
-        raise UnsupportedOrder(f"finite_diff supports orders {sorted(_STENCILS)}, got {n}")
+    if not isinstance(n, int) or isinstance(n, bool) or n not in _STENCILS:
+        raise UnsupportedOrder(f"finite_diff supports orders {sorted(_STENCILS)}, got {n!r}")
     step = default_step(x, n) if h is None else h
     if step <= 0.0:
         raise DomainError(f"step must be positive, got {step}")

@@ -23,6 +23,7 @@ from .core import (
     QParam,
     Regime,
     Truncation,
+    _check_count,
     _fp_allowance,
     _psi_point,
     q_digamma,
@@ -52,12 +53,6 @@ class ZeroResult:
     residual: float
     iterations: int
     bracket: tuple[float, float]
-
-
-def _check_count(name: str, n: int, lo: int) -> None:
-    """Raise DomainError unless n is an int (not a bool) and n >= lo."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < lo:
-        raise DomainError(f"{name} must be an int >= {lo}, got {n!r}")
 
 
 def digamma_zero(

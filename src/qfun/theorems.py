@@ -27,6 +27,7 @@ from .core import (
     Regime,
     ResidualCheck,
     Truncation,
+    _check_count,
     _fp_allowance,
 )
 from .deriv import (
@@ -41,7 +42,7 @@ from .deriv import (
     make_grid,
     ratio_provider,
 )
-from .roots import _check_count, q_euler_mascheroni, q_harmonic
+from .roots import q_euler_mascheroni, q_harmonic
 from .roots import digamma_zero  # noqa: F401 (kept importable here)
 
 __all__ = [

@@ -7,6 +7,7 @@ plain Python loops so they share no code with the implementation.
 
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -88,6 +89,12 @@ class TestTruncation:
             Truncation(rel_tol=0.0)
         with pytest.raises(DomainError):
             Truncation(max_terms=0)
+
+    @pytest.mark.parametrize("bad", [1.5, True, 10.0, "10", None])
+    def test_max_terms_must_be_an_int(self, bad):
+        want = f"max_terms must be an int >= 1, got {bad!r}"
+        with pytest.raises(DomainError, match=re.escape(want)):
+            Truncation(max_terms=bad)
 
     def test_tiny_budget_raises_nonconvergent(self):
         t = Truncation(max_terms=3)

@@ -63,6 +63,11 @@ class TestMakeGrid:
         with pytest.raises(DomainError):
             make_grid(0.0, 2.0, spacing="geometric")
 
+    @pytest.mark.parametrize("bad", [3.0, True, "3"])
+    def test_points_must_be_an_int(self, bad):
+        with pytest.raises(DomainError, match=re.escape(f"points must be an int >= 2, got {bad!r}")):
+            make_grid(1.0, 2.0, points=bad)
+
 
 class TestFiniteDiff:
     def test_exponential_all_orders(self):
@@ -99,6 +104,11 @@ class TestFiniteDiff:
             finite_diff(math.exp, 1.0, n=5)
         with pytest.raises(UnsupportedOrder):
             finite_diff(math.exp, 1.0, n=0)
+
+    @pytest.mark.parametrize("bad", [True, 1.0, 2.0])
+    def test_order_must_be_an_int(self, bad):
+        with pytest.raises(UnsupportedOrder, match=re.escape(f"got {bad!r}")):
+            finite_diff(math.exp, 1.0, n=bad)
 
 
 class TestLogDerivatives:

@@ -1,0 +1,173 @@
+"""The Euler-Maclaurin q-polygammas (core._psi_em) and the rule that takes
+them in place of the Lambert series.
+
+psi^(k) takes the Euler-Maclaurin sum only where the Lambert series
+provably cannot stop within core._EM_SWITCH terms.  The tests check both
+paths against each other, the lower bound on the Lambert term count that
+the rule rests on, grid passes that mix the two paths, and three corner
+values against tests/em_corners_reference.json.  Those pins are mpmath
+values of the numerically differentiated L(y) = ln(1 - p^y) route, with a
+larger shift and more Euler-Maclaurin orders than the code; they use no
+Eulerian closed form, so they stay independent of the code under test.
+To re-capture them (it takes about 20 s), run this file with python.
+"""
+
+import json
+import math
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from qfun import (
+    DEFAULT_TRUNCATION,
+    EvalContext,
+    NonConvergent,
+    QParam,
+    Truncation,
+    q_digamma,
+    q_polygamma,
+    q_psi_grid,
+)
+from qfun import core
+
+REFERENCE = Path(__file__).with_name("em_corners_reference.json")
+LONG_SUMS = Path(__file__).with_name("long_sums_reference.json")
+CORNERS = [(0.9999, 0.05, 6), (1.0001, 0.05, 8), (0.5, 1e-300, 0)]
+QS = (0.99, 0.999, 0.9999, 1.0001, 1.001, 1.01)
+CAP = Truncation(max_terms=100_000_000)
+U = 2.0**-53
+
+
+def evaluate(p, k, x, t=None):
+    return q_polygamma(p, x, k, t) if k else q_digamma(p, x, t)
+
+
+def seeded_points(q):
+    """Two seeded x, log-uniform in [0.05, 20], for each order 0..8."""
+    rng = random.Random(f"em:{q}")
+    for k in range(9):
+        for _ in range(2):
+            yield k, math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
+
+
+def allowance(p, k, x, value):
+    """Rounding beyond both err_bounds: 1e-14 of the magnitudes the value
+    is assembled from, and at q > 1 the Lambert base 1/q, which is rounded,
+    so ln of it is off by up to u and the series part by about
+    u / |ln q| (1 + |value|)."""
+    h, _ = core._psi_offsets(p, k, x, core._psi_parts(p, 0)[2])
+    out = 1e-14 * (abs(value) + abs(h))
+    if p.q > 1.0:
+        out += 8.0 * U / abs(math.log(p.q)) * (1.0 + abs(value))
+    return out
+
+
+@pytest.mark.parametrize("q", QS)
+def test_paths_agree_and_the_floor_stays_below_the_lambert_terms(q):
+    p = QParam(q, allow_near_one=True)
+    for k, x in seeded_points(q):
+        lam = core._psi_lambert(p, k, x, CAP)
+        em = core._psi_em(p, k, x, CAP)
+        assert em.err_bound <= CAP.target(em.value), (q, k, x)
+        budget = lam.err_bound + em.err_bound + allowance(p, k, x, em.value)
+        assert abs(lam.value - em.value) <= budget, (q, k, x, lam, em)
+        assert core._lambert_floor(p, k, x, CAP, em) <= lam.terms, (q, k, x)
+
+
+def test_floor_stays_below_the_pinned_long_sums():
+    cases = json.loads(LONG_SUMS.read_text("utf-8"))["cases"]
+    psi = [c for c in cases if c["kind"].startswith("psi")]
+    assert len(psi) == 36
+    for c in psi:
+        p, k = QParam(c["q"], allow_near_one=True), int(c["kind"][3:])
+        em = core._psi_em(p, k, c["x"], DEFAULT_TRUNCATION)
+        assert core._lambert_floor(p, k, c["x"], DEFAULT_TRUNCATION, em) <= c["terms"], c
+
+
+class TestMixedGrid:
+    P = QParam(0.9999, allow_near_one=True)
+    # psi^(6) at 0.05 and 0.01 takes millions of Lambert terms, at 3.0 and
+    # 8.0 a few hundred thousand
+    XS = [0.05, 3.0, 0.01, 8.0]
+
+    def test_grid_equals_point_evaluations(self):
+        want = [q_polygamma(self.P, x, 6) for x in self.XS]
+        assert [r.terms < 100 for r in want] == [True, False, True, False]
+        assert q_psi_grid(self.P, 6, self.XS) == want
+        keys = [(k, x) for x in self.XS for k in (0, 6)]
+        ctx_want = [evaluate(self.P, k, x) for k, x in keys]
+        assert EvalContext(self.P).psi_grid(keys) == ctx_want
+
+    def test_term_cap_raises_the_first_capped_lambert_keys_error(self):
+        # the Euler-Maclaurin rows take about 21 terms and meet the cap
+        t = Truncation(max_terms=1000)
+        with pytest.raises(NonConvergent) as info:
+            q_polygamma(self.P, 3.0, 6, t)
+        want = str(info.value)
+        assert q_polygamma(self.P, 0.05, 6, t).terms < 100
+        with pytest.raises(NonConvergent) as info:
+            q_psi_grid(self.P, 6, self.XS, t)
+        assert str(info.value) == want
+
+
+class TestCorners:
+    def test_values_match_the_pins(self):
+        ref = json.loads(REFERENCE.read_text("utf-8"))
+        assert [(c["q"], c["x"], c["k"]) for c in ref["cases"]] == CORNERS
+        for c in ref["cases"]:
+            want = float(c["value"])
+            got = evaluate(QParam(c["q"], allow_near_one=True), c["k"], c["x"])
+            assert got.terms < 100, c
+            assert 0.0 <= got.err_bound <= DEFAULT_TRUNCATION.target(got.value), c
+            assert abs(got.value - want) <= got.err_bound + 1e-14 * abs(want), (c, got)
+
+    def test_the_lambert_series_alone_reaches_a_3e6_term_cap(self):
+        p = QParam(0.9999, allow_near_one=True)
+        t = Truncation(max_terms=3_000_000)
+        with pytest.raises(NonConvergent):
+            core._psi_lambert(p, 6, 0.05, t)
+        assert core._psi_point(p, 6, 0.05, t) == q_polygamma(p, 0.05, 6)
+
+
+def reference_psi(q, x, k, shift=40, em_terms=20, dps=60):
+    """psi^(k)_q(x) in mpmath: -sum_j D^{k+1} L(x + j) plus the head, the
+    first terms differentiated numerically up to y0 = x + M >= shift (or
+    p^M < e^-100), the rest by em_terms Euler-Maclaurin orders at y0."""
+    import mpmath as mp
+
+    abs_ln_p = abs(math.log(q))
+    m = math.ceil(100.0 / abs_ln_p) if abs_ln_p > 0.5 else max(0, math.ceil(shift - x))
+    # L(y) must resolve p^y from 1 at y = x
+    dps += max(0, math.ceil(-math.log10(x)))
+    with mp.workdps(dps):
+        qm, xm = mp.mpf(q), mp.mpf(x)
+        ln_p = -abs(mp.log(qm))
+
+        def big_l(y):
+            return mp.log1p(-mp.exp(y * ln_p))
+
+        # a step relative to x keeps the stencil inside y > 0
+        h = xm * mp.mpf(2) ** (-mp.mp.prec - 10)
+        direct = mp.diff(lambda y: mp.fsum(big_l(y + j) for j in range(m)), xm, k + 1, h=h)
+        d = list(mp.diffs(big_l, xm + m, k + 2 * em_terms))
+        tail = -d[k] + d[k + 1] / 2 - mp.fsum(
+            mp.bernoulli(2 * i) / mp.factorial(2 * i) * d[k + 2 * i]
+            for i in range(1, em_terms + 1)
+        )
+        if q < 1.0:
+            pre = -mp.log(1 - qm) if k == 0 else 0
+        elif k == 0:
+            pre = -mp.log(qm - 1) + (xm - mp.mpf(1) / 2) * mp.log(qm)
+        else:
+            pre = mp.log(qm) if k == 1 else 0
+        return mp.nstr(pre - direct - tail, 40)
+
+
+if __name__ == "__main__":
+    captured_at = sys.argv[1] if len(sys.argv) > 1 else ""
+    cases = [{"q": q, "x": x, "k": k, "value": reference_psi(q, x, k)} for q, x, k in CORNERS]
+    REFERENCE.write_text(json.dumps({"captured_at": captured_at, "cases": cases}, indent=1) + "\n",
+                         "utf-8")
+    print(len(cases), "cases")
