@@ -30,7 +30,10 @@ def main():
     t = Truncation(rel_tol=1e-12, max_terms=10_000_000)
     for q in (0.9, 0.99, 0.999, 0.9999):
         z = digamma_zero(QParam(q, allow_near_one=True), tol=1e-10, trunc=t)
-        print(f"q={q:<7} x0={z.x0:.10f}  gap to classical {abs(z.x0 - CLASSICAL_ZERO):.2e}")
+        print(f"q={q:<7} x0={z.x0:.10f}  gap to classical {abs(z.x0 - CLASSICAL_ZERO):.2e}"
+              f"  iters {z.iterations}")
+    print("(near q = 1 the Euler-Maclaurin sum picks the bracket and locates the zero,")
+    print(" so iters, the Lambert q-digamma evaluations, falls to a few)")
 
     print()
     print("== the q-Euler-Mascheroni constant rides along ==")

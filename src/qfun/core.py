@@ -201,6 +201,32 @@ def _fp_allowance(*magnitudes: float) -> float:
     return 1e-13 * (1.0 + math.fsum(abs(m) for m in magnitudes))
 
 
+def _base_rounding(p: QParam, x: float) -> float:
+    """A bound on the error that rounding the base 1/q adds to the Lambert
+    q-digamma at every y >= x, for q > 1; 0.0 for q < 1, whose base is q.
+
+    The head takes lam = ln q from q, but the series part -lam S(lam') sums
+    at the rounded base b, with S(l) = sum_{k>=1} e^{-kyl} / (1 - e^{-kl})
+    and lam' - lam = -ln(bq), so |lam' - lam| is |bq - 1| (at most half an
+    ulp) to first order.  The error is then lam |S'(lam)| |bq - 1| (the next
+    order is |bq - 1| / lam times smaller).  With r = e^{-y lam}, the bounds
+    k / (1 - e^{-kl}) <= (1 + kl) / l and t e^{-t} / (1 - e^{-t})^2 <= 1/t
+    give lam |S'| <= y r/(1-r) (1 + lam/(1-r)) - ln(1-r) / lam, which falls
+    as y grows.  At q = 1.0001 and y = 1.46 it is 2.9e-12, within 4 % of
+    the error that the two sums show, against about 1e-15 for rounding
+    inside the sum.
+    """
+    if p.regime is Regime.SUB_UNIT:
+        return 0.0
+    # base * q - 1, exact in ints and rounded once
+    (nb, db), (nq, dq) = (1.0 / p.q).as_integer_ratio(), p.q.as_integer_ratio()
+    eta = abs(nb * nq - db * dq) / (db * dq)
+    lam = math.log(p.q)
+    one_r = -math.expm1(-x * lam)
+    slope = x * (1.0 - one_r) / one_r * (1.0 + lam / one_r) - math.log(one_r) / lam
+    return eta * slope
+
+
 def _tail_factors(n: int, last_k: int) -> tuple[float, float]:
     """The factors of the order-n tail majorant after term last_k that
     depend on n and last_k alone: ((last_k + 2) / (last_k + 1))^n and
@@ -769,10 +795,17 @@ def _em_instead(p: QParam, k: int, x: float, t: Truncation) -> EvalResult | None
     The tail majorant's underflow point caps the Lambert term count from
     above, and below the switch the Lambert sum is taken at once.
     Otherwise the Euler-Maclaurin result is kept if _lambert_floor, which
-    bounds the term count from below, exceeds the switch.  Where _psi_em
-    itself cannot meet t, the Lambert sum is taken as before.
+    bounds the term count from below, exceeds the switch.  The floor falls
+    as its cap grows, and every cap is at least the one that the head
+    alone gives, so where the floor at that cap is well within the switch
+    the Lambert sum is taken without computing _psi_em.  Where _psi_em itself
+    cannot meet t, the Lambert sum is taken as before.
     """
     if not _lambert_may_pass(math.log(_psi_parts(p, 0)[0]), k, x):
+        return None
+    # the floor at the least cap bounds the floor at any cap from above, up
+    # to _lambert_floor's bisection slack: 1e-3 relative and a term per side
+    if _lambert_floor(p, k, x, t) * (1.0 + 1e-3) + 2.0 <= _EM_SWITCH:
         return None
     try:
         em = _psi_em(p, k, x, t)
@@ -781,9 +814,13 @@ def _em_instead(p: QParam, k: int, x: float, t: Truncation) -> EvalResult | None
     return em if _lambert_floor(p, k, x, t, em) > _EM_SWITCH else None
 
 
-def _lambert_floor(p: QParam, k: int, x: float, t: Truncation, em: EvalResult) -> float:
+def _lambert_floor(
+    p: QParam, k: int, x: float, t: Truncation, em: EvalResult | None = None
+) -> float:
     """A lower bound on the terms that the Lambert sum of psi^(k)(x) takes,
-    given em, a psi^(k)(x) value with its error bound.
+    given em, a psi^(k)(x) value with its error bound.  Without em it is
+    the bound at the least cap, |h|, which bounds the one for any em from
+    above up to the bisection's slack.
 
     The sum's assembled value runs monotonically from h to value - e (see
     _psi_offsets), so em caps its stop target at target.  At base
@@ -797,7 +834,8 @@ def _lambert_floor(p: QParam, k: int, x: float, t: Truncation, em: EvalResult) -
     """
     base, _, head = _psi_parts(p, 0)
     h, e = _psi_offsets(p, k, x, head)
-    cap = (max(abs(h), abs(em.value - e)) + em.err_bound) * (1.0 + 1e-9)
+    cap = abs(h) if em is None else max(abs(h), abs(em.value - e)) + em.err_bound
+    cap *= 1.0 + 1e-9
     target = max(t.rel_tol * cap, t.abs_tol)
     lam = -math.log(base)
     lx = lam * x

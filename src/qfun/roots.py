@@ -7,7 +7,10 @@ bisects a fixed number of steps, then polishes with damped Newton steps that
 never leave the bracket.  A safeguarded Newton search finds the zero first,
 so the bisection evaluates only the midpoints near it: every other midpoint
 takes the branch its evaluation would have taken, and the result is the
-plain bisection's, bit for bit.
+plain bisection's, bit for bit.  Near q = 1, where each Lambert sum takes
+thousands to millions of terms, the bracket's signs and the search come
+from the Euler-Maclaurin sum instead, and the Lambert series runs only at
+the midpoints near the zero and in the Newton polish.
 """
 
 from __future__ import annotations
@@ -19,12 +22,15 @@ from typing import Callable
 from .core import (
     DEFAULT_TRUNCATION,
     DomainError,
+    EvalResult,
     NonConvergent,
     QParam,
     Regime,
     Truncation,
+    _base_rounding,
     _check_count,
     _fp_allowance,
+    _psi_em,
     _psi_point,
     q_digamma,
 )
@@ -35,6 +41,15 @@ _BRACKET_EXPANSIONS = 60
 # Newton steps the locate search may take; from the bracket midpoint it
 # needs about six, and running out only makes the bisection evaluate more
 _LOCATE_STEPS = 10
+# zero solves take their signs from core._psi_em where a Lambert sum at
+# x = 1 takes more than about this many terms (_em_guided).  Measured on a
+# shared 2-vCPU VM at x = 1.46: _psi_em gives psi or psi' in 31-40 us at
+# any q, a Lambert sum takes 25-33 us up to 192 terms, 42-52 us at 448
+# and 56-67 us at 960.  A guided solve makes about 14 _psi_em and 2
+# Lambert sums where another makes about 14 Lambert sums; whole solves
+# break even near 300-400 terms (|ln q| = 0.08-0.1, 0.5-0.7 ms either way)
+# and at 600 terms take 0.69 ms guided against 0.74-0.82 ms
+_GUIDE_TERMS = 400
 
 # digamma_zero's default bound on the residual |psi_q(x0)|
 DEFAULT_ZERO_TOL = 1e-12
@@ -46,8 +61,8 @@ class BracketError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ZeroResult:
-    """Located zero with the residual |psi_q(x0)|, the number of q-digamma
-    evaluations made, and the final bracket."""
+    """Located zero with the residual |psi_q(x0)|, the number of Lambert
+    q-digamma evaluations made, and the final bracket."""
 
     x0: float
     residual: float
@@ -72,25 +87,49 @@ def digamma_zero(
     bracket is bisected bisect_steps times, and the last midpoint polished
     by at most newton_steps damped Newton steps.  The result is that of
     evaluating every midpoint, bit for bit, but a midpoint m whose sign is
-    not in doubt is not evaluated: _locate first finds [a, b] with computed
-    psi(a) < 0 < psi(b), then m <= a - w becomes lo and m >= b + w becomes
-    hi.  iterations counts the q-digamma evaluations made, each point once.
-    They and the psi' evaluations are those of q_digamma and q_polygamma,
-    bit for bit, and share one table of the series denominators 1 - q^k.
+    not in doubt is not evaluated: _locate first finds [a, b] around the
+    zero, then m <= a - w becomes lo and m >= b + w becomes hi.
+    iterations counts the Lambert q-digamma evaluations made, each point
+    once.  They and the Lambert psi' evaluations of the Newton polish are
+    those of q_digamma and q_polygamma, bit for bit, and share one table of
+    the series denominators 1 - q^k.
 
-    Why the window w = 2E / s is safe.  psi is increasing and concave
-    (psi'' < 0 in both regimes), so psi' >= psi'(hi) >= s on [lo, hi],
-    where s is q_polygamma(p, hi, 1) less its err_bound and rounding
-    allowance.  A computed psi(x) lies within err_bound(x) + allowance of
-    the true one; the stop rule keeps err_bound(x) <= target(|psi(x)|), and
-    |psi(x)| <= F = max(|psi(lo)|, |psi(hi)|) on the bracket, so
-    E = target(F) + allowance(psi(lo), psi(hi)) bounds that error
-    throughout (the second-order terms, E inside |psi(x)| and the rounding
-    of a - w, sit inside the allowance's constant part unless rel_tol is
-    near 1).  So for m <= a - w the computed psi(m) <= psi(a) + 2E - s w
-    < 0, and for m >= b + w it is > 0: the branch its evaluation would
-    take.  When s <= 0 nothing is skipped.  _locate only chooses a and b,
-    so if it stops early fewer midpoints are skipped, never a wrong one.
+    The error bound E.  A computed Lambert psi(y) on [lo, hi] lies within
+    E = target(F) + allowance(psi(lo), psi(hi)) + base rounding of the true
+    psi(y) (_lambert_error): the stop rule keeps err_bound(y) <=
+    target(|psi(y)|), and |psi(y)| <= F = max(|psi(lo)|, |psi(hi)|) on the
+    bracket; the allowance covers the rounding inside a sum; and at q > 1
+    the sum runs at the rounded base 1/q (core._base_rounding).  The
+    second-order terms, E inside |psi(y)| and the rounding of a - w, sit
+    inside the allowance's constant part unless rel_tol is near 1.
+
+    Where the Lambert sums are long (_em_guided: near q = 1), the signs
+    that choose the bracket and the locate's iterates and slopes come from
+    core._psi_em instead, and the Lambert series runs only at the points
+    that the plain loop evaluates near the zero.  An Euler-Maclaurin value
+    v with bound e stands in for the Lambert sign at a bracket end only
+    where |v| > e + E: the Lambert value lies within E of psi and psi
+    within e of v (the allowance covers the rounding of both sums).  Where
+    it does not, the end takes its Lambert value.  No Lambert sum is taken
+    at a point near the zero that is not a midpoint: where a computed value
+    is exactly 0.0, the stop target falls to abs_tol, and at q = 1 - 1e-4,
+    x = 1.4616301623549381 the sum takes 4,849,600 terms (44 ms) against
+    458k-524k at the neighbouring midpoints.
+
+    Why the skipped midpoints are safe.  psi is increasing and concave
+    (psi'' < 0 in both regimes), so psi' falls, and a lower bound s on
+    psi'(c) bounds psi' from below on (0, c].  _locate ends with a <= b,
+    and the signs it found there bound the true psi: psi(a) <= R and
+    psi(b) >= -R, with R = 0 when guided (|v| > e + allowance(v) gives the
+    true sign) and R = E otherwise (a computed sign, or a computed 0.0
+    where a = b); an end still at lo or hi skips no midpoint.  Take
+    w = (E + R) / s, with s taken at a point c >= b + w: _locate takes the
+    slope point nearest past b + w, else hi.  As s is strictly below psi',
+    every m <= a - w has psi(m) < psi(a) - s w <= -E, so its computed
+    psi(m) < 0, and every m >= b + w has computed psi(m) > 0: the branch
+    its evaluation would take.  When s <= 0 nothing is skipped.  _locate
+    only chooses a and b, so if it stops early fewer midpoints are skipped,
+    never a wrong one.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be finite and > 0, got {tol}")
@@ -105,38 +144,61 @@ def digamma_zero(
             values[x] = _psi_point(p, 0, x, t, dens).value
         return values[x]
 
-    def slope(x: float) -> float:
-        return _psi_point(p, 1, x, t, dens).value
+    def slope(x: float) -> EvalResult:
+        return _psi_point(p, 1, x, t, dens)
+
+    # the evaluator choice.  ends gives a bracket end's value, with the
+    # Lambert sign; probe and probe_slope feed _locate, whose signs bound
+    # the true psi to within R = E, or R = 0 when guided, so the window is
+    # (E + R) / s = factor E / s
+    ends, probe, probe_slope, factor = f, f, slope, 2.0
+    if _em_guided(p, t):
+
+        def em(k: int, x: float) -> EvalResult | None:
+            try:
+                return _psi_em(p, k, x, t)
+            except NonConvergent:
+                return None
+
+        def ends(x: float) -> float:
+            r = em(0, x)
+            if r is not None and abs(r.value) > r.err_bound + _lambert_error(p, t, x, r.value):
+                return r.value
+            return f(x)
+
+        def probe(x: float) -> float | None:
+            r = em(0, x)
+            if r is None or abs(r.value) <= r.err_bound + _fp_allowance(r.value):
+                return None
+            return r.value
+
+        def probe_slope(x: float) -> EvalResult | None:
+            return em(1, x)
+
+        factor = 1.0
 
     lo, hi = 1.0, 2.0
-    f_lo, f_hi = f(lo), f(hi)
+    f_lo, f_hi = ends(lo), ends(hi)
     for _ in range(_BRACKET_EXPANSIONS):
         if f_lo < 0.0:
             break
         lo *= 0.5
-        f_lo = f(lo)
+        f_lo = ends(lo)
     for _ in range(_BRACKET_EXPANSIONS):
         if f_hi > 0.0:
             break
         hi *= 2.0
-        f_hi = f(hi)
+        f_hi = ends(hi)
     if not (f_lo < 0.0 < f_hi):
         raise BracketError(f"no sign change found for q={p.q} in ({lo:.3e}, {hi:.3e})")
 
     # locate no finer than the bisection resolves, and skip midpoints only
     # outside the window the error bounds certify (see above)
+    a, b, window = lo, hi, math.inf
     width = math.ldexp(hi - lo, -bisect_steps)
-    window = math.inf
     if width < hi - lo:
-        d = _psi_point(p, 1, hi, t, dens)
-        s = d.value - d.err_bound - _fp_allowance(d.value)
-        if s > 0.0:
-            err = t.target(max(-f_lo, f_hi)) + _fp_allowance(f_lo, f_hi)
-            window = 2.0 * err / s
-    a, b = lo, hi
-    width = max(window, width)
-    if width < hi - lo:
-        a, b = _locate(f, slope, lo, hi, width)
+        margin = factor * _lambert_error(p, t, lo, f_lo, f_hi)
+        a, b, window = _locate(probe, probe_slope, lo, hi, width, margin)
 
     x, fx = 0.5 * (lo + hi), None
     for _ in range(bisect_steps):
@@ -161,7 +223,7 @@ def digamma_zero(
     for _ in range(newton_steps):
         if abs(fx) <= tol:
             break
-        step = fx / slope(x)
+        step = fx / slope(x).value
         candidate = x - step
         if not lo < candidate < hi:
             candidate = 0.5 * (lo + hi)
@@ -181,41 +243,93 @@ def digamma_zero(
     return ZeroResult(x, residual, len(values), (lo, hi))
 
 
+def _em_guided(p: QParam, t: Truncation) -> bool:
+    """Whether a zero solve at p and t takes its signs from core._psi_em:
+    where -ln(t.target(1)) / |ln q|, about the terms of a Lambert sum at
+    x = 1, exceeds _GUIDE_TERMS."""
+    return -math.log(t.target(1.0)) > _GUIDE_TERMS * abs(math.log(p.q))
+
+
+def _lambert_error(p: QParam, t: Truncation, x: float, *values: float) -> float:
+    """E: a bound on |computed - true| for the Lambert q-digamma at every
+    y >= x in a bracket whose ends have the values given (see digamma_zero):
+    the stop target at their largest magnitude, the rounding allowance, and
+    at q > 1 the rounding of the base 1/q."""
+    return (
+        t.target(max(abs(v) for v in values))
+        + _fp_allowance(*values)
+        + _base_rounding(p, x)
+    )
+
+
 def _locate(
-    f: Callable[[float], float],
-    slope: Callable[[float], float],
+    f: Callable[[float], float | None],
+    slope: Callable[[float], EvalResult | None],
     lo: float,
     hi: float,
     width: float,
-) -> tuple[float, float]:
-    """A sub-bracket [a, b] of [lo, hi] with f(a) < 0 < f(b), narrowed by
-    safeguarded Newton steps until b - a <= width or _LOCATE_STEPS run out.
+    margin: float,
+) -> tuple[float, float, float]:
+    """(a, b, w): a sub-bracket [a, b] of [lo, hi] with f(a) < 0 < f(b)
+    (a = b where f is 0.0), narrowed by safeguarded Newton steps until
+    b - a <= max(width, w) or _LOCATE_STEPS run out, and the window
+    w = margin / s.
 
-    Once a step is at most width / 2, the iterate is as close to the zero
-    as the values can place it, and the next point is width / 2 past it on
-    the side whose end is still far, so the two ends close in from both
-    sides.  A step that leaves (a, b) is replaced by the midpoint.
+    f(x) is None where its sign is not certain.  s is the lower bound
+    value - err_bound - allowance on psi' at the point c nearest past
+    b + w where slope was taken (slope may give None), else at hi; w is
+    inf where that bound is <= 0.  Once a step is at most half the width,
+    or f(x) is None, the iterate is as close to the zero as the values can
+    place it, and the next point is half the width past it on the side
+    whose end is still far, so the two ends close in from both sides.  A
+    step that leaves (a, b) is replaced by the midpoint.
     """
+    bounds: dict[float, float] = {}  # a lower bound on psi' where slope was taken
+
+    def take(x: float) -> float:
+        d = slope(x)
+        if d is None:
+            return 0.0
+        bounds[x] = d.value - d.err_bound - _fp_allowance(d.value)
+        return d.value
+
+    def window() -> float:
+        """margin / s at the slope point c nearest past b + that, else 0.0."""
+        for c in sorted(c for c in bounds if c > b):
+            s = bounds[c]
+            if s > 0.0 and c >= b + margin / s:
+                return margin / s
+        return 0.0
+
     a, b = lo, hi
     x = 0.5 * (a + b)
     for _ in range(_LOCATE_STEPS):
         fx = f(x)
-        if fx < 0.0:
-            a = x
-        elif fx > 0.0:
-            b = x
-        else:
-            return x, x
-        if b - a <= width:
+        if fx is not None:
+            if fx < 0.0:
+                a = x
+            elif fx > 0.0:
+                b = x
+            else:
+                a = b = x
+        near = max(width, window())
+        if b - a <= near:
             break
-        d = slope(x)
-        step = fx / d if d > 0.0 else math.inf
+        step = 0.0
+        if fx is not None:
+            d = take(x)
+            step = fx / d if d > 0.0 else math.inf
         x -= step
-        if abs(step) <= 0.5 * width:
-            x += 0.5 * width if b - x > x - a else -0.5 * width
+        if abs(step) <= 0.5 * near:
+            x += 0.5 * near if b - x > x - a else -0.5 * near
         if not a < x < b:
             x = 0.5 * (a + b)
-    return a, b
+    w = window()
+    if not w:  # psi'(hi) bounds psi' on the whole bracket
+        take(hi)
+        s = bounds.get(hi, 0.0)
+        w = margin / s if s > 0.0 else math.inf
+    return a, b, w
 
 
 def q_euler_mascheroni(p: QParam, trunc: Truncation | None = None) -> float:

@@ -52,15 +52,22 @@ def seeded_points(q):
             yield k, math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
 
 
-def allowance(p, k, x, value):
-    """Rounding beyond both err_bounds: 1e-14 of the magnitudes the value
-    is assembled from, and at q > 1 the Lambert base 1/q, which is rounded,
+def base_allowance(p, value):
+    """8 u / |ln q| (1 + |value|): the Lambert base 1/q at q > 1 is rounded,
     so ln of it is off by up to u and the series part by about
     u / |ln q| (1 + |value|)."""
+    return 8.0 * U / abs(math.log(p.q)) * (1.0 + abs(value))
+
+
+def allowance(p, k, x, value):
+    """Rounding beyond both err_bounds: 1e-14 of the magnitudes the value
+    is assembled from, and at q > 1 what the rounded base 1/q adds, which
+    core._base_rounding bounds for psi^(0) and base_allowance for the
+    other orders."""
     h, _ = core._psi_offsets(p, k, x, core._psi_parts(p, 0)[2])
     out = 1e-14 * (abs(value) + abs(h))
     if p.q > 1.0:
-        out += 8.0 * U / abs(math.log(p.q)) * (1.0 + abs(value))
+        out += core._base_rounding(p, x) if k == 0 else base_allowance(p, value)
     return out
 
 
@@ -74,6 +81,44 @@ def test_paths_agree_and_the_floor_stays_below_the_lambert_terms(q):
         budget = lam.err_bound + em.err_bound + allowance(p, k, x, em.value)
         assert abs(lam.value - em.value) <= budget, (q, k, x, lam, em)
         assert core._lambert_floor(p, k, x, CAP, em) <= lam.terms, (q, k, x)
+        if k == 0:  # the derived bound is the tighter one
+            assert core._base_rounding(p, x) <= base_allowance(p, em.value), (q, x)
+
+
+def old_em_instead(p, k, x, t):
+    """The reference path choice: _psi_em at every point that
+    _lambert_may_pass flags, kept where its own floor passes the switch."""
+    if not core._lambert_may_pass(math.log(core._psi_parts(p, 0)[0]), k, x):
+        return None
+    try:
+        em = core._psi_em(p, k, x, t)
+    except NonConvergent:
+        return None
+    return em if core._lambert_floor(p, k, x, t, em) > core._EM_SWITCH else None
+
+
+def test_settling_from_the_head_keeps_every_path_choice():
+    rng = random.Random("em-instead")
+    seen = {"lambert": 0, "em": 0, "settled by the head": 0}
+    for _ in range(300):
+        side = rng.choice((-1.0, 1.0))
+        p = QParam(1.0 + side * math.exp(rng.uniform(math.log(1e-5), math.log(1e-2))),
+                   allow_near_one=True)
+        x = math.exp(rng.uniform(math.log(0.01), math.log(20.0)))
+        k = rng.randrange(9)
+        got = core._em_instead(p, k, x, DEFAULT_TRUNCATION)
+        assert got == old_em_instead(p, k, x, DEFAULT_TRUNCATION), (p.q, k, x)
+        seen["lambert" if got is None else "em"] += 1
+        try:
+            em = core._psi_em(p, k, x, DEFAULT_TRUNCATION)
+        except NonConvergent:
+            continue
+        head = core._lambert_floor(p, k, x, DEFAULT_TRUNCATION)
+        assert core._lambert_floor(p, k, x, DEFAULT_TRUNCATION, em) <= head * (1 + 1e-3) + 2
+        flagged = core._lambert_may_pass(math.log(core._psi_parts(p, 0)[0]), k, x)
+        if flagged and head * (1 + 1e-3) + 2 <= core._EM_SWITCH:
+            seen["settled by the head"] += 1
+    assert min(seen.values()) >= 5, seen
 
 
 def test_floor_stays_below_the_pinned_long_sums():

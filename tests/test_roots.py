@@ -6,6 +6,7 @@ series to 1e-21; constants against their defining sums.
 
 import math
 import random
+import statistics
 
 import pytest
 
@@ -20,6 +21,7 @@ from qfun import (
     q_harmonic,
     q_polygamma,
 )
+from qfun import core, roots
 
 # mpmath, 40 dps
 X0_FROZEN = {
@@ -100,6 +102,8 @@ def _oracle_cases():
     ):
         cases += [(q, None, kw) for q in (0.05, 0.5, 0.95, 1.5, 30.0)]
     cases.append((1.0 - 2e-4, capped, {"tol": 1e-3, "bisect_steps": 60}))
+    # just above 1, where rounding the Lambert base 1/q moves psi the most
+    cases += [(1.0 + rng.uniform(1e-4, 3e-4), None, {}) for _ in range(10)]
     return [
         pytest.param(q, trunc, kw, id=f"q={q!r}" + "".join(f",{k}={v}" for k, v in kw.items()))
         for q, trunc, kw in cases
@@ -209,6 +213,64 @@ class TestDigammaZero:
         z = digamma_zero(QParam(0.5), bisect_steps=0, newton_steps=40)
         assert z.x0 == pytest.approx(X0_FROZEN[0.5], abs=1e-11)
         assert z.residual <= 1e-12
+
+
+def near_one_draw(seed, n, lo, hi):
+    """n seeded q with |q - 1| log-uniform in [lo, hi], on both sides of 1."""
+    rng = random.Random(seed)
+    return [
+        QParam(1.0 + rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(math.log(lo), math.log(hi))),
+               allow_near_one=True)
+        for _ in range(n)
+    ]
+
+
+class TestEulerMaclaurinGuidance:
+    """Near q = 1 the signs that choose the bracket and the locate come from
+    the Euler-Maclaurin sum, and the Lambert series runs only at the points
+    that plain_zero evaluates near the zero."""
+
+    def test_rule_keeps_qfun_all_on_the_lambert_signs(self):
+        t = Truncation()
+        for q in X0_FROZEN:
+            assert not roots._em_guided(QParam(q), t), q
+        assert all(roots._em_guided(p, t) for p in near_one_draw(1, 20, 1e-4, 1e-2))
+
+    def test_near_one_solves_make_few_lambert_sums(self, monkeypatch):
+        point = roots._psi_point
+        calls = []
+
+        def counting(p, k, x, trunc, dens=None):
+            calls.append(k)
+            return point(p, k, x, trunc, dens)
+
+        monkeypatch.setattr(roots, "_psi_point", counting)
+        counts = []
+        for p in near_one_draw(13, 40, 1e-4, 1e-2):
+            calls.clear()
+            z = digamma_zero(p)
+            assert z.iterations == calls.count(0), p.q
+            counts.append(len(calls))
+        assert statistics.median(counts) <= 3, counts
+        assert max(counts) <= 8, counts
+
+    def test_lambert_error_bounds_the_gap_to_the_euler_maclaurin_value(self):
+        # at points within 1e-6 of the zero, as digamma_zero's E bounds it
+        rng = random.Random(7)
+        t = Truncation()
+        for p in near_one_draw(29, 16, 3e-5, 1e-2):
+            ends = [core._psi_em(p, 0, x, t).value for x in (1.0, 2.0)]
+            err = roots._lambert_error(p, t, 1.0, *ends)
+            x = digamma_zero(p).x0 + rng.uniform(-1e-6, 1e-6)
+            em = core._psi_em(p, 0, x, t)
+            lam = core._psi_point(p, 0, x, t)
+            assert abs(lam.value - em.value) <= em.err_bound + err, (p.q, x, lam, em, err)
+
+    def test_window_slopes_taken_near_the_zero(self):
+        # psi'(2) is far below psi'(x0) at small q: a window slope taken at
+        # hi would make these solves take 18, 14, 13 and 11 evaluations
+        got = {q: digamma_zero(QParam(q)).iterations for q in (0.01, 0.05, 0.1, 0.2)}
+        assert got == {0.01: 15, 0.05: 12, 0.1: 11, 0.2: 9}
 
 
 class TestQEulerMascheroni:
