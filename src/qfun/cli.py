@@ -320,8 +320,8 @@ def _run_verify(args: argparse.Namespace) -> list[VerifyReport]:
     unknown = [c for c in args.claim if c not in CLAIM_IDS]
     if unknown:
         raise DomainError(f"unknown claim ids: {', '.join(unknown)}")
-    # the verify flags name each ClaimArgs field alike, save trunc
-    kwargs = {f.name: getattr(args, f.name) for f in fields(ClaimArgs) if f.name != "trunc"}
+    # the verify flags name each ClaimArgs field alike
+    kwargs = {f.name: getattr(args, f.name) for f in fields(ClaimArgs)}
     params = _qparams(args)
     runs = [(claim, p) for claim in sorted(set(args.claim)) for p in params]
     return _run_claims(runs, _trunc(args), kwargs)

@@ -134,6 +134,12 @@ class QParam:
         return QParam(1.0 / self.q, allow_near_one=self.allow_near_one)
 
 
+def _require_sub_unit(p: QParam, subject: str) -> None:
+    """Raise DomainError unless 0 < q < 1, the one regime subject is stated for."""
+    if p.regime is not Regime.SUB_UNIT:
+        raise DomainError(f"{subject} is stated for 0 < q < 1, got q = {p.q!r}")
+
+
 @dataclass(frozen=True)
 class Truncation:
     """Stopping policy for the series engines.
@@ -626,7 +632,9 @@ def ln_q_gamma(p: QParam, x: float, trunc: Truncation | None = None) -> EvalResu
     Sub-unit q sums the log of the defining product directly.  Super-unit q
     sums its own product form, which carries the explicit q^{x(x-1)/2}
     prefactor; the two regimes share no closed-form shortcut, so the
-    inversion residual stays a meaningful consistency check.
+    inversion residual stays a meaningful consistency check.  Raises
+    OverflowError when the value is not finite, as at q = 2 past
+    x = 1.9e154, where that prefactor leaves the double range.
     """
     return _ln_gamma_rows(p, [x], trunc or DEFAULT_TRUNCATION)[0]
 
@@ -634,14 +642,19 @@ def ln_q_gamma(p: QParam, x: float, trunc: Truncation | None = None) -> EvalResu
 def _ln_gamma_rows(p: QParam, xs: Sequence[float], t: Truncation) -> list[EvalResult]:
     """ln Gamma_q at every x of xs around one _logprod_rows pass; each
     result is bit-identical to a one-point ln_q_gamma, whatever the other
-    points, and the first x in the order given that reaches the term cap
-    raises ln_q_gamma's NonConvergent."""
+    points.  The first x in the order given that reaches the term cap
+    raises ln_q_gamma's NonConvergent, and else the first whose value is
+    not finite raises its OverflowError."""
     xs = [_check_x(x) for x in xs]
     if not xs:
         return []
     pres, bases = zip(*(_ln_gamma_parts(p, x) for x in xs))
     rows = _logprod_rows(bases[0], xs, t, pres)
-    return [EvalResult(pre + s, tail, terms) for pre, (s, tail, terms) in zip(pres, rows)]
+    out = [EvalResult(pre + s, tail, terms) for pre, (s, tail, terms) in zip(pres, rows)]
+    for x, r in zip(xs, out):
+        if not math.isfinite(r.value):
+            raise OverflowError(f"ln_q_gamma overflows the double range at x = {x!r}")
+    return out
 
 
 def q_gamma(p: QParam, x: float, trunc: Truncation | None = None) -> EvalResult:

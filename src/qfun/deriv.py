@@ -2,7 +2,9 @@
 
 An EvalContext computes each q-polygamma value, each ln Gamma_q value and
 the digamma zero for one (q, truncation) at most once, a whole grid of
-q-polygamma or ln Gamma_q values in one pass.  A LogDerivProvider packages
+q-polygamma or ln Gamma_q values in one pass.  It is the one carrier of the
+truncation: a provider takes p as a QParam, evaluated at the default
+truncation, or as an EvalContext(p, trunc).  A LogDerivProvider packages
 analytic derivatives of ln f for some positive function f.
 certify_lcm sweeps such a provider over a grid and checks the
 alternating-sign pattern that defines logarithmic complete monotonicity,
@@ -87,17 +89,14 @@ class EvalContext:
         self._squared: EvalContext | None = None
 
     @classmethod
-    def of(cls, p: QParam | EvalContext, trunc: Truncation | None = None) -> EvalContext:
-        """p itself when it is a context, or else a new context at (p, trunc).
+    def of(cls, p: QParam | EvalContext) -> EvalContext:
+        """p itself when it is a context, or else a new context at p with
+        the default truncation.
 
-        Every public verifier and provider resolves its p argument here.  A
-        context carries its own truncation, so trunc must then be omitted.
+        Every public verifier and provider resolves its p argument here, so
+        a caller sets another truncation by passing EvalContext(p, trunc).
         """
-        if not isinstance(p, EvalContext):
-            return cls(p, trunc)
-        if trunc is not None:
-            raise DomainError("trunc comes from the evaluation context; omit it")
-        return p
+        return p if isinstance(p, EvalContext) else cls(p)
 
     def psi(self, k: int, x: float) -> EvalResult:
         r = self._results.get((k, x))
@@ -313,10 +312,10 @@ def certify_lcm(
     The margins of all orders are one array, from the provider's d_grid or
     else from d in ascending order then grid order, and are reduced in that
     order: the reported violation is the lowest-order, leftmost one, and
-    the worst margin the first of the least ones.
+    the worst margin the first of the least ones.  A margin that is not
+    >= -tol fails, NaN included, and a NaN margin is then the worst.
     """
-    if n_orders < 1:
-        raise DomainError(f"n_orders must be >= 1, got {n_orders}")
+    _check_count("n_orders", n_orders, 1)
     if not 0.0 <= tol < math.inf:
         raise DomainError(f"tol must be finite and >= 0, got {tol}")
     xs = [float(x) for x in np.asarray(grid, dtype=np.float64).ravel()]
@@ -336,12 +335,12 @@ def certify_lcm(
             raise ValueError(f"d_grid returned shape {d.shape}, expected {(n_orders, len(xs))}")
     signs = np.array([-1.0 if n % 2 else 1.0 for n in orders])
     margins = (signs[:, None] * d).ravel()
-    # the first least margin in order-then-x order; a NaN margin never
-    # counts, as it never compares below another
-    i = int(np.argmin(np.where(np.isnan(margins), math.inf, margins)))
-    worst = math.inf if np.isnan(margins[i]) else float(margins[i])
+    # the first least margin in order-then-x order; argmin takes the first
+    # NaN before any number
+    i = int(np.argmin(margins))
+    worst = float(margins[i])
     worst_order, worst_x = i // len(xs) + 1, xs[i % len(xs)]
-    below = np.flatnonzero(margins < -tol)
+    below = np.flatnonzero(~(margins >= -tol))
     violation: tuple[int, float, float] | None = None
     if below.size:
         j = int(below[0])
@@ -359,12 +358,10 @@ def certify_lcm(
     )
 
 
-def ln_gamma_provider(
-    p: QParam | EvalContext, trunc: Truncation | None = None
-) -> LogDerivProvider:
+def ln_gamma_provider(p: QParam | EvalContext) -> LogDerivProvider:
     """ln Gamma_q and its derivatives: d(1) is the q-digamma, d(n) for
     n >= 2 the order n-1 q-polygamma."""
-    ctx = EvalContext.of(p, trunc)
+    ctx = EvalContext.of(p)
 
     def d_grid(orders: Sequence[int], xs: Sequence[float]) -> np.ndarray:
         _check_orders(orders)
@@ -379,14 +376,13 @@ def ratio_provider(
     b: float,
     alpha: float,
     beta: float,
-    trunc: Truncation | None = None,
 ) -> LogDerivProvider:
     """ln of Gamma_q(a x)^alpha / Gamma_q(b x)^beta.
 
     The n-th log-derivative is alpha a^n psi^(n-1)(a x) - beta b^n psi^(n-1)(b x),
     with psi^(0) the q-digamma.
     """
-    ctx = EvalContext.of(p, trunc)
+    ctx = EvalContext.of(p)
     if not (0.0 < a < b):
         raise DomainError(f"need 0 < a < b, got a={a}, b={b}")
 

@@ -25,13 +25,13 @@ from .core import (
     EvalResult,
     NonConvergent,
     QParam,
-    Regime,
     Truncation,
     _base_rounding,
     _check_count,
     _fp_allowance,
     _psi_em,
     _psi_point,
+    _require_sub_unit,
     q_digamma,
 )
 
@@ -338,8 +338,7 @@ def q_euler_mascheroni(p: QParam, trunc: Truncation | None = None) -> float:
     Normalized so that psi_q(1) = ln(q)/(1-q) * gamma_q, which sends
     gamma_q to the classical constant as q -> 1-.
     """
-    if p.regime is not Regime.SUB_UNIT:
-        raise DomainError("q_euler_mascheroni takes 0 < q < 1")
+    _require_sub_unit(p, "q_euler_mascheroni")
     psi1 = q_digamma(p, 1.0, trunc).value
     return psi1 * (1.0 - p.q) / math.log(p.q)
 
@@ -350,8 +349,7 @@ def q_harmonic(p: QParam, n: int) -> float:
     Finite sum, so the only error is rounding; satisfies
     psi_q(n+1) = psi_q(1) - ln(q) * H_{n,q}.
     """
-    if p.regime is not Regime.SUB_UNIT:
-        raise DomainError("q_harmonic takes 0 < q < 1")
+    _require_sub_unit(p, "q_harmonic")
     _check_count("n", n, 0)
     lnq = math.log(p.q)
     return math.fsum(-math.exp(j * lnq) / math.expm1(j * lnq) for j in range(1, n + 1))

@@ -6,11 +6,12 @@ carrying the worst margin, the first counterexample if any, and notes on
 branch choices or excluded points.  Wherever a claim involves products or
 powers of gamma values the comparison happens in log space.  The CLAIMS
 registry maps the stable claim-id strings onto these verifiers and regimes.
-Every public verifier and provider, and run_claim, takes p as a QParam or
-as an EvalContext at that q, resolved by EvalContext.of; a context carries
-its own truncation.  Every evaluator value goes through that one context,
-so claim runs that share a context solve for the digamma zero once and
-compute each value once.
+Every public verifier and provider, and run_claim, takes p as a QParam,
+evaluated at the default truncation, or as an EvalContext at that q,
+resolved by EvalContext.of; the context is the one carrier of the
+truncation, so another one is passed as EvalContext(p, trunc).  Every
+evaluator value goes through that one context, so claim runs that share a
+context solve for the digamma zero once and compute each value once.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from .core import (
     QParam,
     Regime,
     ResidualCheck,
-    Truncation,
     _check_count,
     _fp_allowance,
+    _require_sub_unit,
 )
 from .deriv import (
     N_MAX,
@@ -145,7 +146,9 @@ def _finish(
     tol: float,
     notes: tuple[str, ...] = (),
 ) -> VerifyReport:
-    """Fold margin rows into a report; rows are scanned in append order."""
+    """Fold margin rows into a report; rows are scanned in append order.
+    A margin that is not >= -tol fails, NaN included, and the first NaN
+    margin is then the worst."""
     notes = tuple(notes)
     if not rows:
         return VerifyReport(
@@ -159,8 +162,9 @@ def _finish(
             notes=notes + ("no points examined",),
             tol=tol,
         )
-    worst = min(rows, key=lambda r: r["margin"])
-    counter = next((r for r in rows if r["margin"] < -tol), None)
+    nans = [r for r in rows if math.isnan(r["margin"])]
+    worst = nans[0] if nans else min(rows, key=lambda r: r["margin"])
+    counter = next((r for r in rows if not r["margin"] >= -tol), None)
     passed = counter is None
     if passed and worst["margin"] < TIGHT_MARGIN:
         notes = notes + (f"tight margin {worst['margin']:.3e}",)
@@ -222,7 +226,6 @@ def verify_theorem_ratio_lcm(
     grid: np.ndarray | None = None,
     n_orders: int = N_MAX,
     tol: float = DEFAULT_TOL,
-    trunc: Truncation | None = None,
 ) -> VerifyReport:
     """Log-complete-monotonicity of Gamma_q(ax)^alpha / Gamma_q(bx)^beta.
 
@@ -232,7 +235,7 @@ def verify_theorem_ratio_lcm(
     q > 1 the necessity direction is not asserted, so unbalanced input is
     reported as out of scope rather than scanned.
     """
-    ctx = EvalContext.of(p, trunc)
+    ctx = EvalContext.of(p)
     p = ctx.p
     if grid is None:
         grid = _default_grid()
@@ -258,12 +261,10 @@ def verify_theorem_ratio_lcm(
     return _finish("t31-ratio-lcm", params, _grid_summary(grid), _cm_rows(cm), tol, notes)
 
 
-def ratio_log_middle(
-    spec: RatioSpec, p: QParam | EvalContext, x1: float, x: float, trunc: Truncation | None = None
-) -> float:
+def ratio_log_middle(spec: RatioSpec, p: QParam | EvalContext, x1: float, x: float) -> float:
     """Log of the normalized ratio appearing in the two-sided bound:
     alpha [lnG(ax) - lnG(ax1)] - beta [lnG(bx) - lnG(bx1)]."""
-    lng = EvalContext.of(p, trunc).ln_gamma
+    lng = EvalContext.of(p).ln_gamma
     return spec.alpha * (lng(spec.a * x).value - lng(spec.a * x1).value) - spec.beta * (
         lng(spec.b * x).value - lng(spec.b * x1).value
     )
@@ -275,14 +276,13 @@ def verify_ineq_555(
     x1: float = 1.0,
     grid: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
-    trunc: Truncation | None = None,
 ) -> VerifyReport:
     """Two-sided bound for the normalized ratio at balanced exponents.
 
     In log space: alpha a (x - x1) [psi(a x1) - psi(b x1)] <= ln(middle) <= 0
     for every grid x > x1, each side with slack tol.
     """
-    ctx = EvalContext.of(p, trunc)
+    ctx = EvalContext.of(p)
     if not spec.balanced():
         raise DomainError("the two-sided bound needs balanced exponents (alpha a = beta b)")
     if spec.alpha < 0.0 or spec.beta < 0.0:
@@ -312,14 +312,12 @@ def verify_ineq_666(
     p: QParam | EvalContext,
     n_max: int = 20,
     tol: float = DEFAULT_TOL,
-    trunc: Truncation | None = None,
 ) -> VerifyReport:
     """exp[2q(n-1) ln(q)/(1-q)] <= Gamma_q(n)^2 / Gamma_q(2n) <= 1 for
     integers n = 1..n_max, checked in log space."""
-    ctx = EvalContext.of(p, trunc)
+    ctx = EvalContext.of(p)
     p = ctx.p
-    if p.regime is not Regime.SUB_UNIT:
-        raise DomainError("this bound is stated for 0 < q < 1")
+    _require_sub_unit(p, "this bound")
     _check_count("n_max", n_max, 1)
     lnq = math.log(p.q)
     ctx.ln_gamma_grid(v for n in range(1, n_max + 1) for v in (float(n), 2.0 * n))
@@ -335,23 +333,20 @@ def verify_ineq_666(
 # ---------------------------------------------------------------------------
 # duplication identity and the exponentially corrected ratio square
 
-def psi_duplication_residual(
-    p: QParam | EvalContext, x: float, trunc: Truncation | None = None
-) -> ResidualCheck:
+def psi_duplication_residual(p: QParam | EvalContext, x: float) -> ResidualCheck:
     """|psi_q(2x) - ln(1+q) - psi_{q^2}(x)/2 - psi_{q^2}(x+1/2)/2| with its
     combined error budget.
 
     Both sides come from independent series, so a passing residual
     certifies the duplication identity at this point.
     """
-    return _duplication_residuals(EvalContext.of(p, trunc), [x])[0]
+    return _duplication_residuals(EvalContext.of(p), [x])[0]
 
 
 def _duplication_residuals(ctx: EvalContext, xs: Sequence[float]) -> list[ResidualCheck]:
     """psi_duplication_residual at every x of xs, each base's psi values
     evaluated in one grid pass."""
-    if ctx.p.regime is not Regime.SUB_UNIT:
-        raise DomainError("the duplication identity is certified for 0 < q < 1")
+    _require_sub_unit(ctx.p, "the duplication identity")
     lhs = ctx.psi_grid((0, 2.0 * x) for x in xs)
     rhs = ctx.squared().psi_grid([(0, x) for x in xs] + [(0, x + 0.5) for x in xs])
     c = math.log1p(ctx.p.q)
@@ -371,12 +366,11 @@ def _duplication_residuals(ctx: EvalContext, xs: Sequence[float]) -> list[Residu
 def verify_psi_duplication(
     p: QParam | EvalContext,
     grid: np.ndarray | None = None,
-    trunc: Truncation | None = None,
 ) -> VerifyReport:
     """Sweep the duplication residual; margin is budget - residual and the
     pass rule is margin >= 0, so every point must meet its own error
     budget with no extra slack."""
-    ctx = EvalContext.of(p, trunc)
+    ctx = EvalContext.of(p)
     if grid is None:
         grid = _default_grid()
     xs = [float(x) for x in np.asarray(grid, dtype=np.float64).ravel()]
@@ -394,15 +388,13 @@ def verify_psi_duplication(
     )
 
 
-def _check_g_beta_regime(p: QParam) -> None:
-    """Every g_beta claim and formula is stated for 0 < q < 1 only."""
-    if p.regime is not Regime.SUB_UNIT:
-        raise DomainError("the corrected ratio square is stated for 0 < q < 1")
+# every g_beta claim and formula is stated for 0 < q < 1 only
+_G_BETA = "the corrected ratio square"
 
 
 def _g_beta_weight(ctx: EvalContext, beta: float | None) -> float:
     """beta as given, or beta_star(q) when None; it must be finite."""
-    _check_g_beta_regime(ctx.p)
+    _require_sub_unit(ctx.p, _G_BETA)
     b = beta_star(ctx) if beta is None else float(beta)
     if not math.isfinite(b):
         raise DomainError(f"beta must be a finite real, got {b!r}")
@@ -413,14 +405,11 @@ def beta_star(p: QParam | EvalContext) -> float:
     """Threshold -13 ln(q) / (6 (1 - q^2)) above which the corrected ratio
     square is certified monotone, for 0 < q < 1."""
     p = EvalContext.of(p).p
-    if p.regime is not Regime.SUB_UNIT:
-        raise DomainError("beta_star takes 0 < q < 1")
+    _require_sub_unit(p, "beta_star")
     return -13.0 * math.log(p.q) / (6.0 * (1.0 - p.q * p.q))
 
 
-def ln_g_beta(
-    p: QParam | EvalContext, beta: float, x: float, trunc: Truncation | None = None
-) -> float:
+def ln_g_beta(p: QParam | EvalContext, beta: float, x: float) -> float:
     """Direct log of the exponentially corrected ratio square:
     -ln(1+q) + 2[lnG_{q^2}(x+1/2) - lnG_{q^2}(x+1)] + beta(1-q^2)q^{2x}/(2(1-q^{2x}))
     + psi_q(2x).
@@ -428,9 +417,9 @@ def ln_g_beta(
     Deliberately avoids the duplication substitution so finite differences
     of this value cross-check g_beta_log_deriv.
     """
-    ctx = EvalContext.of(p, trunc)
+    ctx = EvalContext.of(p)
     p = ctx.p
-    _check_g_beta_regime(p)
+    _require_sub_unit(p, _G_BETA)
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
     half = ctx.squared()
@@ -444,9 +433,7 @@ def ln_g_beta(
     )
 
 
-def g_beta_log_deriv(
-    p: QParam | EvalContext, beta: float, n: int, x: float, trunc: Truncation | None = None
-) -> float:
+def g_beta_log_deriv(p: QParam | EvalContext, beta: float, n: int, x: float) -> float:
     """n-th derivative of ln g_beta, assembled analytically.
 
     Uses the duplication identity to trade psi_q(2x) for half-argument
@@ -460,7 +447,7 @@ def g_beta_log_deriv(
     with every psi taken at base q^2 and psi^(0) the digamma; the one-point
     case of g_beta_provider's d_grid.
     """
-    ctx = EvalContext.of(p, trunc)
+    ctx = EvalContext.of(p)
     return float(_g_beta_d_grid(ctx, beta)([n], [x])[0, 0])
 
 
@@ -475,7 +462,7 @@ def _g_beta_d_grid(
     weight = 0.5 * beta * (1.0 - p.q * p.q)
 
     def d_grid(orders: Sequence[int], xs: Sequence[float]) -> np.ndarray:
-        _check_g_beta_regime(p)
+        _require_sub_unit(p, _G_BETA)
         for n in orders:
             _check_count("derivative order", n, 1)
         for x in xs:
@@ -497,10 +484,8 @@ def _g_beta_d_grid(
     return d_grid
 
 
-def g_beta_provider(
-    p: QParam | EvalContext, beta: float, trunc: Truncation | None = None
-) -> LogDerivProvider:
-    ctx = EvalContext.of(p, trunc)
+def g_beta_provider(p: QParam | EvalContext, beta: float) -> LogDerivProvider:
+    ctx = EvalContext.of(p)
     name = f"g_beta(q={ctx.p.q:g}, beta={beta:g})"
     return LogDerivProvider.from_grid(_g_beta_d_grid(ctx, beta), 0.0, math.inf, name)
 
@@ -511,7 +496,6 @@ def verify_g_beta_lcm(
     grid: np.ndarray | None = None,
     n_orders: int = N_MAX,
     tol: float = DEFAULT_TOL,
-    trunc: Truncation | None = None,
 ) -> VerifyReport:
     """Alternating-sign certification for ln g_beta; beta defaults to the
     threshold beta_star(q), the smallest certified value.
@@ -520,7 +504,7 @@ def verify_g_beta_lcm(
     first, since the analytic derivatives lean on it; a gate failure
     fails the claim without running the sweep.
     """
-    ctx = EvalContext.of(p, trunc)
+    ctx = EvalContext.of(p)
     if grid is None:
         grid = _default_grid()
     b = _g_beta_weight(ctx, beta)
@@ -548,7 +532,7 @@ def phi_series_coefficient(beta: float, p: QParam | EvalContext, n: int) -> floa
     from the series whose nonnegativity drives the g_beta certification."""
     _check_count("n", n, 1)
     p = EvalContext.of(p).p
-    _check_g_beta_regime(p)
+    _require_sub_unit(p, _G_BETA)
     q = p.q
     return (
         -beta * (1.0 - q * q) / (2.0 * math.log(q))
@@ -579,15 +563,13 @@ def verify_phi_coeff(
 # ---------------------------------------------------------------------------
 # right of the digamma zero: reciprocal monotonicity and mean inequalities
 
-def inv_digamma_provider(
-    p: QParam | EvalContext, trunc: Truncation | None = None
-) -> tuple[LogDerivProvider, float]:
+def inv_digamma_provider(p: QParam | EvalContext) -> tuple[LogDerivProvider, float]:
     """Provider for ln(1/psi_q) on (x0, inf), plus the located x0.
 
     Derivatives of ln psi_q come from psi_q and its analytic derivatives
     through the log-derivative triangle; the sign flip gives 1/psi_q.
     """
-    ctx = EvalContext.of(p, trunc)
+    ctx = EvalContext.of(p)
 
     def d_grid(orders: Sequence[int], xs: Sequence[float]) -> np.ndarray:
         _check_orders(orders)
@@ -606,14 +588,13 @@ def verify_inv_digamma_lcm(
     grid: np.ndarray | None = None,
     n_orders: int = 4,
     tol: float = DEFAULT_TOL,
-    trunc: Truncation | None = None,
 ) -> VerifyReport:
     """Alternating-sign certification for ln(1/psi_q) right of the zero.
 
     The grid must clear x0 by ZERO_MARGIN; the default covers
     [x0 + 0.1, 20].
     """
-    ctx = EvalContext.of(p, trunc)
+    ctx = EvalContext.of(p)
     provider, x0 = inv_digamma_provider(ctx)
     if grid is None:
         grid = make_grid(x0 + 0.1, DEFAULT_X_MAX, DEFAULT_POINTS, DEFAULT_SPACING)
@@ -639,14 +620,13 @@ def verify_ineq_1(
     x: float,
     y: float,
     tol: float = DEFAULT_TOL,
-    trunc: Truncation | None = None,
 ) -> VerifyReport:
     """psi(x)^{1/a} psi(y)^{1-1/a} <= psi(x/a + (1-1/a)y) for x, y > x0, a > 1.
 
     Checked in log space at the single point (x, y); the mixed argument is
     a convex combination, so it stays right of the zero automatically.
     """
-    ctx = EvalContext.of(p, trunc)
+    ctx = EvalContext.of(p)
     rows = [_ineq_1_row(ctx, a, x, y)]
     params = {"q": ctx.p.q, "a": a, "x": x, "y": y, "x0": ctx.zero().x0}
     return _finish("c-ineq-1", params, {"points": 1}, rows, tol)
@@ -677,14 +657,13 @@ def verify_ineq_010(
     a: float,
     u: float,
     tol: float = DEFAULT_TOL,
-    trunc: Truncation | None = None,
 ) -> VerifyReport:
     """psi(2)^{a-1} <= psi(u+1)^a / psi(a(u-1)+2) for a > 1, in log space.
 
     All three psi arguments must sit right of the zero so the real powers
     exist; u and the derived argument a(u-1)+2 are both checked.
     """
-    ctx = EvalContext.of(p, trunc)
+    ctx = EvalContext.of(p)
     rows = [_ineq_010_row(ctx, a, u)]
     params = {"q": ctx.p.q, "a": a, "u": u, "x0": ctx.zero().x0}
     return _finish("c-ineq-010", params, {"points": 1}, rows, tol)
@@ -708,7 +687,6 @@ def verify_remark_ineq(
     p: QParam | EvalContext,
     n_max: int = 20,
     tol: float = DEFAULT_TOL,
-    trunc: Truncation | None = None,
 ) -> VerifyReport:
     """psi(2)^2 psi(2n) <= [ln(q)/(1-q) gamma_q - ln(q) H_{n,q}]^2 for
     n = 1..n_max, 0 < q < 1.
@@ -717,10 +695,9 @@ def verify_remark_ineq(
     Euler-Mascheroni constant and the q-harmonic numbers; a cross-check
     confirms it reproduces psi(n+1) before the margins are trusted.
     """
-    ctx = EvalContext.of(p, trunc)
+    ctx = EvalContext.of(p)
     p = ctx.p
-    if p.regime is not Regime.SUB_UNIT:
-        raise DomainError("this bound is stated for 0 < q < 1")
+    _require_sub_unit(p, "this bound")
     _check_count("n_max", n_max, 1)
     lnq = math.log(p.q)
     # one grid pass for every psi point below; n = 1 gives psi(2)
@@ -748,7 +725,6 @@ def verify_gamma_lcm_and_superadd(
     grid_lcm: np.ndarray | None = None,
     n_orders: int = N_MAX,
     tol: float = DEFAULT_TOL,
-    trunc: Truncation | None = None,
 ) -> VerifyReport:
     """Two-part claim: ln Gamma_q alternates signs on (0, x0), and
     Gamma_q(x+1) Gamma_q(y+1) <= Gamma_q(x+y+2) over (0,1)^2 in log space.
@@ -756,7 +732,7 @@ def verify_gamma_lcm_and_superadd(
     Pass grid_x with zero points to skip the pair part, or grid_lcm with
     zero points to skip the monotonicity part.
     """
-    ctx = EvalContext.of(p, trunc)
+    ctx = EvalContext.of(p)
     z = ctx.zero()
     if grid_lcm is None:
         grid_lcm = make_grid(DEFAULT_X_MIN, z.x0 - ZERO_MARGIN, DEFAULT_POINTS, DEFAULT_SPACING)
@@ -817,7 +793,6 @@ class ClaimArgs:
     n_max: int = 20
     orders: int = N_MAX
     tol: float = DEFAULT_TOL
-    trunc: Truncation | None = None
 
     def grid(self) -> np.ndarray:
         if self.x is not None:
@@ -970,9 +945,10 @@ CLAIM_IDS = tuple(CLAIMS)
 def run_claim(claim_id: str, p: QParam | EvalContext, **overrides) -> VerifyReport:
     """Run one registered claim with sweep defaults.
 
-    p is the q parameter, or an EvalContext at that q which several claim
-    runs share so that each value and the digamma zero are computed once;
-    a context carries its own truncation, so trunc must then be omitted.
+    p is the q parameter, evaluated at the default truncation, or an
+    EvalContext at that q, which carries its own truncation and which
+    several claim runs share so that each value and the digamma zero are
+    computed once.
     The keyword arguments are the ClaimArgs fields; one given as None
     keeps the claim's default, and an unknown name with a value raises
     TypeError.  x switches to single-point mode.  For the paired claims
@@ -986,7 +962,7 @@ def run_claim(claim_id: str, p: QParam | EvalContext, **overrides) -> VerifyRepo
     args = replace(claim.defaults, **{k: v for k, v in overrides.items() if v is not None})
     if not 0.0 <= args.tol < math.inf:
         raise DomainError(f"tol must be finite and >= 0, got {args.tol}")
-    return claim.run(EvalContext.of(p, args.trunc), args)
+    return claim.run(EvalContext.of(p), args)
 
 
 def rerun_kwargs(rep: VerifyReport, row: dict) -> dict:

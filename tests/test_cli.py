@@ -130,6 +130,21 @@ class TestExitCodes:
         assert out == ""
         assert "beta must be a finite real" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--fn", "ln-gamma", "--q", "2", "--x", "1e160"),
+            ("verify", "--claim", "c-555", "--q", "2", "--x", "1e160"),
+        ],
+        ids=["eval", "c-555"],
+    )
+    def test_ln_gamma_overflow_exits_two(self, capsys, argv):
+        # q^{x(x-1)/2} leaves the double range past x = 1.9e154 at q = 2
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: ln_q_gamma overflows the double range at x = 1e+160\n"
+
     @pytest.mark.parametrize("cmd", FLAGS)
     def test_help_lists_every_flag(self, capsys, cmd):
         # argparse formats help strings only when --help runs

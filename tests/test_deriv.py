@@ -214,6 +214,17 @@ class TestCertifyLcm:
         with pytest.raises(DomainError, match="tol must be finite and >= 0"):
             certify_lcm(prov, make_grid(1.0, 2.0, points=4), tol=tol)
 
+    def test_nan_margin_fails(self):
+        # a NaN margin is not >= -tol, so it is a violation and the worst
+        prov = LogDerivProvider(d=lambda n, x: math.nan, lo=0.0, hi=math.inf, name="nan")
+        grid = make_grid(1.0, 2.0, points=4)
+        rep = certify_lcm(prov, grid, n_orders=2)
+        assert not rep.passed
+        assert math.isnan(rep.worst_margin)
+        assert (rep.worst_order, rep.worst_x) == (1, float(grid[0]))
+        n, x, margin = rep.violation
+        assert (n, x) == (1, float(grid[0])) and math.isnan(margin)
+
 
 class TestProviders:
     def test_ln_gamma_provider_first_order_is_digamma(self):
@@ -398,6 +409,15 @@ class TestLnGammaGrid:
             EvalContext(p, t).ln_gamma_grid(xs)
         assert str(info.value) == want
 
+    def test_overflow_raises_the_first_points_error(self):
+        # at q = 2 the prefactor q^{x(x-1)/2} leaves the double range past
+        # x = 1.9e154, on the log scale too
+        p = QParam(2.0)
+        with pytest.raises(OverflowError, match=re.escape("at x = 3e+160")):
+            ln_q_gamma(p, 3e160)
+        with pytest.raises(OverflowError, match=re.escape("at x = 3e+160")):
+            EvalContext(p).ln_gamma_grid([1.5, 3e160, 2e160])
+
     def test_ln_gamma_returns_the_grid_result(self):
         ctx = EvalContext(QParam(0.5))
         got = ctx.ln_gamma_grid([1.5, 0.3, 1.5])
@@ -501,9 +521,9 @@ class TestGridHook:
                 certify_lcm(prov, grid)
             return str(info.value)
 
-        hooked = ratio_provider(p, a=1.0, b=2.0, alpha=2.0, beta=1.0, trunc=t)
+        hooked = ratio_provider(EvalContext(p, t), a=1.0, b=2.0, alpha=2.0, beta=1.0)
         per_point = dataclasses.replace(
-            ratio_provider(p, a=1.0, b=2.0, alpha=2.0, beta=1.0, trunc=t), d_grid=None
+            ratio_provider(EvalContext(p, t), a=1.0, b=2.0, alpha=2.0, beta=1.0), d_grid=None
         )
         want = sweep(per_point)
         assert want == "term cap 1000 reached before the tail target (q=0.5, x=0.0451, order=1)"
@@ -513,7 +533,7 @@ class TestGridHook:
 def plain_certify(provider, grid, n_orders=N_MAX, tol=1e-9):
     """The sweep certify_lcm must agree with: read d(n, x) one point at a
     time, ascending order then grid order, keeping the first strictly
-    smaller margin and the first one below -tol."""
+    smaller margin, or the first NaN one, and the first one not >= -tol."""
     xs = [float(x) for x in np.asarray(grid, dtype=np.float64).ravel()]
     worst = math.inf
     worst_order, worst_x = 1, xs[0]
@@ -522,10 +542,10 @@ def plain_certify(provider, grid, n_orders=N_MAX, tol=1e-9):
         sign = -1.0 if n % 2 else 1.0
         for x in xs:
             margin = sign * provider.d(n, x)
-            if margin < worst:
+            if not math.isnan(worst) and (math.isnan(margin) or margin < worst):
                 worst = margin
                 worst_order, worst_x = n, x
-            if violation is None and margin < -tol:
+            if violation is None and not margin >= -tol:
                 violation = (n, x, margin)
     return CMReport(
         name=provider.name,
@@ -586,7 +606,7 @@ class TestCertifyReduction:
         margins = self.CASES[case]
         want = plain_certify(self.provider(margins, False), self.XS, 3, self.TOL)
         got = certify_lcm(self.provider(margins, hook), self.XS, 3, self.TOL)
-        assert got == want
+        # repr is exact for floats and, unlike ==, holds for NaN
         assert repr(got) == repr(want)
 
     def test_tol_zero_keeps_minus_zero(self):

@@ -18,15 +18,18 @@ from qfun import (
     DomainError,
     EvalContext,
     LogDerivProvider,
+    NonConvergent,
     QParam,
     RatioSpec,
     Truncation,
     beta_star,
+    certify_lcm,
     digamma_zero,
     finite_diff,
     g_beta_log_deriv,
     inv_digamma_provider,
     ln_g_beta,
+    ln_gamma_provider,
     make_grid,
     phi_series_coefficient,
     psi_duplication_residual,
@@ -49,7 +52,7 @@ from qfun import (
 )
 import qfun.deriv
 import qfun.theorems
-from qfun.theorems import CLAIM_IDS, CLAIMS, TIGHT_MARGIN, rerun_kwargs
+from qfun.theorems import CLAIM_IDS, CLAIMS, DEFAULT_TOL, TIGHT_MARGIN, _finish, _row, rerun_kwargs
 
 
 BALANCED = RatioSpec(a=1.0, b=2.0, alpha=2.0, beta=1.0)
@@ -641,15 +644,12 @@ class TestRunClaim:
         with pytest.raises(DomainError, match="no grid point in"):
             run_claim("c-ineq-010", QParam(0.5), x_min=0.01, x_max=0.02, points=3)
 
-    def test_shared_context_owns_the_truncation(self):
-        # qfun all passes one context per q; see tests/test_cli.py
-        ctx = EvalContext(QParam(0.5))
-        with pytest.raises(DomainError, match="trunc comes from the evaluation context"):
-            run_claim("c-666", ctx, trunc=Truncation(rel_tol=1e-10))
-
     def test_unknown_argument_rejected(self):
         with pytest.raises(TypeError):
             run_claim("c-666", QParam(0.5), n_maximum=5)
+        # a truncation rides in the context, EvalContext(p, trunc)
+        with pytest.raises(TypeError):
+            run_claim("c-666", QParam(0.5), trunc=Truncation(rel_tol=1e-10))
 
     def test_none_keeps_claim_default(self):
         p = QParam(0.5)
@@ -660,6 +660,14 @@ class TestRunClaim:
         assert rep.passed
         assert rep.worst_margin < TIGHT_MARGIN
         assert any("tight" in n for n in rep.notes)
+
+    def test_nan_margin_fails(self):
+        # a NaN margin is not >= -tol: it fails the report and is its worst
+        rows = [_row(None, x, m, m) for x, m in ((1.0, 2.0), (2.0, math.nan), (3.0, -1.0))]
+        rep = _finish("c-555", {}, {}, rows, DEFAULT_TOL)
+        assert not rep.passed
+        assert math.isnan(rep.worst_margin)
+        assert rep.worst_point["x"] == rep.counterexample["x"] == 2.0
 
     @pytest.mark.parametrize("tol", [-10.0, math.nan, math.inf])
     @pytest.mark.parametrize("claim", CLAIM_IDS)
@@ -799,14 +807,26 @@ class TestContextContract:
         assert _comparable(fn(*before, ctx, *after, **kwargs)) == want
         assert made == []
 
-        params = inspect.signature(fn).parameters.values()
-        if any(v.name == "trunc" or v.kind is v.VAR_KEYWORD for v in params):
-            with pytest.raises(DomainError, match="trunc comes from the evaluation context"):
-                fn(*before, ctx, *after, **kwargs, trunc=Truncation(rel_tol=1e-10))
+    def test_only_the_context_takes_a_truncation(self):
+        public = [getattr(mod, name) for mod in (qfun.theorems, qfun.deriv) for name in mod.__all__]
+        takers = {
+            f.__name__ for f in public
+            if callable(f) and "trunc" in inspect.signature(f).parameters
+        }
+        assert takers == {"EvalContext"}
+        assert list(inspect.signature(EvalContext.of).parameters) == ["p"]
+
+    def test_context_truncation_reaches_the_evaluators(self):
+        # a 1000-term cap fails psi^(2) at q = 0.5 near x = 0.05, where the
+        # default truncation passes the same sweep
+        p = QParam(0.5)
+        assert verify_theorem_ratio_lcm(BALANCED, p).passed
+        with pytest.raises(NonConvergent, match="term cap 1000 reached"):
+            verify_theorem_ratio_lcm(BALANCED, EvalContext(p, Truncation(max_terms=1000)))
 
 
 class TestIntegerArguments:
-    @pytest.mark.parametrize("bad", [0, -3, 2.0, True])
+    @pytest.mark.parametrize("bad", [0, -3, 2.0, 2.5, True])
     @pytest.mark.parametrize(
         "call, message",
         [
@@ -818,8 +838,19 @@ class TestIntegerArguments:
                 lambda v: g_beta_log_deriv(QParam(0.5), 1.0, v, 1.5),
                 "derivative order must be an int >= 1, got {!r}",
             ),
+            (
+                lambda v: certify_lcm(ln_gamma_provider(QParam(0.5)), _SWEEP, n_orders=v),
+                "n_orders must be an int >= 1, got {!r}",
+            ),
+            (
+                lambda v: run_claim("t31-ratio-lcm", QParam(0.5), orders=v),
+                "n_orders must be an int >= 1, got {!r}",
+            ),
         ],
-        ids=["c-666", "phi-coeff", "remark-harmonic", "phi-coefficient", "g-beta-order"],
+        ids=[
+            "c-666", "phi-coeff", "remark-harmonic", "phi-coefficient", "g-beta-order",
+            "certify-lcm", "run-claim-orders",
+        ],
     )
     def test_rejects_non_int_or_below_one(self, call, message, bad):
         with pytest.raises(DomainError) as info:
