@@ -720,24 +720,41 @@ def q_psi_grid(
     by Euler-Maclaurin is taken so here too.  Raises NonConvergent for the first x, in
     the order given, that reaches the term cap.
     """
-    return _psi_orders(p, {k: list(xs)}, trunc or DEFAULT_TRUNCATION)
+    rows = _psi_orders(p, {k: list(xs)}, trunc or DEFAULT_TRUNCATION)
+    return list(map(EvalResult, *(a.tolist() for a in rows)))
+
+
+def _check_psi_order(k: int) -> None:
+    """Raise UnsupportedOrder unless k is an int (not a bool) in 0..8."""
+    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= MAX_DERIV_ORDER:
+        raise UnsupportedOrder(f"psi order must be an int in 0..{MAX_DERIV_ORDER}, got {k!r}")
 
 
 def _psi_orders(
     p: QParam, points: dict[int, list[float]], t: Truncation
-) -> list[EvalResult]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """psi^(k)(x) for every order k of points and every x of points[k], in
-    one pass, order-major; the multi-order case of q_psi_grid, with its
-    checks and its guarantees.  A term cap raises NonConvergent for the
-    first key, in that order, that reaches it."""
-    ks: list[int] = []
-    xs: list[float] = []
-    for k, pts in points.items():
-        pts = [_check_x(x) for x in pts]
-        if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= MAX_DERIV_ORDER:
-            raise UnsupportedOrder(f"psi order must be an int in 0..{MAX_DERIV_ORDER}, got {k!r}")
-        xs += pts
-        ks += [k] * len(pts)
+    one pass, order-major, as the arrays (value, err_bound, terms); the
+    multi-order case of q_psi_grid, with its checks and its guarantees.  A
+    term cap raises NonConvergent for the first key, in that order, that
+    reaches it.
+
+    The points are checked as one array: each a float, finite and > 0.
+    Where that fails, _check_x takes them one by one, each order's points
+    before the order itself, so the first bad key raises what a one-point
+    call would.
+    """
+    xs = [x for pts in points.values() for x in pts]
+    a = np.array(xs, dtype=np.float64) if set(map(type, xs)) <= {float} else None
+    if a is not None and ((a > 0.0) & (a < math.inf)).all():
+        for k in points:
+            _check_psi_order(k)
+    else:
+        xs = []
+        for k, pts in points.items():
+            xs += map(_check_x, pts)
+            _check_psi_order(k)
+    ks = [k for k, pts in points.items() for _ in pts]
     return _psi_rows(p, ks, xs, t)
 
 
@@ -959,52 +976,58 @@ def _psi_em(p: QParam, k: int, x: float, t: Truncation) -> EvalResult:
     )
 
 
-def _psi_rows(p: QParam, ks: list[int], xs: list[float], t: Truncation) -> list[EvalResult]:
-    """psi^(k)(x) at every checked order k of ks and point x of xs, each
-    row as _psi_point takes it: a row whose Lambert sum provably cannot stop
-    within _EM_SWITCH terms by _psi_em, the others by one _lambert_rows
-    pass, or a single point by _psi_point."""
-    if not xs:
-        return []
+def _psi_rows(
+    p: QParam, ks: list[int], xs: list[float], t: Truncation
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psi^(k)(x) at every checked order k of ks and point x of xs, as the
+    arrays (value, err_bound, terms), each row as _psi_point takes it: a
+    row whose Lambert sum provably cannot stop within _EM_SWITCH terms by
+    _psi_em, the others by one _lambert_rows pass, or a single point by
+    _psi_point."""
     if len(xs) == 1:
-        return [_psi_point(p, ks[0], xs[0], t)]
+        r = _psi_point(p, ks[0], xs[0], t)
+        return np.array([r.value]), np.array([r.err_bound]), np.array([r.terms])
+    k_arr = np.array(ks, dtype=np.int64)
+    x_arr = np.array(xs, dtype=np.float64)
+    if not xs:
+        return x_arr, x_arr, k_arr
     base = _psi_parts(p, 0)[0]
-    may_pass = _lambert_may_pass(math.log(base), np.array(ks), np.array(xs, dtype=np.float64))
+    may_pass = _lambert_may_pass(math.log(base), k_arr, x_arr)
     if not may_pass.any():
-        return _psi_lambert_rows(p, ks, xs, t)
-    out: list[EvalResult | None] = [None] * len(xs)
+        return _psi_lambert_rows(p, k_arr, x_arr, t)
+    values, errs, terms = np.empty(len(xs)), np.empty(len(xs)), np.empty(len(xs), dtype=np.int64)
+    lambert = np.ones(len(xs), dtype=bool)
     for i in np.flatnonzero(may_pass).tolist():
-        out[i] = _em_instead(p, ks[i], xs[i], t)
-    rows = [i for i, r in enumerate(out) if r is None]
-    if rows:
-        lambert = _psi_lambert_rows(p, [ks[i] for i in rows], [xs[i] for i in rows], t)
-        for i, r in zip(rows, lambert):
-            out[i] = r
-    return out
+        em = _em_instead(p, ks[i], xs[i], t)
+        if em is not None:
+            lambert[i] = False
+            values[i], errs[i], terms[i] = em.value, em.err_bound, em.terms
+    if lambert.any():
+        rows = _psi_lambert_rows(p, k_arr[lambert], x_arr[lambert], t)
+        values[lambert], errs[lambert], terms[lambert] = rows
+    return values, errs, terms
 
 
 def _psi_lambert_rows(
-    p: QParam, ks: list[int], xs: list[float], t: Truncation
-) -> list[EvalResult]:
-    """psi^(k)(x) at every checked order k of ks and point x of xs, each
-    regime's series assembled around one _lambert_rows pass."""
+    p: QParam, ks: np.ndarray, xs: np.ndarray, t: Truncation
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psi^(k)(x) at every checked order k of ks and point x of xs, as the
+    arrays (value, err_bound, terms), each regime's series assembled around
+    one _lambert_rows pass."""
     lnq = math.log(p.q)
     sub_unit = p.regime is Regime.SUB_UNIT
-    base, scale_of, head = _psi_parts(p, max(ks))
-    k_arr = np.array(ks)
-    x_arr = np.array(xs, dtype=np.float64)
-    scales = np.array(scale_of)[k_arr]
+    base, scale_of, head = _psi_parts(p, int(ks.max()))
+    scales = np.array(scale_of)[ks]
     if not sub_unit:
-        head = head + lnq * (x_arr - 0.5)
-    heads = np.where(k_arr == 0, head, 0.0)
-    partials, tails, terms = _lambert_rows(base, k_arr, x_arr, t, heads, scales)
+        head = head + lnq * (xs - 0.5)
+    heads = np.where(ks == 0, head, 0.0)
+    partials, tails, terms = _lambert_rows(base, ks, xs, t, heads, scales)
     values = scales * partials
-    values = np.where(k_arr == 0, heads + values, values)
+    values = np.where(ks == 0, heads + values, values)
     if not sub_unit:
         # only n = 1 picks up the ln q of the linear term relating the regimes
-        values = np.where(k_arr == 1, values + lnq, values)
-    errs = np.abs(scales) * tails
-    return list(map(EvalResult, values.tolist(), errs.tolist(), terms.tolist()))
+        values = np.where(ks == 1, values + lnq, values)
+    return values, np.abs(scales) * tails, terms
 
 
 def q_bracket(p: QParam, x: float) -> float:

@@ -29,11 +29,12 @@ from .core import (
     Truncation,
     UnsupportedOrder,
     _check_count,
+    _check_psi_order,
+    _check_x,
     _ln_gamma_rows,
     _psi_orders,
+    _psi_point,
     ln_q_gamma,
-    q_digamma,
-    q_polygamma,
 )
 from .roots import ZeroResult, digamma_zero
 
@@ -72,8 +73,11 @@ class EvalContext:
     """Evaluator results for one (QParam, Truncation), each computed once.
 
     psi(k, x) is the order-k q-polygamma with psi(0, x) the q-digamma, and
-    ln_gamma(x) is ln Gamma_q.  Each EvalResult is kept whole under its
-    exact (k, x) key, so a repeated point returns the identical result.
+    ln_gamma(x) is ln Gamma_q.  A grid pass keeps each psi value as its
+    row (value, err_bound, terms) under its exact (k, x) key; the
+    EvalResult that psi or psi_grid first hands out for a key takes the
+    row's place, so a repeated point returns the identical result.  Each
+    ln_gamma EvalResult is kept whole under its x.
     zero() solves for the digamma zero on first use, and squared() is the
     context at base q^2.  Create one per verification, or one per q for the
     claim runs of one invocation, and drop it afterwards: it holds every
@@ -83,7 +87,8 @@ class EvalContext:
     def __init__(self, p: QParam, trunc: Truncation | None = None) -> None:
         self.p = p
         self.trunc = trunc or DEFAULT_TRUNCATION
-        self._results: dict[tuple[int, float], EvalResult] = {}
+        # a (value, err_bound, terms) row, or the EvalResult handed out for it
+        self._results: dict[tuple[int, float], tuple[float, float, int] | EvalResult] = {}
         self._ln_gammas: dict[float, EvalResult] = {}
         self._zero: ZeroResult | None = None
         self._squared: EvalContext | None = None
@@ -99,11 +104,12 @@ class EvalContext:
         return p if isinstance(p, EvalContext) else cls(p)
 
     def psi(self, k: int, x: float) -> EvalResult:
-        r = self._results.get((k, x))
-        if r is None:
-            r = q_digamma(self.p, x, self.trunc) if k == 0 else q_polygamma(self.p, x, k, self.trunc)
-            self._results[k, x] = r
-        return r
+        """psi^(k)(x), for an int order 0 <= k <= 8, checked whether or not
+        the key is stored."""
+        _check_psi_order(k)
+        if (k, x) not in self._results:
+            self._results[k, x] = _psi_point(self.p, k, _check_x(x), self.trunc)
+        return self._hand_out((k, x))
 
     def psi_grid(self, keys: Iterable[tuple[int, float]]) -> list[EvalResult]:
         """psi(k, x) for every (k, x) of keys, in their order.
@@ -114,18 +120,43 @@ class EvalContext:
         pass takes them order-major: orders as they first appear, and each
         order's points as they first appear; a term cap raises
         NonConvergent for the first key in that order that reaches it.
+        Every key's order is checked first, as psi checks it.
         """
         keys = list(keys)
+        for k, _ in keys:
+            _check_psi_order(k)
+        self._fill(keys)
+        return [self._hand_out(key) for key in keys]
+
+    def _fill(self, keys: list[tuple[int, float]]) -> None:
+        """Evaluate the missing keys of keys in one _psi_orders pass (see
+        psi_grid) and store each as its row (value, err_bound, terms)."""
         results = self._results
         new = [key for key in dict.fromkeys(keys) if key not in results]
         missing: dict[int, list[float]] = {}
         for k, x in new:
             missing.setdefault(k, []).append(x)
-        rows = iter(_psi_orders(self.p, missing, self.trunc))
-        for k, xs in missing.items():
-            for x in xs:
-                results[k, x] = next(rows)
-        return [results[key] for key in keys]
+        if missing:
+            rows = zip(*(a.tolist() for a in _psi_orders(self.p, missing, self.trunc)))
+            results.update(zip(((k, x) for k, xs in missing.items() for x in xs), rows))
+
+    def _psi_rows(self, keys: list[tuple[int, float]]) -> list[tuple[float, float, int]]:
+        """The row (value, err_bound, terms) of psi(k, x) for every (k, x)
+        of keys, in their order, evaluated as psi_grid evaluates them but
+        without making an EvalResult."""
+        self._fill(keys)
+        return [
+            r if type(r) is tuple else (r.value, r.err_bound, r.terms)
+            for r in map(self._results.__getitem__, keys)
+        ]
+
+    def _hand_out(self, key: tuple[int, float]) -> EvalResult:
+        """The EvalResult under key, made from its row on first use and
+        kept in its place, so every later read returns the same object."""
+        r = self._results[key]
+        if type(r) is tuple:
+            r = self._results[key] = EvalResult(*r)
+        return r
 
     def ln_gamma(self, x: float) -> EvalResult:
         r = self._ln_gammas.get(x)
@@ -191,16 +222,16 @@ class LogDerivProvider:
         return cls(d=d, lo=lo, hi=hi, name=name, d_grid=d_grid)
 
 
-def _psi_values(ctx: EvalContext, keys: Iterable[tuple[int, float]], shape: tuple) -> np.ndarray:
+def _psi_values(ctx: EvalContext, keys: list[tuple[int, float]], shape: tuple) -> np.ndarray:
     """The values of ctx.psi_grid(keys) as a float array of the given shape."""
-    return np.array([r.value for r in ctx.psi_grid(keys)]).reshape(shape)
+    return np.array([r[0] for r in ctx._psi_rows(keys)]).reshape(shape)
 
 
 def _check_orders(orders: Sequence[int]) -> None:
-    """Log-derivatives start at order 1."""
+    """Log-derivatives start at order 1, and an order is an int."""
     for n in orders:
-        if n < 1:
-            raise UnsupportedOrder(f"derivative order must be >= 1, got {n}")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise UnsupportedOrder(f"derivative order must be an int >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)

@@ -347,18 +347,13 @@ def _duplication_residuals(ctx: EvalContext, xs: Sequence[float]) -> list[Residu
     """psi_duplication_residual at every x of xs, each base's psi values
     evaluated in one grid pass."""
     _require_sub_unit(ctx.p, "the duplication identity")
-    lhs = ctx.psi_grid((0, 2.0 * x) for x in xs)
-    rhs = ctx.squared().psi_grid([(0, x) for x in xs] + [(0, x + 0.5) for x in xs])
+    lhs = ctx._psi_rows([(0, 2.0 * x) for x in xs])
+    rhs = ctx.squared()._psi_rows([(0, x) for x in xs] + [(0, x + 0.5) for x in xs])
     c = math.log1p(ctx.p.q)
     out = []
-    for left, r1, r2 in zip(lhs, rhs[: len(xs)], rhs[len(xs) :]):
-        residual = abs(left.value - c - 0.5 * r1.value - 0.5 * r2.value)
-        budget = (
-            left.err_bound
-            + 0.5 * r1.err_bound
-            + 0.5 * r2.err_bound
-            + _fp_allowance(left.value, c, r1.value, r2.value)
-        )
+    for (left, e0, _), (r1, e1, _), (r2, e2, _) in zip(lhs, rhs[: len(xs)], rhs[len(xs) :]):
+        residual = abs(left - c - 0.5 * r1 - 0.5 * r2)
+        budget = e0 + 0.5 * e1 + 0.5 * e2 + _fp_allowance(left, c, r1, r2)
         out.append(ResidualCheck(residual, budget))
     return out
 
