@@ -64,10 +64,15 @@ _EM_SWITCH = 2**21
 # the last chunk end at or below _EM_SWITCH: the chunks of 64 to 65,536
 # terms end at 131,008, then 30 more of 65,536 follow
 _EM_REACH = 131_008 + 30 * _CHUNK_LIMIT
-# _psi_em sums the first terms directly up to y0 = x + M >= _EM_SHIFT when
-# |ln q| <= 0.5, where Euler-Maclaurin at y0 gains a factor of about
-# (k + 2N)^2 / (2 pi y0)^2 per correction order N; for |ln q| > 0.5 the
-# direct part runs until p^M < e^-46.  At most _EM_ORDERS orders are taken
+# ln Gamma_q leaves the product series for _ln_gamma_em only where the
+# series provably cannot stop within this many terms, the end of the
+# 8,192-term chunk
+_LOGPROD_SWITCH = 16_320
+# the Euler-Maclaurin sums take their first terms directly (_em_shift), up
+# to y0 = x + M >= _EM_SHIFT when |ln q| <= 0.5, where Euler-Maclaurin at
+# y0 gains a factor of about (k + 2N)^2 / (2 pi y0)^2 per correction order
+# N; for |ln q| > 0.5 the direct part runs until p^M < e^-46.  At most
+# _EM_ORDERS orders are taken
 _EM_SHIFT = 20
 _EM_ORDERS = 20
 
@@ -102,9 +107,10 @@ class QParam:
     q must be a positive real other than 1.  Values with |q - 1| < 1e-4 are
     rejected by default because series term counts scale like 1/|ln q|
     there; pass allow_near_one=True to evaluate close to the classical
-    limit.  psi^(k) needs no raised term cap there, since it switches to an
-    Euler-Maclaurin sum where the Lambert series would need more than 2^21
-    terms; ln Gamma_q and Gamma_q may need one (Truncation(max_terms=...)).
+    limit.  No evaluator needs a raised term cap there: psi^(k) switches to
+    an Euler-Maclaurin sum where the Lambert series would need more than
+    2^21 terms, and ln Gamma_q and Gamma_q where the product series would
+    need more than 16,320.
     """
 
     q: float
@@ -536,6 +542,19 @@ def _logprod_tail(q: float, x: float, next_j: int) -> float:
     return 2.0 * math.exp(log_d) / (1.0 - q)
 
 
+def _logprod_floor(q: float, x: float, target: float) -> float:
+    """A lower bound on the terms that _logprod_sum at base q takes at x
+    while its stop target stays at most target: the least J with
+    _logprod_tail(q, x, J) <= target, in closed form, as its log_d falls
+    linearly in J."""
+    lnq, m = math.log(q), min(1.0, x)
+    c = _LN_TINY
+    if target > 0.0:
+        c = max(c, min(math.log(0.5), math.log(target) + math.log((1.0 - q) / 2.0)))
+    c += 1e-6 * (1.0 + abs(c))  # room for the rounding of both sides
+    return (c + math.log(-math.expm1(m * lnq))) / lnq - m
+
+
 def _logprod_sum(
     q: float,
     x: float,
@@ -632,7 +651,9 @@ def ln_q_gamma(p: QParam, x: float, trunc: Truncation | None = None) -> EvalResu
     Sub-unit q sums the log of the defining product directly.  Super-unit q
     sums its own product form, which carries the explicit q^{x(x-1)/2}
     prefactor; the two regimes share no closed-form shortcut, so the
-    inversion residual stays a meaningful consistency check.  Raises
+    inversion residual stays a meaningful consistency check.  Where the
+    product series provably cannot stop within 16,320 terms, an
+    Euler-Maclaurin sum takes its place, as in q_digamma.  Raises
     OverflowError when the value is not finite, as at q = 2 past
     x = 1.9e154, where that prefactor leaves the double range.
     """
@@ -640,35 +661,121 @@ def ln_q_gamma(p: QParam, x: float, trunc: Truncation | None = None) -> EvalResu
 
 
 def _ln_gamma_rows(p: QParam, xs: Sequence[float], t: Truncation) -> list[EvalResult]:
-    """ln Gamma_q at every x of xs around one _logprod_rows pass; each
-    result is bit-identical to a one-point ln_q_gamma, whatever the other
-    points.  The first x in the order given that reaches the term cap
-    raises ln_q_gamma's NonConvergent, and else the first whose value is
-    not finite raises its OverflowError."""
+    """ln Gamma_q at every x of xs, each as ln_q_gamma takes it: by
+    _ln_gamma_em where _ln_gamma_em_instead says so, the others around one
+    _logprod_rows pass.  Each result is bit-identical to a one-point
+    ln_q_gamma, whatever the other points.  The first x in the order given
+    that reaches the term cap raises ln_q_gamma's NonConvergent, and else
+    the first whose value is not finite raises its OverflowError."""
     xs = [_check_x(x) for x in xs]
-    if not xs:
-        return []
-    pres, bases = zip(*(_ln_gamma_parts(p, x) for x in xs))
-    rows = _logprod_rows(bases[0], xs, t, pres)
-    out = [EvalResult(pre + s, tail, terms) for pre, (s, tail, terms) in zip(pres, rows)]
+    out = [_ln_gamma_em_instead(p, x, t) for x in xs]
+    product = [i for i, r in enumerate(out) if r is None]
+    if product:
+        pres, bases = zip(*(_ln_gamma_parts(p, xs[i]) for i in product))
+        rows = _logprod_rows(bases[0], [xs[i] for i in product], t, pres)
+        for i, pre, (s, tail, terms) in zip(product, pres, rows):
+            out[i] = EvalResult(pre + s, tail, terms)
     for x, r in zip(xs, out):
         if not math.isfinite(r.value):
             raise OverflowError(f"ln_q_gamma overflows the double range at x = {x!r}")
     return out
 
 
+def _ln_gamma_em_instead(
+    p: QParam, x: float, t: Truncation, stop_target: float | None = None
+) -> EvalResult | None:
+    """_ln_gamma_em's ln Gamma_q(x) where the product series provably
+    cannot stop within _LOGPROD_SWITCH terms, else None; stop_target is
+    q_gamma's log-scale target (see _logprod_sum).  As in _em_instead, the
+    tail's underflow bounds the product terms from above.  Every product
+    term has the sign of 1 - x, so the Euler-Maclaurin value plus its bound
+    caps the product's stop target, and _logprod_floor there bounds them
+    from below.  The least cap, |pre|, gives the highest floor, so
+    _ln_gamma_em runs only where that floor passes the switch."""
+    pre, base = _ln_gamma_parts(p, x)
+    if _logprod_tail(base, x, _LOGPROD_SWITCH) == 0.0:
+        return None
+
+    def target(value: float) -> float:
+        return t.target(value) if stop_target is None else max(stop_target, t.abs_tol)
+
+    if _logprod_floor(base, x, target(pre * (1.0 + 1e-9))) <= _LOGPROD_SWITCH:
+        return None
+    try:
+        em = _ln_gamma_em(p, x, t, target)
+    except NonConvergent:
+        return None
+    cap = (max(abs(pre), abs(em.value)) + em.err_bound) * (1.0 + 1e-9)
+    return em if _logprod_floor(base, x, target(cap)) > _LOGPROD_SWITCH else None
+
+
+def _ln_gamma_em(
+    p: QParam, x: float, t: Truncation, target: Callable[[float], float]
+) -> EvalResult:
+    """ln Gamma_q(x) = pre + sum_{j >= 0} G(x + j), with pre from
+    _ln_gamma_parts and G(y) = L(y + 1 - x) - L(y) (see _dl), by _em_sum.
+    The shift takes both x + M and 1 + M to _EM_SHIFT.  The integral of G
+    over [y0, inf) is that of L over [1 + M, x + M]: summing the two L
+    parts apart would cancel two sums of about pi^2 / (6 |ln q|) each.  Every
+    G^(i)(y) = int_0^{1-x} D^{i+1} L(y + s) ds keeps one sign on [y0, inf).
+    """
+    lam = abs(math.log(p.q))
+    pre = _ln_gamma_parts(p, x)[0]
+    m = _em_shift(lam, min(x, 1.0))
+    a, b = 1.0 + m, x + m
+
+    def parts() -> list[float]:
+        direct = math.fsum(_dl(0, lam, j + 1.0) - _dl(0, lam, x + j) for j in range(m))
+        return [pre, direct, _l_integral(lam, a, b)]
+
+    return _em_sum(
+        parts, lambda i: _dl(i, lam, a) - _dl(i, lam, b), m, t, target, f"q={p.q}, x={x}"
+    )
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[tuple[float, float], ...]:
+    """The (node, weight) pairs of 16-point Gauss-Legendre on [-1, 1]."""
+    from numpy.polynomial.legendre import leggauss  # on first use: 4 ms to import
+
+    return tuple(zip(*(a.tolist() for a in leggauss(16))))
+
+
+def _l_integral(lam: float, a: float, b: float) -> float:
+    """The integral of L(y) = ln(1 - e^{-lam y}) over [a, b], a, b > 0, by
+    _gauss_legendre on the panels [c, 2c], the last one shorter.  L is
+    singular only on Re y = 0, three half-widths left of a panel's centre,
+    so a panel's error falls like (3 + sqrt 8)^-32.  Past lam y = 750, where
+    L is below e^-750, no panel is taken."""
+    lo, hi = min(a, b), min(max(a, b), 750.0 / lam)
+    nodes = _gauss_legendre()
+    panels = []
+    while lo < hi:
+        c = min(2.0 * lo, hi)
+        half, mid = 0.5 * (c - lo), 0.5 * (c + lo)
+        panels.append(half * math.fsum(w * _dl(0, lam, mid + half * s) for s, w in nodes))
+        lo = c
+    return math.fsum(panels) if a <= b else -math.fsum(panels)
+
+
 def q_gamma(p: QParam, x: float, trunc: Truncation | None = None) -> EvalResult:
     """q-gamma function at x > 0.
 
     Evaluated as exp of the log form with an absolute truncation target on
-    the log scale, so err_bound stays relative on the gamma scale.  Raises
+    the log scale, so err_bound stays relative on the gamma scale; at that
+    target, the log form chooses its sum as ln_q_gamma does.  Raises
     OverflowError when the value exceeds the double range.
     """
     x = _check_x(x)
     t = trunc or DEFAULT_TRUNCATION
-    pre, base = _ln_gamma_parts(p, x)
-    s, tail, terms = _logprod_sum(base, x, t, offset=pre, stop_target=0.5 * t.rel_tol)
-    ln_value = pre + s
+    stop_target = 0.5 * t.rel_tol
+    em = _ln_gamma_em_instead(p, x, t, stop_target)
+    if em is None:
+        pre, base = _ln_gamma_parts(p, x)
+        s, tail, terms = _logprod_sum(base, x, t, offset=pre, stop_target=stop_target)
+        ln_value = pre + s
+    else:
+        ln_value, tail, terms = em.value, em.err_bound, em.terms
     if ln_value > _LN_MAX:
         raise OverflowError(f"q_gamma overflows the double range: ln value = {ln_value:.6g}")
     value = math.exp(ln_value)
@@ -922,11 +1029,14 @@ def _em_weights() -> tuple[float, ...]:
 
 
 def _dl(m: int, lam: float, y: float) -> float:
-    """D^m L(y) for m >= 1, with L(y) = ln(1 - p^y) and ln p = -lam:
+    """D^m L(y) for m >= 0, with L(y) = ln(1 - p^y) and ln p = -lam: L
+    itself, accurate for p^y near 0 and near 1, and for m >= 1
     -(ln p)^m Li_{1-m}(p^y) = (-1)^{m+1} w^m u A_{m-1}(u) with u = p^y and
     w = lam / (1 - u).  A_{m-1} has positive coefficients, so nothing
     cancels near u = 1.  Raises OverflowError where w^m overflows."""
     a = -lam * y
+    if not m:
+        return math.log(-math.expm1(a)) if a > -math.log(2.0) else math.log1p(-math.exp(a))
     u = math.exp(a)
     poly = 0.0
     for c in _eulerian(m - 1):
@@ -935,44 +1045,66 @@ def _dl(m: int, lam: float, y: float) -> float:
     return v if m % 2 else -v
 
 
-def _psi_em(p: QParam, k: int, x: float, t: Truncation) -> EvalResult:
-    """psi^(k)(x) = h + e - sum_{j >= 0} D^{k+1} L(x + j) (see
-    _psi_offsets and _dl), for any q and 0 <= k <= 8, with O(10^2) work.
+def _em_shift(lam: float, y: float) -> int:
+    """The M terms of a sum over y, y + 1, ... at base e^-lam taken before
+    Euler-Maclaurin: up to y + M >= _EM_SHIFT, or for lam > 0.5 until
+    lam M > 46."""
+    return math.ceil(46.0 / lam) if lam > 0.5 else max(0, math.ceil(_EM_SHIFT - y))
 
-    The first M terms are summed directly, up to y0 = x + M (see
-    _EM_SHIFT); the rest is -D^k L(y0) + D^{k+1} L(y0) / 2
-    - sum_{i=1}^{N} B_{2i} / (2i)! D^{k+2i} L(y0) + R_N by Euler-Maclaurin.
-    Every D^m L keeps one sign on [y0, inf), so
-    |R_N| <= 2 zeta(2N) / (2 pi)^{2N} |D^{k+2N} L(y0)| (Johansson, Numer.
+
+def _em_sum(
+    parts: Callable[[], list[float]],
+    dg: Callable[[int], float],
+    m: int,
+    t: Truncation,
+    target: Callable[[float], float],
+    where: str,
+) -> EvalResult:
+    """A value fsum(parts()) + sum_{j >= 0} g(y0 + j), where parts() holds
+    the m terms summed directly up to y0, the closed-form part and the
+    integral of g over [y0, inf), and dg(i) is g^(i)(y0).  Euler-Maclaurin
+    adds g(y0) / 2 - sum_{i=1}^{N} B_{2i} / (2i)! g^(2i-1)(y0) + R_N.
+    Where every g^(i) keeps one sign on [y0, inf),
+    |R_N| <= 2 zeta(2N) / (2 pi)^{2N} |g^(2N-1)(y0)| (Johansson, Numer.
     Algorithms 69, 2015), which is the size of the last order taken; that
-    bound is err_bound, and N grows until it meets t.target.  terms is
-    M + N, counted against t.max_terms.  Raises NonConvergent where the
+    bound is err_bound, and N grows until it meets target(value).  terms
+    is M + N, counted against t.max_terms.  Raises NonConvergent where the
     bound cannot meet the target within _EM_ORDERS orders or the term cap,
     or the value overflows.
     """
-    lam = abs(math.log(p.q))
-    h, e = _psi_offsets(p, k, x, _psi_parts(p, 0)[2])
-    m = math.ceil(46.0 / lam) if lam > 0.5 else max(0, math.ceil(_EM_SHIFT - x))
-    y0 = x + m
     try:
-        start = h - math.fsum(_dl(k + 1, lam, x + j) for j in range(m)) + e
-        if k:
-            d_k = _dl(k, lam, y0)
-        else:  # L(y0) itself, accurate for p^y0 near 0 and near 1
-            a = -lam * y0
-            d_k = math.log(-math.expm1(a)) if a > -math.log(2.0) else math.log1p(-math.exp(a))
-        parts = [start, d_k, -0.5 * _dl(k + 1, lam, y0)]
+        values = [*parts(), 0.5 * dg(0)]
         for n, weight in enumerate(_em_weights()[: max(0, t.max_terms - m)], 1):
-            parts.append(weight * _dl(k + 2 * n, lam, y0))
-            value = math.fsum(parts)
-            err = abs(parts[-1])
-            if err <= t.target(value) and math.isfinite(value):
+            values.append(-weight * dg(2 * n - 1))
+            value = math.fsum(values)
+            err = abs(values[-1])
+            if err <= target(value) and math.isfinite(value):
                 return EvalResult(value, err, m + n)
     except OverflowError:
         pass
     raise NonConvergent(
         f"Euler-Maclaurin bound above the tail target within {_EM_ORDERS} orders and the "
-        f"term cap {t.max_terms} (q={p.q}, x={x}, order={k})"
+        f"term cap {t.max_terms} ({where})"
+    )
+
+
+def _psi_em(p: QParam, k: int, x: float, t: Truncation) -> EvalResult:
+    """psi^(k)(x) = h + e - sum_{j >= 0} D^{k+1} L(x + j) (see
+    _psi_offsets and _dl), for any q and 0 <= k <= 8, with O(10^2) work, by
+    _em_sum with g = -D^{k+1} L, whose integral over [y0, inf) is
+    D^k L(y0); every D^m L keeps one sign on [y0, inf)."""
+    lam = abs(math.log(p.q))
+    h, e = _psi_offsets(p, k, x, _psi_parts(p, 0)[2])
+    m = _em_shift(lam, x)
+    y0 = x + m
+
+    def parts() -> list[float]:
+        start = h - math.fsum(_dl(k + 1, lam, x + j) for j in range(m)) + e
+        return [start, _dl(k, lam, y0)]
+
+    return _em_sum(
+        parts, lambda i: -_dl(k + 1 + i, lam, y0), m, t, t.target,
+        f"q={p.q}, x={x}, order={k}",
     )
 
 

@@ -69,6 +69,13 @@ _STENCILS: dict[int, dict[int, float]] = {
 }
 
 
+def _check_key(x: float) -> None:
+    """_check_x for an x that is not a float, before it is looked up: True
+    and False equal and hash like the stored keys 1.0 and 0.0."""
+    if type(x) is not float:
+        _check_x(x)
+
+
 class EvalContext:
     """Evaluator results for one (QParam, Truncation), each computed once.
 
@@ -107,6 +114,7 @@ class EvalContext:
         """psi^(k)(x), for an int order 0 <= k <= 8, checked whether or not
         the key is stored."""
         _check_psi_order(k)
+        _check_key(x)
         if (k, x) not in self._results:
             self._results[k, x] = _psi_point(self.p, k, _check_x(x), self.trunc)
         return self._hand_out((k, x))
@@ -120,11 +128,14 @@ class EvalContext:
         pass takes them order-major: orders as they first appear, and each
         order's points as they first appear; a term cap raises
         NonConvergent for the first key in that order that reaches it.
-        Every key's order is checked first, as psi checks it.
+        Every key's order is checked first, as psi checks it, and then
+        every x that is not a float.
         """
         keys = list(keys)
         for k, _ in keys:
             _check_psi_order(k)
+        for _, x in keys:
+            _check_key(x)
         self._fill(keys)
         return [self._hand_out(key) for key in keys]
 
@@ -159,6 +170,7 @@ class EvalContext:
         return r
 
     def ln_gamma(self, x: float) -> EvalResult:
+        _check_key(x)
         r = self._ln_gammas.get(x)
         if r is None:
             r = ln_q_gamma(self.p, x, self.trunc)
@@ -172,6 +184,8 @@ class EvalContext:
         ln_q_gamma, and stored under the keys ln_gamma reads.
         """
         xs = list(xs)
+        for x in xs:
+            _check_key(x)
         results = self._ln_gammas
         missing = [x for x in dict.fromkeys(xs) if x not in results]
         results.update(zip(missing, _ln_gamma_rows(self.p, missing, self.trunc)))

@@ -292,6 +292,27 @@ class TestEvalContext:
         assert ctx.zero() == digamma_zero(QParam(0.5))
         assert len(solves) == 1
 
+    @pytest.mark.parametrize("bad", [True, False, None, "1.5"])
+    def test_warm_context_rejects_a_non_float_x_as_a_fresh_one(self, bad):
+        # True and False equal and hash like the keys 1.0 and 0.0, so a
+        # lookup before the check answered True with psi(1.0)
+        calls = [
+            lambda ctx: ctx.psi(0, bad),
+            lambda ctx: ctx.psi_grid([(0, bad)]),
+            lambda ctx: ctx.ln_gamma(bad),
+            lambda ctx: ctx.ln_gamma_grid([bad]),
+        ]
+        for call in calls:
+            fresh = EvalContext(QParam(0.5))
+            with pytest.raises(DomainError) as want:
+                call(fresh)
+            warm = EvalContext(QParam(0.5))
+            warm.psi_grid([(0, 0.5), (0, 1.0)])
+            warm.ln_gamma_grid([0.5, 1.0])
+            with pytest.raises(DomainError) as got:
+                call(warm)
+            assert str(got.value) == str(want.value) == f"x must be a finite real, got {bad!r}"
+
 
 class TestPsiGrid:
     """The grid pass against one-point evaluations, which stay its reference."""
