@@ -292,6 +292,7 @@ def _lambert_sum(
     offset: float,
     scale: float,
     dens: list[np.ndarray] | None = None,
+    shown_q: float | None = None,
 ) -> tuple[float, float, int]:
     """Chunked sum of k^n q^{kx} / (1 - q^k) over k >= 1, for 0 < q < 1.
 
@@ -303,7 +304,8 @@ def _lambert_sum(
     the entries they add to dens.  The
     partial is math.fsum of the block sums.  dens, when given, is a table
     of block denominators shared by the sums of one solve at this q and
-    term cap (see _block_den).
+    term cap (see _block_den).  A NonConvergent names shown_q when given:
+    the caller's q, whose base 1/q this q may be.
     """
     lnq = math.log(q)
     xl = x * lnq
@@ -340,7 +342,8 @@ def _lambert_sum(
         k0 = k1 + 1
         chunk = min(chunk * 2, _CHUNK_LIMIT)
     raise NonConvergent(
-        f"term cap {trunc.max_terms} reached before the tail target (q={q}, x={x}, order={n})"
+        f"term cap {trunc.max_terms} reached before the tail target "
+        f"(q={shown_q or q}, x={x}, order={n})"
     )
 
 
@@ -463,6 +466,7 @@ def _lambert_rows(
     trunc: Truncation,
     offsets: np.ndarray,
     scales: np.ndarray,
+    shown_q: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Chunked sums of k^n q^{kx} / (1 - q^k) over k >= 1, one row per
     order n of ns and x of xs, for 0 < q < 1; returns the arrays (partial,
@@ -472,7 +476,8 @@ def _lambert_rows(
     the stop rule therefore compares |scales[i]| * tail against the
     truncation target taken at that assembled value (see _chunk_rows).
     Each chunk takes 1 - q^k once and k^n once per order present.  Raises
-    NonConvergent for the first row that reaches the term cap.
+    _lambert_sum's NonConvergent for the first row that reaches the term
+    cap.
     """
     lnq = math.log(q)
     xl = xs * lnq  # x * ln q of each row
@@ -520,7 +525,7 @@ def _lambert_rows(
         i = capped[0]
         raise NonConvergent(
             f"term cap {trunc.max_terms} reached before the tail target "
-            f"(q={q}, x={float(xs[i])}, order={int(ns[i])})"
+            f"(q={shown_q or q}, x={float(xs[i])}, order={int(ns[i])})"
         )
     return out
 
@@ -561,13 +566,14 @@ def _logprod_sum(
     trunc: Truncation,
     offset: float,
     stop_target: float | None = None,
+    shown_q: float | None = None,
 ) -> tuple[float, float, int]:
     """Chunked sum of ln(1-q^{j+1}) - ln(1-q^{j+x}) over j >= 0, 0 < q < 1.
 
     stop_target, when given, is an absolute target on the log scale; the
     exponentiated gamma uses it so its bound stays relative on the gamma
-    scale even when |ln value| is large.  Chunks are summed in blocks, as
-    in _lambert_sum.
+    scale even when |ln value| is large.  Chunks are summed in blocks, and
+    a NonConvergent names shown_q, as in _lambert_sum.
     """
     lnq = math.log(q)
     sums: list[float] = []
@@ -604,17 +610,23 @@ def _logprod_sum(
         j0 = j1 + 1
         chunk = min(chunk * 2, _CHUNK_LIMIT)
     raise NonConvergent(
-        f"term cap {trunc.max_terms} reached before the tail target (q={q}, x={x})"
+        f"term cap {trunc.max_terms} reached before the tail target (q={shown_q or q}, x={x})"
     )
 
 
 def _logprod_rows(
-    q: float, xs: Sequence[float], trunc: Truncation, offsets: Sequence[float]
+    q: float,
+    xs: Sequence[float],
+    trunc: Truncation,
+    offsets: Sequence[float],
+    shown_q: float | None = None,
 ) -> list[tuple[float, float, int]]:
     """_logprod_sum at every x of xs in one chunk loop (see _chunk_rows),
-    each row stopping at its own target; a single x takes _logprod_sum."""
+    each row stopping at its own target; a single x takes _logprod_sum.
+    The first x that reaches the term cap raises _logprod_sum's
+    NonConvergent."""
     if len(xs) == 1:
-        return [_logprod_sum(q, xs[0], trunc, offsets[0])]
+        return [_logprod_sum(q, xs[0], trunc, offsets[0], shown_q=shown_q)]
     lnq = math.log(q)
     xa = np.asarray(xs, dtype=np.float64)
 
@@ -631,7 +643,7 @@ def _logprod_rows(
     if capped.size:
         raise NonConvergent(
             f"term cap {trunc.max_terms} reached before the tail target "
-            f"(q={q}, x={xs[capped[0]]})"
+            f"(q={shown_q or q}, x={xs[capped[0]]})"
         )
     return list(zip(partials.tolist(), tails.tolist(), terms.tolist()))
 
@@ -672,7 +684,7 @@ def _ln_gamma_rows(p: QParam, xs: Sequence[float], t: Truncation) -> list[EvalRe
     product = [i for i, r in enumerate(out) if r is None]
     if product:
         pres, bases = zip(*(_ln_gamma_parts(p, xs[i]) for i in product))
-        rows = _logprod_rows(bases[0], [xs[i] for i in product], t, pres)
+        rows = _logprod_rows(bases[0], [xs[i] for i in product], t, pres, p.q)
         for i, pre, (s, tail, terms) in zip(product, pres, rows):
             out[i] = EvalResult(pre + s, tail, terms)
     for x, r in zip(xs, out):
@@ -772,7 +784,7 @@ def q_gamma(p: QParam, x: float, trunc: Truncation | None = None) -> EvalResult:
     em = _ln_gamma_em_instead(p, x, t, stop_target)
     if em is None:
         pre, base = _ln_gamma_parts(p, x)
-        s, tail, terms = _logprod_sum(base, x, t, offset=pre, stop_target=stop_target)
+        s, tail, terms = _logprod_sum(base, x, t, pre, stop_target, p.q)
         ln_value = pre + s
     else:
         ln_value, tail, terms = em.value, em.err_bound, em.terms
@@ -910,7 +922,7 @@ def _psi_lambert(
     base, scale_of, head = _psi_parts(p, k)
     h, e = _psi_offsets(p, k, x, head)
     scale = scale_of[k]
-    s, tail, terms = _lambert_sum(base, x, k, t, h, scale, dens)
+    s, tail, terms = _lambert_sum(base, x, k, t, h, scale, dens, p.q)
     value = h + scale * s if k == 0 else scale * s
     if e:
         value += e
@@ -991,12 +1003,13 @@ def _lambert_floor(
     if g(lo) <= c:
         return math.floor(lo)
     hi = max(2.0 * lo, -c / lx)
-    while g(hi) > c:
+    while not math.isinf(hi) and g(hi) > c:
         lo, hi = hi, 2.0 * hi
-        if math.isinf(hi):
-            return math.inf
+    if math.isinf(hi):
+        # the least such K is past half the largest double (x below about 1e-305)
+        return math.inf
     while hi - lo > 1e-3 * lo:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # the bits of 0.5 * (lo + hi), which overflows near 1e308
         if g(mid) > c:
             lo = mid
         else:
@@ -1033,7 +1046,8 @@ def _dl(m: int, lam: float, y: float) -> float:
     itself, accurate for p^y near 0 and near 1, and for m >= 1
     -(ln p)^m Li_{1-m}(p^y) = (-1)^{m+1} w^m u A_{m-1}(u) with u = p^y and
     w = lam / (1 - u).  A_{m-1} has positive coefficients, so nothing
-    cancels near u = 1.  Raises OverflowError where w^m overflows."""
+    cancels near u = 1.  Raises OverflowError where w^m overflows and
+    ZeroDivisionError where lam y underflows to 0, at a subnormal y."""
     a = -lam * y
     if not m:
         return math.log(-math.expm1(a)) if a > -math.log(2.0) else math.log1p(-math.exp(a))
@@ -1080,7 +1094,7 @@ def _em_sum(
             err = abs(values[-1])
             if err <= target(value) and math.isfinite(value):
                 return EvalResult(value, err, m + n)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         pass
     raise NonConvergent(
         f"Euler-Maclaurin bound above the tail target within {_EM_ORDERS} orders and the "
@@ -1153,7 +1167,7 @@ def _psi_lambert_rows(
     if not sub_unit:
         head = head + lnq * (xs - 0.5)
     heads = np.where(ks == 0, head, 0.0)
-    partials, tails, terms = _lambert_rows(base, ks, xs, t, heads, scales)
+    partials, tails, terms = _lambert_rows(base, ks, xs, t, heads, scales, p.q)
     values = scales * partials
     values = np.where(ks == 0, heads + values, values)
     if not sub_unit:

@@ -141,15 +141,28 @@ class EvalContext:
 
     def _fill(self, keys: list[tuple[int, float]]) -> None:
         """Evaluate the missing keys of keys in one _psi_orders pass (see
-        psi_grid) and store each as its row (value, err_bound, terms)."""
+        psi_grid) and store each as its row (value, err_bound, terms).
+
+        A fresh context skips the lookup of each key.  Where each order's
+        keys run together, as in every provider's grid, the pass's
+        order-major order is theirs, and the rows are stored under them."""
         results = self._results
-        new = [key for key in dict.fromkeys(keys) if key not in results]
+        new = dict.fromkeys(keys)
+        if results:
+            new = [key for key in new if key not in results]
         missing: dict[int, list[float]] = {}
+        last, order_major = None, True
         for k, x in new:
-            missing.setdefault(k, []).append(x)
+            if k != last:
+                order_major = order_major and k not in missing
+                pts = missing.setdefault(k, [])
+                last = k
+            pts.append(x)
         if missing:
             rows = zip(*(a.tolist() for a in _psi_orders(self.p, missing, self.trunc)))
-            results.update(zip(((k, x) for k, xs in missing.items() for x in xs), rows))
+            if not order_major:
+                new = ((k, x) for k, xs in missing.items() for x in xs)
+            results.update(zip(new, rows))
 
     def _psi_rows(self, keys: list[tuple[int, float]]) -> list[tuple[float, float, int]]:
         """The row (value, err_bound, terms) of psi(k, x) for every (k, x)

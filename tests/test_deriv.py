@@ -29,6 +29,7 @@ from qfun import (
     log_derivatives,
     make_grid,
     q_digamma,
+    q_gamma,
     q_polygamma,
     q_psi_grid,
     ratio_provider,
@@ -475,6 +476,32 @@ class TestLnGammaGrid:
         before = errors()
         fill(ctx)
         assert errors() == before
+
+
+def test_super_unit_term_cap_names_the_callers_q():
+    # the sums run at base 1/q = 0.2, and the error names q = 5.0 itself
+    p = QParam(5.0)
+    t = Truncation(max_terms=64)
+
+    def message(call):
+        with pytest.raises(NonConvergent) as info:
+            call()
+        return str(info.value)
+
+    for k in (0, 2):
+        want = f"term cap 64 reached before the tail target (q=5.0, x=0.01, order={k})"
+        point = (lambda: q_polygamma(p, 0.01, k, t)) if k else (lambda: q_digamma(p, 0.01, t))
+        assert message(point) == want
+        assert message(lambda: q_psi_grid(p, k, [1.0, 0.01], t)) == want
+        assert message(lambda: EvalContext(p, t).psi_grid([(k, 1.0), (k, 0.01)])) == want
+    t = Truncation(max_terms=8)
+    want = "term cap 8 reached before the tail target (q=5.0, x=0.01)"
+    for call in (
+        lambda: ln_q_gamma(p, 0.01, t),
+        lambda: q_gamma(p, 0.01, t),
+        lambda: EvalContext(p, t).ln_gamma_grid([0.01, 0.02]),
+    ):
+        assert message(call) == want
 
 
 class TestSquaredContext:

@@ -14,7 +14,9 @@ To re-capture them (it takes about 20 s), run this file with python.
 
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -129,6 +131,58 @@ def test_floor_stays_below_the_pinned_long_sums():
         p, k = QParam(c["q"], allow_near_one=True), int(c["kind"][3:])
         em = core._psi_em(p, k, c["x"], DEFAULT_TRUNCATION)
         assert core._lambert_floor(p, k, c["x"], DEFAULT_TRUNCATION, em) <= c["terms"], c
+
+
+# one-point and grid psi^(k) at x down to the least subnormal, each case
+# printed as [value, terms] or the NonConvergent message; the floor runs
+# before any sum, whatever the term cap, and a cap of 4096 keeps the
+# capped cases quick
+TINY_X_SCRIPT = """
+import json
+from qfun import EvalContext, NonConvergent, QParam, Truncation, q_digamma, q_polygamma, q_psi_grid
+
+def outcome(call):
+    try:
+        r = call()
+    except NonConvergent as e:
+        return str(e)
+    return [r.value, r.terms]
+
+t = Truncation(max_terms=4096)
+out = []
+for q in (0.2, 0.5, 0.8, 2.0, 5.0):
+    p = QParam(q)
+    for x in (1e-305, 1e-310, 5e-324):
+        for k in (0, 3):
+            out.append([q, x, k,
+                outcome(lambda: q_polygamma(p, x, k, t) if k else q_digamma(p, x, t)),
+                outcome(lambda: q_psi_grid(p, k, [1.0, x], t)[1]),
+                outcome(lambda: EvalContext(p, t).psi_grid([(k, 1.0), (k, x)])[1])])
+    out.append([q, 1e-305, 0, outcome(lambda: q_digamma(p, 1e-305)), None, None])
+print(json.dumps(out))
+"""
+
+
+def test_tiny_x_ends_in_a_value_or_nonconvergent():
+    # a subprocess, so that a floor that never returns fails the test
+    # instead of hanging the suite
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-c", TINY_X_SCRIPT], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    cases = json.loads(run.stdout)
+    assert len(cases) == 35
+    for q, x, k, point, grid, ctx_grid in cases:
+        if grid is not None:
+            assert grid == ctx_grid == point, (q, x, k)
+        if isinstance(point, str):
+            assert point.startswith("term cap 4096 reached") and f"q={q}, x={x!r}" in point
+        else:
+            # psi(x) = -1/x + O(1): only k = 0 at 1e-305 has a finite value
+            assert (k, x) == (0, 1e-305) and point[0] == pytest.approx(-1.0 / x, rel=1e-15)
+    assert [c[3] for c in cases if c[:3] == [0.5, 1e-305, 0]] == [[-1.0000000000000001e305, 68]] * 2
 
 
 class TestMixedGrid:
