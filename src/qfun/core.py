@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -54,9 +55,6 @@ _CHUNK_LIMIT = 65536
 # of the one-point sums, and 512 KiB grid blocks kept about 1.4 MB more
 # resident over 1,500 certification sweeps and ran no faster
 _BLOCK_TERMS = 8192
-# a table of block denominators (_block_den) covers at most this many terms
-# (2 MiB); without a bound it grows with the longest sum that uses it
-_DEN_TABLE_TERMS = 32 * _BLOCK_TERMS
 # psi^(k) leaves the Lambert series for the Euler-Maclaurin sum (_psi_em)
 # only where the series provably cannot stop within this many terms, so
 # every sum that it finishes within them keeps its bits
@@ -284,107 +282,66 @@ def _lambert_tails(
     return out
 
 
-def _lambert_sum(
-    q: float,
-    x: float,
-    n: int,
-    trunc: Truncation,
-    offset: float,
-    scale: float,
-    dens: list[np.ndarray] | None = None,
-    shown_q: float | None = None,
-) -> tuple[float, float, int]:
-    """Chunked sum of k^n q^{kx} / (1 - q^k) over k >= 1, for 0 < q < 1.
-
-    The caller assembles the final value as offset + scale * partial; the
-    stop rule therefore compares |scale| * tail against the truncation
-    target taken at that assembled value.  A chunk is summed in blocks of
-    at most _BLOCK_TERMS terms; consecutive blocks of one length reuse
-    their arrays, so the chunks past _BLOCK_TERMS allocate nothing beyond
-    the entries they add to dens.  The
-    partial is math.fsum of the block sums.  dens, when given, is a table
-    of block denominators shared by the sums of one solve at this q and
-    term cap (see _block_den).  A NonConvergent names shown_q when given:
-    the caller's q, whose base 1/q this q may be.
-    """
+def _lambert_block(q: float, x: float, n: int) -> Callable[..., float]:
+    """The block function of the sum of k^n q^{kx} / (1 - q^k) over k >= 1,
+    0 < q < 1, for _chunk_sum.  Every ufunc works in place.  Dividing by
+    q^k - 1 and negating the block sum gives the bits of dividing by
+    1 - q^k, since rounding is symmetric in sign, and saves a pass."""
     lnq = math.log(q)
     xl = x * lnq
+
+    def block(k: np.ndarray, num: np.ndarray, den: np.ndarray) -> float:
+        np.multiply(k, xl, out=num)
+        np.exp(num, out=num)
+        if n:
+            num *= np.power(k, n, out=den)
+        np.multiply(k, lnq, out=den)
+        num /= np.expm1(den, out=den)
+        return -float(np.add.reduce(num))
+
+    return block
+
+
+def _chunk_sum(
+    block: Callable[[np.ndarray, np.ndarray, np.ndarray], float],
+    tail: Callable[[int], float],
+    t: Truncation,
+    target: Callable[[float], float],
+    where: str,
+) -> tuple[float, float, int]:
+    """The chunk loop of a one-point series sum over k >= 1; returns
+    (partial, tail, terms).
+
+    Chunks of 64 terms, doubling to _CHUNK_LIMIT, are summed in blocks of
+    at most _BLOCK_TERMS.  block(k, u, v) sums the terms at the indices k,
+    with work arrays u and v; blocks of one length reuse all three.  The
+    partial is math.fsum of the block sums, and the sum stops at the first
+    chunk end k1 with tail(k1) <= target(partial), where tail(k1) bounds
+    the terms after k1 times the caller's scale.  A tail infinite after the
+    cap is so at every chunk end, since it falls as k grows: then the
+    NonConvergent, which names where, is raised at once.
+    """
     sums: list[float] = []
-    k = num = den = power = None
-    i = 0  # blocks so far
-    k0 = 1
-    chunk = _CHUNK_START
-    while k0 <= trunc.max_terms:
-        k1 = min(k0 + chunk - 1, trunc.max_terms)
+    k = u = v = None
+    k0, size = 1, _CHUNK_START
+    stops = tail(t.max_terms) < math.inf
+    while stops and k0 <= t.max_terms:
+        k1 = min(k0 + size - 1, t.max_terms)
         for b0 in range(k0, k1 + 1, _BLOCK_TERMS):
             m = min(_BLOCK_TERMS, k1 + 1 - b0)
             if k is not None and k.size == m:
                 k += m  # the last block ended at b0 - 1
             else:
                 k = np.arange(b0, b0 + m, dtype=np.float64)
-                num, den = np.empty(m), np.empty(m)
-                power = np.empty(m) if n else None
-            # k^n q^{kx} / (1 - q^k), every ufunc in place.  Dividing by
-            # q^k - 1 and negating the block sum gives the bits of dividing
-            # by 1 - q^k, since rounding is symmetric in sign, and saves a
-            # pass
-            np.multiply(k, xl, out=num)
-            np.exp(num, out=num)
-            if n:
-                num *= np.power(k, n, out=power)
-            num /= _block_den(k, lnq, den, dens, i)
-            sums.append(-float(np.add.reduce(num)))
-            i += 1
-        partial = _running_fsum(sums)
-        tail = _lambert_tail(q, x, n, k1)
-        if abs(scale) * tail <= trunc.target(offset + scale * partial):
-            return partial, tail, k1
+                u, v = np.empty(m), np.empty(m)
+            sums.append(block(k, u, v))
+        partial = math.fsum(sums)
+        bound = tail(k1)
+        if bound <= target(partial):
+            return partial, bound, k1
         k0 = k1 + 1
-        chunk = min(chunk * 2, _CHUNK_LIMIT)
-    raise NonConvergent(
-        f"term cap {trunc.max_terms} reached before the tail target "
-        f"(q={shown_q or q}, x={x}, order={n})"
-    )
-
-
-def _block_den(
-    k: np.ndarray, lnq: float, out: np.ndarray, dens: list[np.ndarray] | None, i: int
-) -> np.ndarray:
-    """q^k - 1 over block i of a sum, as expm1(k ln q) written to out, or
-    read from the table dens when that holds the block.
-
-    A table belongs to one q and one term cap, so that its entry i is
-    block i of every sum that uses it.  A block missing from the table
-    joins it while the table covers at most _DEN_TABLE_TERMS terms.
-    """
-    if dens is not None:
-        if i < len(dens):
-            return dens[i]
-        if k[-1] <= _DEN_TABLE_TERMS:
-            out = np.empty(k.size)
-            dens.append(out)
-    np.multiply(k, lnq, out=out)
-    return np.expm1(out, out=out)
-
-
-def _running_fsum(sums: list[float]) -> float:
-    """math.fsum(sums), for a list that grows by a few floats per call.
-
-    A long list is replaced in place by the few floats r1, r2, ... with its
-    exact sum, each the rounded rest of that sum after the ones before.
-    fsum rounds the exact sum once, so summing the short list with later
-    floats gives the bits of summing the whole list, and the cost per call
-    stays flat instead of growing with the blocks summed.
-    """
-    partial = math.fsum(sums)
-    if len(sums) > 32 and math.isfinite(partial):
-        exact: list[float] = []
-        r = partial
-        while r:
-            exact.append(r)
-            r = math.fsum(sums + [-v for v in exact])
-        sums[:] = exact
-    return partial
+        size = min(size * 2, _CHUNK_LIMIT)
+    raise NonConvergent(f"term cap {t.max_terms} reached before the tail target ({where})")
 
 
 def _chunk_rows(
@@ -394,9 +351,11 @@ def _chunk_rows(
     scales: Sequence[float],
     chunk: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
     tails: Callable[[int, np.ndarray], np.ndarray],
+    where: Callable[[int], str],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The chunk loop of a grid pass over count rows; returns the arrays
-    (partial, tail, terms), with terms 0 for a row that reached the term cap.
+    (partial, tail, terms).  The first row that reaches the term cap
+    raises _chunk_sum's NonConvergent, naming where(row).
 
     Every row sums its terms k = 1, 2, ... in the chunks of the one-point
     sums (64 terms, doubling to _CHUNK_LIMIT) and leaves once
@@ -409,9 +368,11 @@ def _chunk_rows(
     stop test are arrays over the rows still active.  chunk(k) takes the
     term indices of a block, at most _BLOCK_TERMS of them, and returns the
     map from an array of row indices to those rows' terms; tails(k1, rows)
-    gives the rows' tail majorants after term k1.  A chunk longer than a
-    block is summed block by block, and the rows are grouped so no
-    temporary holds more than _BLOCK_TERMS terms.
+    gives the rows' tail majorants after term k1, which fall as k1 grows.
+    A chunk longer than a block is summed block by block, and the rows are
+    grouped so no temporary holds more than _BLOCK_TERMS terms.  A row
+    whose tail is infinite after the cap cannot stop at any chunk end: it
+    is never summed.
     """
     offsets = np.asarray(offsets, dtype=np.float64)
     scales = np.asarray(scales, dtype=np.float64)
@@ -427,6 +388,14 @@ def _chunk_rows(
     size = _CHUNK_START
     while active.size and k0 <= trunc.max_terms:
         k1 = min(k0 + size - 1, trunc.max_terms)
+        tail = tails(k1, active)
+        if k0 == 1 and tail.max() == math.inf:
+            # only a row infinite here can be infinite after the cap
+            doomed = tail == math.inf
+            doomed[doomed] = tails(trunc.max_terms, active[doomed]) == math.inf
+            active, tail = active[~doomed], tail[~doomed]
+            if not active.size:
+                break
         for b0 in range(k0, k1 + 1, _BLOCK_TERMS):
             m = min(_BLOCK_TERMS, k1 + 1 - b0)
             terms_of = chunk(np.arange(b0, b0 + m, dtype=np.float64))
@@ -442,7 +411,6 @@ def _chunk_rows(
             partial = sums[0] + sums[1]
         else:
             partial = np.array([math.fsum(row) for row in zip(*(s.tolist() for s in sums))])
-        tail = tails(k1, active)
         # Truncation.target, elementwise
         target = np.maximum(rel_tol * np.abs(offsets[active] + scales[active] * partial), abs_tol)
         done = abs_scales[active] * tail <= target
@@ -456,6 +424,11 @@ def _chunk_rows(
             sums = [s[keep] for s in sums]
         k0 = k1 + 1
         size = min(size * 2, _CHUNK_LIMIT)
+    capped = np.flatnonzero(terms == 0)
+    if capped.size:
+        raise NonConvergent(
+            f"term cap {trunc.max_terms} reached before the tail target ({where(capped[0])})"
+        )
     return partials, tails_out, terms
 
 
@@ -466,7 +439,7 @@ def _lambert_rows(
     trunc: Truncation,
     offsets: np.ndarray,
     scales: np.ndarray,
-    shown_q: float | None = None,
+    shown_q: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Chunked sums of k^n q^{kx} / (1 - q^k) over k >= 1, one row per
     order n of ns and x of xs, for 0 < q < 1; returns the arrays (partial,
@@ -476,8 +449,8 @@ def _lambert_rows(
     the stop rule therefore compares |scales[i]| * tail against the
     truncation target taken at that assembled value (see _chunk_rows).
     Each chunk takes 1 - q^k once and k^n once per order present.  Raises
-    _lambert_sum's NonConvergent for the first row that reaches the term
-    cap.
+    _psi_lambert's NonConvergent, naming shown_q, for the first row that
+    reaches the term cap.
     """
     lnq = math.log(q)
     xl = xs * lnq  # x * ln q of each row
@@ -516,18 +489,11 @@ def _lambert_rows(
 
         return terms_of
 
-    out = _chunk_rows(
+    return _chunk_rows(
         len(xs), trunc, offsets, scales, chunk,
         lambda k1, rows: _lambert_tails(q, ns[rows], k1, xl[rows], r[rows]),
+        lambda i: f"q={shown_q}, x={float(xs[i])}, order={int(ns[i])}",
     )
-    capped = np.flatnonzero(out[2] == 0)
-    if capped.size:
-        i = capped[0]
-        raise NonConvergent(
-            f"term cap {trunc.max_terms} reached before the tail target "
-            f"(q={shown_q or q}, x={float(xs[i])}, order={int(ns[i])})"
-        )
-    return out
 
 
 def _logprod_tail(q: float, x: float, next_j: int) -> float:
@@ -548,8 +514,8 @@ def _logprod_tail(q: float, x: float, next_j: int) -> float:
 
 
 def _logprod_floor(q: float, x: float, target: float) -> float:
-    """A lower bound on the terms that _logprod_sum at base q takes at x
-    while its stop target stays at most target: the least J with
+    """A lower bound on the terms that the product series at base q takes
+    at x while its stop target stays at most target: the least J with
     _logprod_tail(q, x, J) <= target, in closed form, as its log_d falls
     linearly in J."""
     lnq, m = math.log(q), min(1.0, x)
@@ -560,58 +526,25 @@ def _logprod_floor(q: float, x: float, target: float) -> float:
     return (c + math.log(-math.expm1(m * lnq))) / lnq - m
 
 
-def _logprod_sum(
-    q: float,
-    x: float,
-    trunc: Truncation,
-    offset: float,
-    stop_target: float | None = None,
-    shown_q: float | None = None,
-) -> tuple[float, float, int]:
-    """Chunked sum of ln(1-q^{j+1}) - ln(1-q^{j+x}) over j >= 0, 0 < q < 1.
-
-    stop_target, when given, is an absolute target on the log scale; the
-    exponentiated gamma uses it so its bound stays relative on the gamma
-    scale even when |ln value| is large.  Chunks are summed in blocks, and
-    a NonConvergent names shown_q, as in _lambert_sum.
-    """
+def _logprod_block(q: float, x: float) -> Callable[..., float]:
+    """The block function of the sum of ln(1-q^{j+1}) - ln(1-q^{j+x}) over
+    j >= 0, 0 < q < 1, for _chunk_sum, with j = k - 1, exact.  Every ufunc
+    works in place."""
     lnq = math.log(q)
-    sums: list[float] = []
-    j = a = b = None
-    j0 = 0
-    chunk = _CHUNK_START
-    while j0 < trunc.max_terms:
-        j1 = min(j0 + chunk - 1, trunc.max_terms - 1)
-        for b0 in range(j0, j1 + 1, _BLOCK_TERMS):
-            m = min(_BLOCK_TERMS, j1 + 1 - b0)
-            if j is not None and j.size == m:
-                j += m  # the last block ended at b0 - 1
-            else:
-                j = np.arange(b0, b0 + m, dtype=np.float64)
-                a, b = np.empty(m), np.empty(m)
-            # ln(1 - q^{j+1}) - ln(1 - q^{j+x}), every ufunc in place
-            np.add(j, 1.0, out=a)
-            np.add(j, x, out=b)
-            for u in (a, b):
-                u *= lnq
-                np.expm1(u, out=u)
-                np.negative(u, out=u)
-                np.log(u, out=u)
-            a -= b
-            sums.append(float(np.add.reduce(a)))
-        partial = _running_fsum(sums)
-        tail = _logprod_tail(q, x, j1 + 1)
-        if stop_target is not None:
-            target = max(stop_target, trunc.abs_tol)
-        else:
-            target = trunc.target(offset + partial)
-        if tail <= target:
-            return partial, tail, j1 + 1
-        j0 = j1 + 1
-        chunk = min(chunk * 2, _CHUNK_LIMIT)
-    raise NonConvergent(
-        f"term cap {trunc.max_terms} reached before the tail target (q={shown_q or q}, x={x})"
-    )
+
+    def block(k: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+        np.multiply(k, lnq, out=a)  # (j + 1) ln q
+        np.subtract(k, 1.0, out=b)
+        b += x
+        b *= lnq
+        for u in (a, b):
+            np.expm1(u, out=u)
+            np.negative(u, out=u)
+            np.log(u, out=u)
+        a -= b
+        return float(np.add.reduce(a))
+
+    return block
 
 
 def _logprod_rows(
@@ -619,38 +552,41 @@ def _logprod_rows(
     xs: Sequence[float],
     trunc: Truncation,
     offsets: Sequence[float],
-    shown_q: float | None = None,
+    shown_q: float,
 ) -> list[tuple[float, float, int]]:
-    """_logprod_sum at every x of xs in one chunk loop (see _chunk_rows),
-    each row stopping at its own target; a single x takes _logprod_sum.
-    The first x that reaches the term cap raises _logprod_sum's
-    NonConvergent."""
+    """The product series at base q at every x of xs in one chunk loop (see
+    _chunk_rows), each row stopping at the target of offsets[i] plus its
+    partial; a single x takes _chunk_sum.  The first x that reaches the
+    term cap raises NonConvergent, naming shown_q."""
     if len(xs) == 1:
-        return [_logprod_sum(q, xs[0], trunc, offsets[0], shown_q=shown_q)]
+        x, offset = xs[0], offsets[0]
+        return [_chunk_sum(
+            _logprod_block(q, x), lambda k: _logprod_tail(q, x, k), trunc,
+            lambda s: trunc.target(offset + s), f"q={shown_q}, x={x}",
+        )]
     lnq = math.log(q)
     xa = np.asarray(xs, dtype=np.float64)
 
     def chunk(k: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        j = k - 1.0  # the j of _logprod_sum, exact
+        j = k - 1.0  # the j of _logprod_block, exact
         log_a = np.log(-np.expm1((j + 1.0) * lnq))
         return lambda rows: log_a - np.log(-np.expm1(np.add.outer(xa[rows], j) * lnq))
 
     partials, tails, terms = _chunk_rows(
         len(xs), trunc, offsets, np.ones(len(xs)), chunk,
         lambda k1, rows: np.array([_logprod_tail(q, xs[i], k1) for i in rows.tolist()]),
+        lambda i: f"q={shown_q}, x={xs[i]}",
     )
-    capped = np.flatnonzero(terms == 0)
-    if capped.size:
-        raise NonConvergent(
-            f"term cap {trunc.max_terms} reached before the tail target "
-            f"(q={shown_q or q}, x={xs[capped[0]]})"
-        )
     return list(zip(partials.tolist(), tails.tolist(), terms.tolist()))
 
 
 def _ln_gamma_parts(p: QParam, x: float) -> tuple[float, float]:
-    """(closed-form prefactor, base of the product series) for ln Gamma_q."""
+    """(closed-form prefactor, base of the product series) for ln Gamma_q.
+    Raises DomainError where x |ln q| is below the normal range: there
+    x ln q rounds to 0 or to a subnormal of few significant bits."""
     q = p.q
+    if x * abs(math.log(q)) < sys.float_info.min:
+        raise DomainError(f"x = {x!r} is too small for ln Gamma_q: x |ln q| is not normal")
     if p.regime is Regime.SUB_UNIT:
         return (1.0 - x) * math.log1p(-q), q
     pre = (1.0 - x) * math.log(q - 1.0) + 0.5 * x * (x - 1.0) * math.log(q)
@@ -680,7 +616,7 @@ def _ln_gamma_rows(p: QParam, xs: Sequence[float], t: Truncation) -> list[EvalRe
     that reaches the term cap raises ln_q_gamma's NonConvergent, and else
     the first whose value is not finite raises its OverflowError."""
     xs = [_check_x(x) for x in xs]
-    out = [_ln_gamma_em_instead(p, x, t) for x in xs]
+    out = [_ln_gamma_em_instead(p, x, t, t.target) for x in xs]
     product = [i for i, r in enumerate(out) if r is None]
     if product:
         pres, bases = zip(*(_ln_gamma_parts(p, xs[i]) for i in product))
@@ -694,23 +630,19 @@ def _ln_gamma_rows(p: QParam, xs: Sequence[float], t: Truncation) -> list[EvalRe
 
 
 def _ln_gamma_em_instead(
-    p: QParam, x: float, t: Truncation, stop_target: float | None = None
+    p: QParam, x: float, t: Truncation, target: Callable[[float], float]
 ) -> EvalResult | None:
     """_ln_gamma_em's ln Gamma_q(x) where the product series provably
-    cannot stop within _LOGPROD_SWITCH terms, else None; stop_target is
-    q_gamma's log-scale target (see _logprod_sum).  As in _em_instead, the
-    tail's underflow bounds the product terms from above.  Every product
-    term has the sign of 1 - x, so the Euler-Maclaurin value plus its bound
-    caps the product's stop target, and _logprod_floor there bounds them
-    from below.  The least cap, |pre|, gives the highest floor, so
+    cannot stop within _LOGPROD_SWITCH terms at target, else None: target
+    is ln_q_gamma's t.target or q_gamma's log-scale one.  As in
+    _em_instead, the tail's underflow bounds the product terms from above.
+    Every product term has the sign of 1 - x, so the Euler-Maclaurin value
+    plus its bound caps the product's stop target, and _logprod_floor there
+    bounds them from below.  The least cap, |pre|, gives the highest floor, so
     _ln_gamma_em runs only where that floor passes the switch."""
     pre, base = _ln_gamma_parts(p, x)
     if _logprod_tail(base, x, _LOGPROD_SWITCH) == 0.0:
         return None
-
-    def target(value: float) -> float:
-        return t.target(value) if stop_target is None else max(stop_target, t.abs_tol)
-
     if _logprod_floor(base, x, target(pre * (1.0 + 1e-9))) <= _LOGPROD_SWITCH:
         return None
     try:
@@ -780,11 +712,14 @@ def q_gamma(p: QParam, x: float, trunc: Truncation | None = None) -> EvalResult:
     """
     x = _check_x(x)
     t = trunc or DEFAULT_TRUNCATION
-    stop_target = 0.5 * t.rel_tol
-    em = _ln_gamma_em_instead(p, x, t, stop_target)
+    log_target = max(0.5 * t.rel_tol, t.abs_tol)
+    em = _ln_gamma_em_instead(p, x, t, lambda value: log_target)
     if em is None:
         pre, base = _ln_gamma_parts(p, x)
-        s, tail, terms = _logprod_sum(base, x, t, pre, stop_target, p.q)
+        s, tail, terms = _chunk_sum(
+            _logprod_block(base, x), lambda k: _logprod_tail(base, x, k), t,
+            lambda s: log_target, f"q={p.q}, x={x}",
+        )
         ln_value = pre + s
     else:
         ln_value, tail, terms = em.value, em.err_bound, em.terms
@@ -903,30 +838,29 @@ def _psi_offsets(p: QParam, k: int, x: float, head: float) -> tuple[float, float
     return (0.0 if k else head + lnq * (x - 0.5)), (lnq if k == 1 else 0.0)
 
 
-def _psi_point(
-    p: QParam, k: int, x: float, t: Truncation, dens: list[np.ndarray] | None = None
-) -> EvalResult:
+def _psi_point(p: QParam, k: int, x: float, t: Truncation) -> EvalResult:
     """psi^(k)(x) at one checked order k and point x: by _psi_em where the
     Lambert sum provably cannot stop within _EM_SWITCH terms, else by
     _psi_lambert."""
     em = _em_instead(p, k, x, t)
-    return em if em is not None else _psi_lambert(p, k, x, t, dens)
+    return em if em is not None else _psi_lambert(p, k, x, t)
 
 
-def _psi_lambert(
-    p: QParam, k: int, x: float, t: Truncation, dens: list[np.ndarray] | None = None
-) -> EvalResult:
-    """psi^(k)(x) by _lambert_sum and float arithmetic, without the per-call
-    cost of arrays.  dens is _lambert_sum's table of block denominators,
-    for the evaluations of one solve at p and t."""
+def _psi_lambert(p: QParam, k: int, x: float, t: Truncation) -> EvalResult:
+    """psi^(k)(x) by the Lambert series, summed by _chunk_sum, and float
+    arithmetic, without the per-call cost of the row arrays.  The stop test
+    takes the scale into the tail and the head into the target."""
     base, scale_of, head = _psi_parts(p, k)
     h, e = _psi_offsets(p, k, x, head)
     scale = scale_of[k]
-    s, tail, terms = _lambert_sum(base, x, k, t, h, scale, dens, p.q)
+    s, err, terms = _chunk_sum(
+        _lambert_block(base, x, k), lambda k1: abs(scale) * _lambert_tail(base, x, k, k1), t,
+        lambda s: t.target(h + scale * s), f"q={p.q}, x={x}, order={k}",
+    )
     value = h + scale * s if k == 0 else scale * s
     if e:
         value += e
-    return EvalResult(value, abs(scale) * tail, terms)
+    return EvalResult(value, err, terms)
 
 
 def _lambert_may_pass(lnb: float, ks, xs):

@@ -91,8 +91,7 @@ def digamma_zero(
     zero, then m <= a - w becomes lo and m >= b + w becomes hi.
     iterations counts the Lambert q-digamma evaluations made, each point
     once.  They and the Lambert psi' evaluations of the Newton polish are
-    those of q_digamma and q_polygamma, bit for bit, and share one table of
-    the series denominators 1 - q^k.
+    those of q_digamma and q_polygamma, bit for bit.
 
     The error bound E.  A computed Lambert psi(y) on [lo, hi] lies within
     E = target(F) + allowance(psi(lo), psi(hi)) + base rounding of the true
@@ -137,15 +136,14 @@ def digamma_zero(
     _check_count("newton_steps", newton_steps, 0)
     t = trunc or DEFAULT_TRUNCATION
     values: dict[float, float] = {}
-    dens: list = []  # the shared denominators, filled by the first sums
 
     def f(x: float) -> float:
         if x not in values:
-            values[x] = _psi_point(p, 0, x, t, dens).value
+            values[x] = _psi_point(p, 0, x, t).value
         return values[x]
 
     def slope(x: float) -> EvalResult:
-        return _psi_point(p, 1, x, t, dens)
+        return _psi_point(p, 1, x, t)
 
     # the evaluator choice.  ends gives a bracket end's value, with the
     # Lambert sign; probe and probe_slope feed _locate, whose signs bound

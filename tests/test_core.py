@@ -6,7 +6,6 @@ plain Python loops so they share no code with the implementation.
 """
 
 import math
-import random
 import re
 import tracemalloc
 
@@ -29,6 +28,7 @@ from qfun import (
     q_digamma,
     q_gamma,
     q_polygamma,
+    q_psi_grid,
 )
 
 GRID_QS = (0.1, 0.3, 0.5, 0.7, 0.9, 2.0, 5.0)
@@ -315,20 +315,69 @@ class TestEvalResult:
         assert tight > loose
 
 
-def test_running_fsum_equals_fsum_of_every_float_so_far():
-    # the list is shortened to a few floats of the same exact sum; the
-    # partials stay math.fsum of everything summed, bit for bit
-    # signed powers of two spread over 80 binades: their exact sums need
-    # several floats, and ties in the last rounding are common
-    rng = random.Random(7)
-    for _ in range(50):
-        summed, sums = [], []
-        for _ in range(40):
-            new = [rng.choice((-1.0, 1.0)) * 2.0 ** rng.randint(-80, 0) for _ in range(8)]
-            summed += new
-            sums += new
-            assert qfun.core._running_fsum(sums) == math.fsum(summed)
-        assert len(sums) < 40
+class TestTinyX:
+    """Where the psi tail majorant is infinite at the term cap no chunk end
+    can stop, so the sum is never started; where x |ln q| is below the
+    normal range ln Gamma_q is refused."""
+
+    def test_psi_raises_the_cap_message_without_summing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("summed a block")
+
+        monkeypatch.setattr(qfun.core, "_lambert_block", lambda q, x, n: refuse)
+        with pytest.raises(NonConvergent) as info:
+            q_digamma(QParam(0.5), 1e-310)
+        assert str(info.value) == (
+            "term cap 10000000 reached before the tail target (q=0.5, x=1e-310, order=0)"
+        )
+        with pytest.raises(NonConvergent) as info:
+            q_polygamma(QParam(0.5), 5e-324, 3)
+        assert str(info.value) == (
+            "term cap 10000000 reached before the tail target (q=0.5, x=5e-324, order=3)"
+        )
+
+    def test_grid_rows_that_cannot_stop_are_not_summed(self, monkeypatch):
+        rows = []
+        chunk_rows = qfun.core._chunk_rows
+
+        def recording(count, trunc, offsets, scales, chunk, tails, where):
+            def chunk_of(k):
+                terms_of = chunk(k)
+
+                def recorded(active):
+                    rows.extend(active.tolist())
+                    return terms_of(active)
+
+                return recorded
+
+            return chunk_rows(count, trunc, offsets, scales, chunk_of, tails, where)
+
+        monkeypatch.setattr(qfun.core, "_chunk_rows", recording)
+        with pytest.raises(NonConvergent) as info:
+            q_psi_grid(QParam(0.5), 0, [1.0, 1e-310, 2.0, 5e-324])
+        assert "(q=0.5, x=1e-310, order=0)" in str(info.value)
+        assert set(rows) == {0, 2}
+
+    def test_grid_keeps_the_first_capped_key_in_order(self):
+        # under a 64-term cap x = 0.01 is capped only after its sum
+        t = Truncation(max_terms=64)
+        for xs, named in (([0.01, 1e-310], "x=0.01,"), ([1e-310, 0.01], "x=1e-310,")):
+            with pytest.raises(NonConvergent, match=f"term cap 64 .*{named}"):
+                q_psi_grid(QParam(0.5), 0, xs, t)
+
+    @pytest.mark.parametrize("q", [0.5, 0.8, 0.99, 2.0])
+    def test_ln_gamma_refuses_a_subnormal_x_ln_q(self, q):
+        for fn in (ln_q_gamma, q_gamma):
+            with pytest.raises(DomainError, match=r"x = 5e-324 is too small"):
+                fn(QParam(q), 5e-324)
+        # Gamma_q(x) = Gamma_q(1 + x) / [x]_q, with Gamma_q(1 + x) = 1 + O(x)
+        x = 1e-300
+        bracket = x * abs(math.log(q)) / abs(1.0 - q)
+        got = ln_q_gamma(QParam(q), x)
+        assert got.err_bound <= Truncation().target(got.value)
+        assert got.value == pytest.approx(-math.log(bracket), rel=1e-15, abs=got.err_bound)
+        # exp of a log near 690 carries its rounding, about 1e-13 relative
+        assert q_gamma(QParam(q), x).value == pytest.approx(1.0 / bracket, rel=1e-12)
 
 
 def traced_peak(call) -> int:
@@ -355,10 +404,8 @@ class TestPeakMemory:
         assert r.terms == 1_179_584
         assert traced_peak(lambda: q_polygamma(self.P, 0.5, 6, self.T)) < 512 * 1024
 
-    def test_zero_solve_stays_within_its_table_and_buffers(self):
-        # the solve's table of block denominators, at most _DEN_TABLE_TERMS
-        # floats, and the work arrays of one sum: four blocks, three half
-        # blocks while they grow, and room for the small objects
-        core = qfun.core
-        bound = 8 * (core._DEN_TABLE_TERMS + 6 * core._BLOCK_TERMS)
+    def test_zero_solve_stays_within_the_work_buffers_of_one_sum(self):
+        # the index and work arrays of one sum, three blocks, and two half
+        # blocks while they grow, with room for the small objects
+        bound = 8 * 5 * qfun.core._BLOCK_TERMS
         assert traced_peak(lambda: digamma_zero(self.P, trunc=self.T)) <= bound

@@ -64,10 +64,18 @@ def gamma_target(value):
 
 
 def product_series(p, x, t=T, stop_target=None):
-    """ln Gamma_q(x) by the product series alone, core._logprod_sum, at the
-    target of ln_q_gamma or, given its stop_target, of q_gamma."""
+    """ln Gamma_q(x) by the product series alone, summed by the one-point
+    chunk loop core._chunk_sum, at the target of ln_q_gamma or, given its
+    stop_target, of q_gamma."""
     pre, base = core._ln_gamma_parts(p, x)
-    s, tail, terms = core._logprod_sum(base, x, t, pre, stop_target)
+
+    def target(s):
+        return t.target(pre + s) if stop_target is None else max(stop_target, t.abs_tol)
+
+    s, tail, terms = core._chunk_sum(
+        core._logprod_block(base, x), lambda k: core._logprod_tail(base, x, k), t, target,
+        f"q={p.q}, x={x}",
+    )
     return EvalResult(pre + s, tail, terms)
 
 
@@ -230,7 +238,8 @@ def test_floor_stays_below_the_product_terms_and_the_rule_keeps_short_sums(q):
             product = product_series(p, x, T, stop)
             assert_floor_below(p, x, product.terms, log_scale)
             if product.terms <= core._LOGPROD_SWITCH:
-                assert core._ln_gamma_em_instead(p, x, T, stop) is None, (q, x, log_scale)
+                target = T.target if log_scale else gamma_target
+                assert core._ln_gamma_em_instead(p, x, T, target) is None, (q, x, log_scale)
 
 
 def test_the_value_cap_keeps_a_sum_that_pre_alone_would_leave():

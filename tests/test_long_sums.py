@@ -3,9 +3,10 @@ series were summed block by block.
 
 Up to 16,320 terms (the chunks of 64 to 8,192 terms) a blocked sum does the
 float operations of a whole-chunk one, bit for bit.  Past that, a chunk of
-more than 8,192 terms is summed in blocks, so the value may move at the
-rounding level, but the term count and the tail bound may not.  The cases
-are a seeded draw of psi^(0..8), ln_q_gamma and q_gamma at |q - 1| in
+more than 8,192 terms is summed in blocks, each block's sum rounded on its
+own and the partial taken as math.fsum of them all, so the value may move
+at the rounding level, but the term count and the tail bound may not.  The
+cases are a seeded draw of psi^(0..8), ln_q_gamma and q_gamma at |q - 1| in
 [1e-4, 1e-2]: the first few of each kind whose sum takes more than 16,320
 and at most 2,000,000 terms.  tests/long_sums_reference.json holds them with
 the results of the whole-chunk sums.  To re-capture it after an intended
@@ -15,8 +16,9 @@ they changed.
 At every pinned ln_gamma and gamma point the public ln_q_gamma and q_gamma
 take the Euler-Maclaurin sum, since the product series cannot stop within
 16,320 terms there.  Those pins are therefore checked against the product
-series alone, core._logprod_sum, which still backs the fallback, and the
-public results against the pins within both err_bounds and ROUNDING.
+series alone, summed by the one-point chunk loop core._chunk_sum, which
+still backs the fallback, and the public results against the pins within
+both err_bounds and ROUNDING.
 """
 
 import json
@@ -77,8 +79,14 @@ def series(kind: str, q: float, x: float):
         return evaluate(kind, q, x)
     t = DEFAULT_TRUNCATION
     pre, base = core._ln_gamma_parts(QParam(q, allow_near_one=True), x)
-    stop_target = 0.5 * t.rel_tol if kind == "gamma" else None
-    s, tail, terms = core._logprod_sum(base, x, t, pre, stop_target)
+
+    def target(s):
+        return max(0.5 * t.rel_tol, t.abs_tol) if kind == "gamma" else t.target(pre + s)
+
+    s, tail, terms = core._chunk_sum(
+        core._logprod_block(base, x), lambda k: core._logprod_tail(base, x, k), t, target,
+        f"q={q}, x={x}",
+    )
     if kind == "ln_gamma":
         return EvalResult(pre + s, tail, terms)
     value = math.exp(pre + s)

@@ -170,10 +170,10 @@ class TestDigammaZero:
         for q in (0.5, 2.0):
             xs = []
 
-            def recording(p, k, x, trunc, dens=None):
+            def recording(p, k, x, trunc):
                 if k == 0:
                     xs.append(x)
-                return point(p, k, x, trunc, dens)
+                return point(p, k, x, trunc)
 
             monkeypatch.setattr(qfun.roots, "_psi_point", recording)
             z = digamma_zero(QParam(q))
@@ -186,10 +186,10 @@ class TestDigammaZero:
         point = qfun.roots._psi_point
         xs = []
 
-        def counting(p, k, x, trunc, dens=None):
+        def counting(p, k, x, trunc):
             if k == 0:
                 xs.append(x)
-            return point(p, k, x, trunc, dens)
+            return point(p, k, x, trunc)
 
         monkeypatch.setattr(qfun.roots, "_psi_point", counting)
         for q in (0.5, 2.0, 1.001):
@@ -240,9 +240,9 @@ class TestEulerMaclaurinGuidance:
         point = roots._psi_point
         calls = []
 
-        def counting(p, k, x, trunc, dens=None):
+        def counting(p, k, x, trunc):
             calls.append(k)
-            return point(p, k, x, trunc, dens)
+            return point(p, k, x, trunc)
 
         monkeypatch.setattr(roots, "_psi_point", counting)
         counts = []
