@@ -855,7 +855,7 @@ def _psi_lambert(p: QParam, k: int, x: float, t: Truncation) -> EvalResult:
     scale = scale_of[k]
     s, err, terms = _chunk_sum(
         _lambert_block(base, x, k), lambda k1: abs(scale) * _lambert_tail(base, x, k, k1), t,
-        lambda s: t.target(h + scale * s), f"q={p.q}, x={x}, order={k}",
+        lambda partial: t.target(h + scale * partial), f"q={p.q}, x={x}, order={k}",
     )
     value = h + scale * s if k == 0 else scale * s
     if e:
