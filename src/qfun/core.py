@@ -57,10 +57,9 @@ _CHUNK_LIMIT = 65536
 _BLOCK_TERMS = 8192
 # psi^(k) leaves the Lambert series for the Euler-Maclaurin sum (_psi_em)
 # only where the series provably cannot stop within this many terms, so
-# every sum that it finishes within them keeps its bits
-_EM_SWITCH = 2**21
-# the last chunk end at or below _EM_SWITCH: the chunks of 64 to 65,536
-# terms end at 131,008, then 30 more of 65,536 follow
+# every sum that it finishes within them keeps its bits: the last chunk
+# end at or below 2^21, as the chunks of 64 to 65,536 terms end at
+# 131,008, then 30 more of 65,536 follow
 _EM_REACH = 131_008 + 30 * _CHUNK_LIMIT
 # ln Gamma_q leaves the product series for _ln_gamma_em only where the
 # series provably cannot stop within this many terms, the end of the
@@ -107,8 +106,8 @@ class QParam:
     there; pass allow_near_one=True to evaluate close to the classical
     limit.  No evaluator needs a raised term cap there: psi^(k) switches to
     an Euler-Maclaurin sum where the Lambert series would need more than
-    2^21 terms, and ln Gamma_q and Gamma_q where the product series would
-    need more than 16,320.
+    2,097,088 terms (the last chunk end at or below 2^21), and ln Gamma_q
+    and Gamma_q where the product series would need more than 16,320.
     """
 
     q: float
@@ -344,6 +343,36 @@ def _chunk_sum(
     raise NonConvergent(f"term cap {t.max_terms} reached before the tail target ({where})")
 
 
+def _em_past_switch(
+    tail: float,
+    target: Callable[[float], float],
+    head: float,
+    e: float,
+    em_of: Callable[[], EvalResult],
+) -> EvalResult | None:
+    """em_of()'s Euler-Maclaurin result where it proves that a series sum
+    cannot stop within its switch, else None.
+
+    tail is the scaled tail majorant at the last chunk end within the
+    switch, as the series' stop test takes it; the majorant falls as the
+    chunk end grows.  Every term has one sign, so the assembled value runs
+    monotonically from head to value - e, and the Euler-Maclaurin value
+    plus its bound, and 1e-9 of that for rounding, caps the stop target at
+    every chunk end.  Where tail is above the target at that cap, no chunk
+    end within the switch stops the sum.  Every cap is at least |head|, so
+    where tail meets the target there, em_of() is not computed; where
+    em_of() raises NonConvergent, the series runs.
+    """
+    if tail <= target(abs(head) * (1.0 + 1e-9)):
+        return None
+    try:
+        em = em_of()
+    except NonConvergent:
+        return None
+    cap = (max(abs(head), abs(em.value - e)) + em.err_bound) * (1.0 + 1e-9)
+    return em if tail > target(cap) else None
+
+
 def _chunk_rows(
     count: int,
     trunc: Truncation,
@@ -513,19 +542,6 @@ def _logprod_tail(q: float, x: float, next_j: int) -> float:
     return 2.0 * math.exp(log_d) / (1.0 - q)
 
 
-def _logprod_floor(q: float, x: float, target: float) -> float:
-    """A lower bound on the terms that the product series at base q takes
-    at x while its stop target stays at most target: the least J with
-    _logprod_tail(q, x, J) <= target, in closed form, as its log_d falls
-    linearly in J."""
-    lnq, m = math.log(q), min(1.0, x)
-    c = _LN_TINY
-    if target > 0.0:
-        c = max(c, min(math.log(0.5), math.log(target) + math.log((1.0 - q) / 2.0)))
-    c += 1e-6 * (1.0 + abs(c))  # room for the rounding of both sides
-    return (c + math.log(-math.expm1(m * lnq))) / lnq - m
-
-
 def _logprod_block(q: float, x: float) -> Callable[..., float]:
     """The block function of the sum of ln(1-q^{j+1}) - ln(1-q^{j+x}) over
     j >= 0, 0 < q < 1, for _chunk_sum, with j = k - 1, exact.  Every ufunc
@@ -616,11 +632,12 @@ def _ln_gamma_rows(p: QParam, xs: Sequence[float], t: Truncation) -> list[EvalRe
     that reaches the term cap raises ln_q_gamma's NonConvergent, and else
     the first whose value is not finite raises its OverflowError."""
     xs = [_check_x(x) for x in xs]
-    out = [_ln_gamma_em_instead(p, x, t, t.target) for x in xs]
+    parts = [_ln_gamma_parts(p, x) for x in xs]
+    out = [_ln_gamma_em_instead(p, x, xp, t, t.target) for x, xp in zip(xs, parts)]
     product = [i for i, r in enumerate(out) if r is None]
     if product:
-        pres, bases = zip(*(_ln_gamma_parts(p, xs[i]) for i in product))
-        rows = _logprod_rows(bases[0], [xs[i] for i in product], t, pres, p.q)
+        pres = [parts[i][0] for i in product]
+        rows = _logprod_rows(parts[0][1], [xs[i] for i in product], t, pres, p.q)
         for i, pre, (s, tail, terms) in zip(product, pres, rows):
             out[i] = EvalResult(pre + s, tail, terms)
     for x, r in zip(xs, out):
@@ -630,31 +647,27 @@ def _ln_gamma_rows(p: QParam, xs: Sequence[float], t: Truncation) -> list[EvalRe
 
 
 def _ln_gamma_em_instead(
-    p: QParam, x: float, t: Truncation, target: Callable[[float], float]
+    p: QParam,
+    x: float,
+    parts: tuple[float, float],
+    t: Truncation,
+    target: Callable[[float], float],
 ) -> EvalResult | None:
     """_ln_gamma_em's ln Gamma_q(x) where the product series provably
-    cannot stop within _LOGPROD_SWITCH terms at target, else None: target
-    is ln_q_gamma's t.target or q_gamma's log-scale one.  As in
-    _em_instead, the tail's underflow bounds the product terms from above.
-    Every product term has the sign of 1 - x, so the Euler-Maclaurin value
-    plus its bound caps the product's stop target, and _logprod_floor there
-    bounds them from below.  The least cap, |pre|, gives the highest floor, so
-    _ln_gamma_em runs only where that floor passes the switch."""
-    pre, base = _ln_gamma_parts(p, x)
-    if _logprod_tail(base, x, _LOGPROD_SWITCH) == 0.0:
-        return None
-    if _logprod_floor(base, x, target(pre * (1.0 + 1e-9))) <= _LOGPROD_SWITCH:
-        return None
-    try:
-        em = _ln_gamma_em(p, x, t, target)
-    except NonConvergent:
-        return None
-    cap = (max(abs(pre), abs(em.value)) + em.err_bound) * (1.0 + 1e-9)
-    return em if _logprod_floor(base, x, target(cap)) > _LOGPROD_SWITCH else None
+    cannot stop within _LOGPROD_SWITCH terms at target, else None (see
+    _em_past_switch): parts is _ln_gamma_parts(p, x), and target is
+    ln_q_gamma's t.target or q_gamma's log-scale one.  Every product term
+    has the sign of 1 - x, so the assembled value runs from pre to the
+    value."""
+    pre, base = parts
+    return _em_past_switch(
+        _logprod_tail(base, x, _LOGPROD_SWITCH), target, pre, 0.0,
+        lambda: _ln_gamma_em(p, x, pre, t, target),
+    )
 
 
 def _ln_gamma_em(
-    p: QParam, x: float, t: Truncation, target: Callable[[float], float]
+    p: QParam, x: float, pre: float, t: Truncation, target: Callable[[float], float]
 ) -> EvalResult:
     """ln Gamma_q(x) = pre + sum_{j >= 0} G(x + j), with pre from
     _ln_gamma_parts and G(y) = L(y + 1 - x) - L(y) (see _dl), by _em_sum.
@@ -664,7 +677,6 @@ def _ln_gamma_em(
     G^(i)(y) = int_0^{1-x} D^{i+1} L(y + s) ds keeps one sign on [y0, inf).
     """
     lam = abs(math.log(p.q))
-    pre = _ln_gamma_parts(p, x)[0]
     m = _em_shift(lam, min(x, 1.0))
     a, b = 1.0 + m, x + m
 
@@ -713,9 +725,9 @@ def q_gamma(p: QParam, x: float, trunc: Truncation | None = None) -> EvalResult:
     x = _check_x(x)
     t = trunc or DEFAULT_TRUNCATION
     log_target = max(0.5 * t.rel_tol, t.abs_tol)
-    em = _ln_gamma_em_instead(p, x, t, lambda value: log_target)
+    pre, base = parts = _ln_gamma_parts(p, x)
+    em = _ln_gamma_em_instead(p, x, parts, t, lambda value: log_target)
     if em is None:
-        pre, base = _ln_gamma_parts(p, x)
         s, tail, terms = _chunk_sum(
             _logprod_block(base, x), lambda k: _logprod_tail(base, x, k), t,
             lambda s: log_target, f"q={p.q}, x={x}",
@@ -736,7 +748,7 @@ def q_digamma(p: QParam, x: float, trunc: Truncation | None = None) -> EvalResul
     Sub-unit q: -ln(1-q) + ln q * sum_{k>=1} q^{kx}/(1-q^k), tail bounded by
     |ln q| q^{(K+1)x} / ((1-q)(1-q^x)).  Super-unit q uses the mirrored
     series -ln(q-1) + ln q [x - 1/2 - sum_{k>=1} q^{-kx}/(1-q^{-k})].
-    Where that series provably cannot stop within 2^21 terms (near q = 1,
+    Where that series provably cannot stop within _EM_REACH terms (near q = 1,
     or at tiny x), a shift plus Euler-Maclaurin sum takes its place, with
     its certified remainder as err_bound.
     """
@@ -840,7 +852,7 @@ def _psi_offsets(p: QParam, k: int, x: float, head: float) -> tuple[float, float
 
 def _psi_point(p: QParam, k: int, x: float, t: Truncation) -> EvalResult:
     """psi^(k)(x) at one checked order k and point x: by _psi_em where the
-    Lambert sum provably cannot stop within _EM_SWITCH terms, else by
+    Lambert sum provably cannot stop within _EM_REACH terms, else by
     _psi_lambert."""
     em = _em_instead(p, k, x, t)
     return em if em is not None else _psi_lambert(p, k, x, t)
@@ -867,88 +879,20 @@ def _lambert_may_pass(lnb: float, ks, xs):
     """Whether the Lambert sum at base e^lnb may take more than _EM_REACH
     terms, for orders ks at points xs (floats or arrays): False where its
     tail majorant at term _EM_REACH underflows to 0, so that it stops there
-    at the latest.  The float operations are _lambert_tail's."""
+    at the latest and _em_instead returns None.  _psi_rows' prefilter over
+    its rows; the float operations are _lambert_tail's."""
     return ks * math.log(_EM_REACH + 1) + (_EM_REACH + 1) * (xs * lnb) >= _LN_TINY
 
 
 def _em_instead(p: QParam, k: int, x: float, t: Truncation) -> EvalResult | None:
     """_psi_em's psi^(k)(x) where the Lambert sum provably cannot stop
-    within _EM_SWITCH terms, else None.
-
-    The tail majorant's underflow point caps the Lambert term count from
-    above, and below the switch the Lambert sum is taken at once.
-    Otherwise the Euler-Maclaurin result is kept if _lambert_floor, which
-    bounds the term count from below, exceeds the switch.  The floor falls
-    as its cap grows, and every cap is at least the one that the head
-    alone gives, so where the floor at that cap is well within the switch
-    the Lambert sum is taken without computing _psi_em.  Where _psi_em itself
-    cannot meet t, the Lambert sum is taken as before.
-    """
-    if not _lambert_may_pass(math.log(_psi_parts(p, 0)[0]), k, x):
-        return None
-    # the floor at the least cap bounds the floor at any cap from above, up
-    # to _lambert_floor's bisection slack: 1e-3 relative and a term per side
-    if _lambert_floor(p, k, x, t) * (1.0 + 1e-3) + 2.0 <= _EM_SWITCH:
-        return None
-    try:
-        em = _psi_em(p, k, x, t)
-    except NonConvergent:
-        return None
-    return em if _lambert_floor(p, k, x, t, em) > _EM_SWITCH else None
-
-
-def _lambert_floor(
-    p: QParam, k: int, x: float, t: Truncation, em: EvalResult | None = None
-) -> float:
-    """A lower bound on the terms that the Lambert sum of psi^(k)(x) takes,
-    given em, a psi^(k)(x) value with its error bound.  Without em it is
-    the bound at the least cap, |h|, which bounds the one for any em from
-    above up to the bisection's slack.
-
-    The sum's assembled value runs monotonically from h to value - e (see
-    _psi_offsets), so em caps its stop target at target.  At base
-    p = e^-lam, the tail majorant after term K is infinite while
-    rho = ((K+2)/(K+1))^k p^x >= 1, which holds for K + 2 <= k / (lam x),
-    and after that at least T(K) = (K+1)^k p^{(K+1)x} / ((1-p)(1-p^x)).
-    So the sum can stop only past that K, where lam^{k+1} T(K) <= target
-    or where the majorant underflows to 0: where
-    g(K) = k ln(K+1) - (K+1) lam x <= c.  g is concave and falls from
-    K + 1 = k / (lam x) on, so the bisection keeps lo below the least such K.
-    """
-    base, _, head = _psi_parts(p, 0)
+    within _EM_REACH terms, else None (see _em_past_switch).  The tail is
+    the Lambert stop test's at that chunk end, and the assembled value
+    runs from h to the value less e (see _psi_offsets)."""
+    base, scale_of, head = _psi_parts(p, k)
     h, e = _psi_offsets(p, k, x, head)
-    cap = abs(h) if em is None else max(abs(h), abs(em.value - e)) + em.err_bound
-    cap *= 1.0 + 1e-9
-    target = max(t.rel_tol * cap, t.abs_tol)
-    lam = -math.log(base)
-    lx = lam * x
-    if not lx > 0.0 or not math.isfinite(k / lx):
-        return math.inf
-    c = _LN_TINY
-    if target > 0.0:
-        log_den = math.log(-math.expm1(-lam)) + math.log(-math.expm1(-lx))
-        c = max(c, math.log(target) + log_den - (k + 1) * math.log(lam))
-    c += 1e-6 * (1.0 + abs(c))  # room for the rounding of both sides
-
-    def g(kk: float) -> float:
-        return k * math.log1p(kk) - (kk + 1.0) * lx
-
-    lo = max(1.0, k / lx - 3.0)  # rho >= 1 below, with a term to spare
-    if g(lo) <= c:
-        return math.floor(lo)
-    hi = max(2.0 * lo, -c / lx)
-    while not math.isinf(hi) and g(hi) > c:
-        lo, hi = hi, 2.0 * hi
-    if math.isinf(hi):
-        # the least such K is past half the largest double (x below about 1e-305)
-        return math.inf
-    while hi - lo > 1e-3 * lo:
-        mid = 0.5 * lo + 0.5 * hi  # the bits of 0.5 * (lo + hi), which overflows near 1e308
-        if g(mid) > c:
-            lo = mid
-        else:
-            hi = mid
-    return math.floor(lo) + 1.0
+    tail = abs(scale_of[k]) * _lambert_tail(base, x, k, _EM_REACH)
+    return _em_past_switch(tail, t.target, h, e, lambda: _psi_em(p, k, x, t))
 
 
 @functools.cache
@@ -1061,7 +1005,7 @@ def _psi_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """psi^(k)(x) at every checked order k of ks and point x of xs, as the
     arrays (value, err_bound, terms), each row as _psi_point takes it: a
-    row whose Lambert sum provably cannot stop within _EM_SWITCH terms by
+    row whose Lambert sum provably cannot stop within _EM_REACH terms by
     _psi_em, the others by one _lambert_rows pass, or a single point by
     _psi_point."""
     if len(xs) == 1:

@@ -2,10 +2,13 @@
 them in place of the Lambert series.
 
 psi^(k) takes the Euler-Maclaurin sum only where the Lambert series
-provably cannot stop within core._EM_SWITCH terms.  The tests check both
-paths against each other, the lower bound on the Lambert term count that
-the rule rests on, grid passes that mix the two paths, and three corner
-values against tests/em_corners_reference.json.  Those pins are mpmath
+provably cannot stop within core._EM_REACH terms: where its tail majorant
+at that chunk end stays above the stop target that the Euler-Maclaurin
+value caps.  The tests check both paths against each other, the contract
+of that switch (a Lambert sum within the switch keeps its bits, and the
+Euler-Maclaurin sum is taken only where the Lambert series capped at the
+switch raises NonConvergent), grid passes that mix the two paths, and
+three corner values against tests/em_corners_reference.json.  Those pins are mpmath
 values of the numerically differentiated L(y) = ln(1 - p^y) route, with a
 larger shift and more Euler-Maclaurin orders than the code; they use no
 Eulerian closed form, so they stay independent of the code under test.
@@ -82,61 +85,84 @@ def test_paths_agree_and_the_floor_stays_below_the_lambert_terms(q):
         assert em.err_bound <= CAP.target(em.value), (q, k, x)
         budget = lam.err_bound + em.err_bound + allowance(p, k, x, em.value)
         assert abs(lam.value - em.value) <= budget, (q, k, x, lam, em)
-        assert core._lambert_floor(p, k, x, CAP, em) <= lam.terms, (q, k, x)
+        if lam.terms <= core._EM_REACH:
+            assert core._em_instead(p, k, x, CAP) is None, (q, k, x)
         if k == 0:  # the derived bound is the tighter one
             assert core._base_rounding(p, x) <= base_allowance(p, em.value), (q, x)
 
 
-def old_em_instead(p, k, x, t):
-    """The reference path choice: _psi_em at every point that
-    _lambert_may_pass flags, kept where its own floor passes the switch."""
-    if not core._lambert_may_pass(math.log(core._psi_parts(p, 0)[0]), k, x):
-        return None
-    try:
-        em = core._psi_em(p, k, x, t)
-    except NonConvergent:
-        return None
-    return em if core._lambert_floor(p, k, x, t, em) > core._EM_SWITCH else None
-
-
-def test_settling_from_the_head_keeps_every_path_choice():
+def test_settling_from_the_head_keeps_every_path_choice(monkeypatch):
+    # where _em_instead returns None the public result is the Lambert sum,
+    # bit for bit, and where it returns a value the Lambert series cannot
+    # stop within the switch.  "settled by the head" counts the points whose
+    # tail does not underflow, yet that the rule leaves to the Lambert
+    # series without computing _psi_em.  Every point counts; the sums, up
+    # to 2,097,088 terms each, run at every other one, to keep it under 2 s
+    em_calls = []
+    psi_em = core._psi_em
+    monkeypatch.setattr(core, "_psi_em", lambda *args: em_calls.append(args) or psi_em(*args))
+    reach = Truncation(max_terms=core._EM_REACH)
     rng = random.Random("em-instead")
     seen = {"lambert": 0, "em": 0, "settled by the head": 0}
-    for _ in range(300):
+    for i in range(300):
         side = rng.choice((-1.0, 1.0))
         p = QParam(1.0 + side * math.exp(rng.uniform(math.log(1e-5), math.log(1e-2))),
                    allow_near_one=True)
         x = math.exp(rng.uniform(math.log(0.01), math.log(20.0)))
         k = rng.randrange(9)
+        em_calls.clear()
         got = core._em_instead(p, k, x, DEFAULT_TRUNCATION)
-        assert got == old_em_instead(p, k, x, DEFAULT_TRUNCATION), (p.q, k, x)
-        seen["lambert" if got is None else "em"] += 1
-        try:
-            em = core._psi_em(p, k, x, DEFAULT_TRUNCATION)
-        except NonConvergent:
+        if got is None:
+            seen["lambert"] += 1
+            flagged = core._lambert_may_pass(math.log(core._psi_parts(p, 0)[0]), k, x)
+            seen["settled by the head"] += bool(flagged and not em_calls)
+        else:
+            seen["em"] += 1
+        if i % 2:
             continue
-        head = core._lambert_floor(p, k, x, DEFAULT_TRUNCATION)
-        assert core._lambert_floor(p, k, x, DEFAULT_TRUNCATION, em) <= head * (1 + 1e-3) + 2
-        flagged = core._lambert_may_pass(math.log(core._psi_parts(p, 0)[0]), k, x)
-        if flagged and head * (1 + 1e-3) + 2 <= core._EM_SWITCH:
-            seen["settled by the head"] += 1
+        if got is None:
+            want = core._psi_lambert(p, k, x, DEFAULT_TRUNCATION)
+            assert evaluate(p, k, x) == want, (p.q, k, x)
+        else:
+            with pytest.raises(NonConvergent):
+                core._psi_lambert(p, k, x, reach)
     assert min(seen.values()) >= 5, seen
 
 
-def test_floor_stays_below_the_pinned_long_sums():
+def test_the_switch_keeps_the_pinned_long_sums():
+    # every pinned sum stops within 2,000,000 terms, inside the switch
     cases = json.loads(LONG_SUMS.read_text("utf-8"))["cases"]
     psi = [c for c in cases if c["kind"].startswith("psi")]
     assert len(psi) == 36
     for c in psi:
         p, k = QParam(c["q"], allow_near_one=True), int(c["kind"][3:])
-        em = core._psi_em(p, k, c["x"], DEFAULT_TRUNCATION)
-        assert core._lambert_floor(p, k, c["x"], DEFAULT_TRUNCATION, em) <= c["terms"], c
+        assert c["terms"] <= core._EM_REACH
+        assert core._em_instead(p, k, c["x"], DEFAULT_TRUNCATION) is None, c
+
+
+# the Lambert series ran one chunk past the switch, to 2,162,624 terms,
+# where a closed-form lower bound on its term count, with slack for its
+# rounding and its bisection, fell just short of the switch
+SWITCH_EDGE = [(0.9995191590164888, 0.044091093986344136, 2),
+               (0.9999591064957895, 0.6153839745287636, 4)]
+
+
+@pytest.mark.parametrize(("q", "x", "k"), SWITCH_EDGE)
+def test_a_sum_past_the_switch_takes_euler_maclaurin(q, x, k):
+    p = QParam(q, allow_near_one=True)
+    got = q_polygamma(p, x, k)
+    assert got.terms <= 112, got
+    with pytest.raises(NonConvergent):
+        core._psi_lambert(p, k, x, Truncation(max_terms=core._EM_REACH))
+    lam = core._psi_lambert(p, k, x, CAP)
+    budget = lam.err_bound + got.err_bound + allowance(p, k, x, got.value)
+    assert abs(lam.value - got.value) <= budget, (lam, got)
 
 
 # one-point and grid psi^(k) at x down to the least subnormal, each case
-# printed as [value, terms] or the NonConvergent message; the floor runs
-# before any sum, whatever the term cap, and a cap of 4096 keeps the
-# capped cases quick
+# printed as [value, terms] or the NonConvergent message; the switch
+# evaluates one tail majorant before any sum, whatever the term cap, and a
+# cap of 4096 keeps the capped cases quick
 TINY_X_SCRIPT = """
 import json
 from qfun import EvalContext, NonConvergent, QParam, Truncation, q_digamma, q_polygamma, q_psi_grid
@@ -164,8 +190,8 @@ print(json.dumps(out))
 
 
 def test_tiny_x_ends_in_a_value_or_nonconvergent():
-    # a subprocess, so that a floor that never returns fails the test
-    # instead of hanging the suite
+    # a subprocess, so that an evaluation that never returns fails the
+    # test instead of hanging the suite
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     run = subprocess.run(

@@ -3,11 +3,15 @@ it in place of the product series in ln_q_gamma, q_gamma and the ln Gamma_q
 grid pass.
 
 ln Gamma_q takes the Euler-Maclaurin sum only where the product series
-provably cannot stop within core._LOGPROD_SWITCH terms.  The tests check both
-paths against each other, the Gamma_q recurrence on the public results, the
-lower bound on the product term count that the rule rests on, the values at
-x = 1 and 2, the fallback where the Euler-Maclaurin sum cannot meet its
-target, and grid passes that mix the two paths.
+provably cannot stop within core._LOGPROD_SWITCH terms: where its tail
+majorant at that chunk end stays above the stop target that the
+Euler-Maclaurin value caps.  The tests check both paths against each other,
+the Gamma_q recurrence on the public results, the contract of that switch
+(every product sum within it keeps its bits, and the Euler-Maclaurin sum is
+taken only where the product series capped at the switch raises
+NonConvergent), the values at x = 1 and 2, the fallback where the
+Euler-Maclaurin sum cannot meet its target, and grid passes that mix the
+two paths.
 """
 
 import json
@@ -63,6 +67,16 @@ def gamma_target(value):
     return max(GAMMA_STOP, T.abs_tol)
 
 
+def em_sum(p, x, t=T, target=T.target):
+    """ln Gamma_q(x) by the Euler-Maclaurin sum alone."""
+    return core._ln_gamma_em(p, x, pre_of(p, x), t, target)
+
+
+def em_instead(p, x, target):
+    """The switch's choice at the default truncation and the given target."""
+    return core._ln_gamma_em_instead(p, x, core._ln_gamma_parts(p, x), T, target)
+
+
 def product_series(p, x, t=T, stop_target=None):
     """ln Gamma_q(x) by the product series alone, summed by the one-point
     chunk loop core._chunk_sum, at the target of ln_q_gamma or, given its
@@ -91,11 +105,11 @@ def test_paths_agree(log_scale):
     for p, x in near_one_points(f"paths:{log_scale}", 24, (math.log(1e-8), math.log(20.0))):
         sides.add(p.q < 1.0)
         if log_scale:
-            em = core._ln_gamma_em(p, x, T, T.target)
+            em = em_sum(p, x)
             product = product_series(p, x, T)
             assert em.err_bound <= T.target(em.value), (p.q, x)
         else:
-            em = exp_result(core._ln_gamma_em(p, x, T, gamma_target))
+            em = exp_result(em_sum(p, x, target=gamma_target))
             product = exp_result(product_series(p, x, T, GAMMA_STOP))
             assert em.err_bound <= 2.0 * GAMMA_STOP * em.value, (p.q, x)
         allowance = PRODUCT_ROUNDING * (1.0 + abs(pre_of(p, x)))
@@ -104,7 +118,7 @@ def test_paths_agree(log_scale):
         budget = em.err_bound + product.err_bound + allowance
         assert abs(em.value - product.value) <= budget, (p.q, x, em, product)
         assert em.terms < 40, (p.q, x, em)
-        assert_floor_below(p, x, product.terms, log_scale)
+        assert_switch_keeps_short_sums(p, x, product.terms, log_scale)
     assert sides == {True, False}
 
 
@@ -129,7 +143,7 @@ def test_large_x_integrates_over_several_panels(q):
     # the integral of L over [20, x + 19] takes about log2(x / 20) panels
     p = QParam(q, allow_near_one=True)
     for x in (50.0, 1e3, 1e5):
-        em = core._ln_gamma_em(p, x, T, T.target)
+        em = em_sum(p, x)
         product = product_series(p, x)
         budget = em.err_bound + product.err_bound + PRODUCT_ROUNDING * (1.0 + abs(pre_of(p, x)))
         assert abs(em.value - product.value) <= budget, (q, x, em, product)
@@ -155,9 +169,10 @@ def test_x_one_took_the_product_series_long():
 
 
 def test_x_two_falls_back_where_the_floor_is_within_the_switch():
-    # the floor at |pre| cannot show that the product series needs more
-    # than the switch, so it runs, and as the assembled value cancels to
-    # 0 its target shrinks and it runs long
+    # the tail at the switch meets the target at |pre|, so the switch cannot
+    # show that the product series needs more terms, and the series runs;
+    # as the assembled value cancels to 0 its target shrinks and it runs
+    # long
     for q in (0.99, 0.995):
         p = QParam(q)
         got = ln_q_gamma(p, 2.0)
@@ -183,7 +198,7 @@ class TestFallback:
         assert ln_q_gamma(self.P, 0.5).terms == 25
         t = Truncation(max_terms=24)
         with pytest.raises(NonConvergent):
-            core._ln_gamma_em(self.P, 0.5, t, t.target)
+            em_sum(self.P, 0.5, t, t.target)
         want = "term cap 24 reached before the tail target (q=0.9999, x=0.5)"
         for fn in (ln_q_gamma, q_gamma):
             with pytest.raises(NonConvergent) as info:
@@ -197,35 +212,33 @@ class TestFallback:
         # series gets there in more than the switch
         p, t = QParam(0.997), Truncation(rel_tol=1e-40)
         with pytest.raises(NonConvergent):
-            core._ln_gamma_em(p, 0.5, t, t.target)
+            em_sum(p, 0.5, t, t.target)
         got = ln_q_gamma(p, 0.5, t)
         assert got == product_series(p, 0.5, t)
         assert got.terms > core._LOGPROD_SWITCH
 
 
-def assert_floor_below(p, x, terms, log_scale):
-    """Where the Euler-Maclaurin sum converges, _logprod_floor at the cap
-    that it gives is at most the product series' terms, and at most the
-    floor at the least cap, |pre|, which the rule tries first."""
-    pre, base = core._ln_gamma_parts(p, x)
-    target = T.target if log_scale else gamma_target
-    try:
-        em = core._ln_gamma_em(p, x, T, target)
-    except NonConvergent:
-        return
-    cap = max(abs(pre), abs(em.value)) + em.err_bound
-    floor = core._logprod_floor(base, x, target(cap * (1.0 + 1e-9)))
-    assert floor <= terms, (p.q, x, log_scale, floor, terms)
-    assert floor <= core._logprod_floor(base, x, target(abs(pre) * (1.0 + 1e-9)))
+def assert_switch_keeps_short_sums(p, x, terms, log_scale):
+    """Where the product series stops within the switch, taking terms, the
+    switch keeps it."""
+    if terms <= core._LOGPROD_SWITCH:
+        target = T.target if log_scale else gamma_target
+        assert em_instead(p, x, target) is None, (p.q, x, log_scale, terms)
 
 
-def test_floor_stays_below_the_pinned_long_sums():
+def test_the_switch_takes_euler_maclaurin_at_the_pinned_long_sums():
+    # every pinned product sum passes the switch: the product series capped
+    # there raises, and the switch takes the Euler-Maclaurin sum
     cases = json.loads(LONG_SUMS.read_text("utf-8"))["cases"]
     cases = [c for c in cases if c["kind"] in ("ln_gamma", "gamma")]
     assert len(cases) == 8
+    capped = Truncation(max_terms=core._LOGPROD_SWITCH)
     for c in cases:
-        p = QParam(c["q"], allow_near_one=True)
-        assert_floor_below(p, c["x"], c["terms"], c["kind"] == "ln_gamma")
+        p, x = QParam(c["q"], allow_near_one=True), c["x"]
+        log_scale = c["kind"] == "ln_gamma"
+        with pytest.raises(NonConvergent):
+            product_series(p, x, capped, None if log_scale else GAMMA_STOP)
+        assert em_instead(p, x, T.target if log_scale else gamma_target) is not None, c
 
 
 @pytest.mark.parametrize("q", ALL_QS + (0.99, 1.0 / 0.99))
@@ -236,29 +249,29 @@ def test_floor_stays_below_the_product_terms_and_the_rule_keeps_short_sums(q):
         x = math.exp(rng.uniform(math.log(1e-8), math.log(20.0)))
         for log_scale, stop in ((True, None), (False, GAMMA_STOP)):
             product = product_series(p, x, T, stop)
-            assert_floor_below(p, x, product.terms, log_scale)
-            if product.terms <= core._LOGPROD_SWITCH:
-                target = T.target if log_scale else gamma_target
-                assert core._ln_gamma_em_instead(p, x, T, target) is None, (q, x, log_scale)
+            assert_switch_keeps_short_sums(p, x, product.terms, log_scale)
 
 
 def test_the_value_cap_keeps_a_sum_that_pre_alone_would_leave():
-    # near x = 0 the value (18.4) passes |pre| (5.6): the floor at |pre|
-    # passes the switch, the floor at the Euler-Maclaurin cap does not, and
-    # the product series indeed stops at the switch
+    # near x = 0 the value (18.4) passes |pre| (5.6): the tail at the switch
+    # is above the target at |pre| but not above the one at the
+    # Euler-Maclaurin cap, and the product series indeed stops at the switch
     p, x = QParam(0.996449), 1e-8
     pre, base = core._ln_gamma_parts(p, x)
-    assert core._logprod_floor(base, x, T.target(pre * (1.0 + 1e-9))) > core._LOGPROD_SWITCH
+    tail = core._logprod_tail(base, x, core._LOGPROD_SWITCH)
+    assert tail > T.target(pre * (1.0 + 1e-9))
+    em = em_sum(p, x)
+    assert tail <= T.target((max(abs(pre), abs(em.value)) + em.err_bound) * (1.0 + 1e-9))
     assert ln_q_gamma(p, x) == product_series(p, x)
     assert ln_q_gamma(p, x).terms == core._LOGPROD_SWITCH
 
 
-def test_underflow_settles_qfun_alls_rows_without_floor_or_euler_maclaurin(monkeypatch):
+def test_underflow_settles_qfun_alls_rows_without_euler_maclaurin(monkeypatch):
     def refuse(*args):
-        raise AssertionError("computed a floor or an Euler-Maclaurin sum")
+        raise AssertionError("computed an Euler-Maclaurin sum")
 
-    monkeypatch.setattr(core, "_logprod_floor", refuse)
     monkeypatch.setattr(core, "_ln_gamma_em", refuse)
+    monkeypatch.setattr(core, "_psi_em", refuse)
     xs = [1e-8, 0.05, 0.5, 1.0, 1.4616, 2.0, 7.5, 20.0, 1e6]
     for q in ALL_QS:
         p = QParam(q)
