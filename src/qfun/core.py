@@ -496,6 +496,9 @@ def _lambert_rows(
             powers = np.ones((top + 1, k.size))
             for n in orders:
                 powers[n] = k**n
+        # a block of long chunks has few rows, summed a group of them at a
+        # time: k^n once per order among them, kept for every group
+        made: dict[int, np.ndarray] = {}
 
         def terms_of(rows: np.ndarray) -> np.ndarray:
             # in place: fewer live arrays than the one-x expression
@@ -505,9 +508,6 @@ def _lambert_rows(
             if powers is not None:
                 terms *= powers[ns[rows]]
             elif orders:
-                # a block of long chunks has few rows: k^n once per order
-                # among them
-                made: dict[int, np.ndarray] = {}
                 for j, n in enumerate(ns[rows].tolist()):
                     if n:
                         if n not in made:
@@ -530,6 +530,8 @@ def _logprod_tail(q: float, x: float, next_j: int) -> float:
 
     With m = min(1, x): |q^x - q| <= q^m and 1 - q^{j+x} >= 1 - q^m give the
     per-term bound D_j = q^{j+m}/(1-q^m); |ln(1+d)| <= 2|d| once D_j <= 1/2.
+    _logprod_tails is this majorant over rows, with the same float
+    operations per row: the two change together.
     """
     lnq = math.log(q)
     m = min(1.0, x)
@@ -540,6 +542,28 @@ def _logprod_tail(q: float, x: float, next_j: int) -> float:
     if log_d < _LN_TINY:
         return 0.0
     return 2.0 * math.exp(log_d) / (1.0 - q)
+
+
+def _logprod_tails(q: float, xs: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
+    """The _logprod_tail majorants of the rows at the points xs, as the map
+    from (next_j, row indices) to those rows' majorants, with the same float
+    operations per row: the two change together.  m and ln(1 - q^m) are
+    taken once per row; the exponential stays math.exp per row in range, as
+    in _lambert_tails."""
+    lnq = math.log(q)
+    m = np.minimum(1.0, xs)
+    log_gap = np.array([math.log(-math.expm1(v * lnq)) for v in m.tolist()])
+
+    def tails(next_j: int, rows: np.ndarray) -> np.ndarray:
+        log_d = (next_j + m[rows]) * lnq - log_gap[rows]
+        above = log_d > math.log(0.5)
+        out = np.where(above, math.inf, 0.0)
+        mid = ~above & ~(log_d < _LN_TINY)
+        if mid.any():
+            out[mid] = 2.0 * np.array([math.exp(v) for v in log_d[mid].tolist()]) / (1.0 - q)
+        return out
+
+    return tails
 
 
 def _logprod_block(q: float, x: float) -> Callable[..., float]:
@@ -589,8 +613,7 @@ def _logprod_rows(
         return lambda rows: log_a - np.log(-np.expm1(np.add.outer(xa[rows], j) * lnq))
 
     partials, tails, terms = _chunk_rows(
-        len(xs), trunc, offsets, np.ones(len(xs)), chunk,
-        lambda k1, rows: np.array([_logprod_tail(q, xs[i], k1) for i in rows.tolist()]),
+        len(xs), trunc, offsets, np.ones(len(xs)), chunk, _logprod_tails(q, xa),
         lambda i: f"q={shown_q}, x={xs[i]}",
     )
     return list(zip(partials.tolist(), tails.tolist(), terms.tolist()))
@@ -797,7 +820,7 @@ def _check_psi_order(k: int) -> None:
 
 
 def _psi_orders(
-    p: QParam, points: dict[int, list[float]], t: Truncation
+    p: QParam, points: dict[int, Sequence[float] | np.ndarray], t: Truncation
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """psi^(k)(x) for every order k of points and every x of points[k], in
     one pass, order-major, as the arrays (value, err_bound, terms); the
@@ -805,23 +828,29 @@ def _psi_orders(
     term cap raises NonConvergent for the first key, in that order, that
     reaches it.
 
-    The points are checked as one array: each a float, finite and > 0.
-    Where that fails, _check_x takes them one by one, each order's points
-    before the order itself, so the first bad key raises what a one-point
-    call would.
+    Each order's points are a float array, as a provider sweep hands them
+    over, or a list of points of any type.  They are checked as one array:
+    each a float, finite and > 0.  Where that fails, _check_x takes them
+    one by one, each order's points before the order itself, so the first
+    bad key raises what a one-point call would.
     """
-    xs = [x for pts in points.values() for x in pts]
-    a = np.array(xs, dtype=np.float64) if set(map(type, xs)) <= {float} else None
+    parts = list(points.values())
+    if parts and all(type(pts) is np.ndarray for pts in parts):
+        a = np.concatenate(parts)
+    else:
+        xs = [x for pts in parts for x in pts]
+        a = np.array(xs, dtype=np.float64) if set(map(type, xs)) <= {float} else None
     if a is not None and ((a > 0.0) & (a < math.inf)).all():
         for k in points:
             _check_psi_order(k)
     else:
         xs = []
         for k, pts in points.items():
-            xs += map(_check_x, pts)
+            xs += map(_check_x, pts.tolist() if type(pts) is np.ndarray else pts)
             _check_psi_order(k)
-    ks = [k for k, pts in points.items() for _ in pts]
-    return _psi_rows(p, ks, xs, t)
+        a = np.array(xs, dtype=np.float64)
+    ks = np.repeat(np.array(list(points), dtype=np.int64), [len(pts) for pts in parts])
+    return _psi_rows(p, ks, a, t)
 
 
 def _psi_parts(p: QParam, top: int) -> tuple[float, list[float], float]:
@@ -1001,28 +1030,29 @@ def _psi_em(p: QParam, k: int, x: float, t: Truncation) -> EvalResult:
 
 
 def _psi_rows(
-    p: QParam, ks: list[int], xs: list[float], t: Truncation
+    p: QParam, ks: np.ndarray, xs: np.ndarray, t: Truncation
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """psi^(k)(x) at every checked order k of ks and point x of xs, as the
-    arrays (value, err_bound, terms), each row as _psi_point takes it: a
-    row whose Lambert sum provably cannot stop within _EM_REACH terms by
-    _psi_em, the others by one _lambert_rows pass, or a single point by
-    _psi_point."""
-    if len(xs) == 1:
-        r = _psi_point(p, ks[0], xs[0], t)
+    """psi^(k)(x) at every checked order k of ks and point x of xs, int and
+    float arrays, as the arrays (value, err_bound, terms), each row as
+    _psi_point takes it: a row whose Lambert sum provably cannot stop
+    within _EM_REACH terms by _psi_em, the others by one _lambert_rows
+    pass, or a single point by _psi_point."""
+    k_arr = np.asarray(ks, dtype=np.int64)
+    x_arr = np.asarray(xs, dtype=np.float64)
+    if x_arr.size == 1:
+        r = _psi_point(p, int(k_arr[0]), float(x_arr[0]), t)
         return np.array([r.value]), np.array([r.err_bound]), np.array([r.terms])
-    k_arr = np.array(ks, dtype=np.int64)
-    x_arr = np.array(xs, dtype=np.float64)
-    if not xs:
+    if not x_arr.size:
         return x_arr, x_arr, k_arr
     base = _psi_parts(p, 0)[0]
     may_pass = _lambert_may_pass(math.log(base), k_arr, x_arr)
     if not may_pass.any():
         return _psi_lambert_rows(p, k_arr, x_arr, t)
-    values, errs, terms = np.empty(len(xs)), np.empty(len(xs)), np.empty(len(xs), dtype=np.int64)
-    lambert = np.ones(len(xs), dtype=bool)
+    n = x_arr.size
+    values, errs, terms = np.empty(n), np.empty(n), np.empty(n, dtype=np.int64)
+    lambert = np.ones(n, dtype=bool)
     for i in np.flatnonzero(may_pass).tolist():
-        em = _em_instead(p, ks[i], xs[i], t)
+        em = _em_instead(p, int(k_arr[i]), float(x_arr[i]), t)
         if em is not None:
             lambert[i] = False
             values[i], errs[i], terms[i] = em.value, em.err_bound, em.terms

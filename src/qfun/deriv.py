@@ -5,7 +5,10 @@ the digamma zero for one (q, truncation) at most once, a whole grid of
 q-polygamma or ln Gamma_q values in one pass.  It is the one carrier of the
 truncation: a provider takes p as a QParam, evaluated at the default
 truncation, or as an EvalContext(p, trunc).  A LogDerivProvider packages
-analytic derivatives of ln f for some positive function f.
+analytic derivatives of ln f for some positive function f.  The library
+providers hand the grid pass one float array of points per order and read
+its values as arrays; the context keys those rows under (k, x) only when
+psi or psi_grid first reads it.
 certify_lcm sweeps such a provider over a grid and checks the
 alternating-sign pattern that defines logarithmic complete monotonicity,
 reporting the first violation and the worst margin seen.  Central finite
@@ -81,10 +84,12 @@ class EvalContext:
 
     psi(k, x) is the order-k q-polygamma with psi(0, x) the q-digamma, and
     ln_gamma(x) is ln Gamma_q.  A grid pass keeps each psi value as its
-    row (value, err_bound, terms) under its exact (k, x) key; the
+    row (value, err_bound, terms) under its exact (k, float(x)) key; the
     EvalResult that psi or psi_grid first hands out for a key takes the
-    row's place, so a repeated point returns the identical result.  Each
-    ln_gamma EvalResult is kept whole under its x.
+    row's place, so a repeated point returns the identical result.  A
+    provider sweep (_psi_sweep) keeps its rows as arrays per order and
+    keys them only when psi or psi_grid next reads this context.
+    Each ln_gamma EvalResult is kept whole under its x.
     zero() solves for the digamma zero on first use, and squared() is the
     context at base q^2.  Create one per verification, or one per q for the
     claim runs of one invocation, and drop it afterwards: it holds every
@@ -96,6 +101,9 @@ class EvalContext:
         self.trunc = trunc or DEFAULT_TRUNCATION
         # a (value, err_bound, terms) row, or the EvalResult handed out for it
         self._results: dict[tuple[int, float], tuple[float, float, int] | EvalResult] = {}
+        # the rows of provider sweeps, not yet keyed: per order, the arrays
+        # (x, value, err_bound, terms), each x distinct and in no key above
+        self._swept: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         self._ln_gammas: dict[float, EvalResult] = {}
         self._zero: ZeroResult | None = None
         self._squared: EvalContext | None = None
@@ -115,9 +123,12 @@ class EvalContext:
         the key is stored."""
         _check_psi_order(k)
         _check_key(x)
-        if (k, x) not in self._results:
-            self._results[k, x] = _psi_point(self.p, k, _check_x(x), self.trunc)
-        return self._hand_out((k, x))
+        if self._swept:
+            self._key_sweeps()
+        key = k, float(x)
+        if key not in self._results:
+            self._results[key] = _psi_point(self.p, k, _check_x(x), self.trunc)
+        return self._hand_out(key)
 
     def psi_grid(self, keys: Iterable[tuple[int, float]]) -> list[EvalResult]:
         """psi(k, x) for every (k, x) of keys, in their order.
@@ -136,43 +147,78 @@ class EvalContext:
             _check_psi_order(k)
         for _, x in keys:
             _check_key(x)
-        self._fill(keys)
-        return [self._hand_out(key) for key in keys]
+        points: dict[int, list[float]] = {}
+        for k, x in keys:
+            points.setdefault(k, []).append(x)
+        self._psi_sweep([(k, np.array(xs, dtype=np.float64)) for k, xs in points.items()])
+        self._key_sweeps()
+        return [self._hand_out((k, float(x))) for k, x in keys]
 
-    def _fill(self, keys: list[tuple[int, float]]) -> None:
-        """Evaluate the missing keys of keys in one _psi_orders pass (see
-        psi_grid) and store each as its row (value, err_bound, terms).
+    def _key_sweeps(self) -> None:
+        """Store every swept row under its (k, x) key."""
+        for k, (xs, *rows) in self._swept.items():
+            keys = [(k, x) for x in xs.tolist()]
+            self._results.update(zip(keys, zip(*(a.tolist() for a in rows))))
+        self._swept = {}
 
-        A fresh context skips the lookup of each key.  Where each order's
-        keys run together, as in every provider's grid, the pass's
-        order-major order is theirs, and the rows are stored under them."""
-        results = self._results
-        new = dict.fromkeys(keys)
-        if results:
-            new = [key for key in new if key not in results]
-        missing: dict[int, list[float]] = {}
-        last, order_major = None, True
-        for k, x in new:
-            if k != last:
-                order_major = order_major and k not in missing
-                pts = missing.setdefault(k, [])
-                last = k
-            pts.append(x)
-        if missing:
-            rows = zip(*(a.tolist() for a in _psi_orders(self.p, missing, self.trunc)))
-            if not order_major:
-                new = ((k, x) for k, xs in missing.items() for x in xs)
-            results.update(zip(new, rows))
+    def _psi_sweep(self, segments: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
+        """The values and err_bounds of psi(k, x) for every segment (k, xs)
+        and x of the float array xs, as the rows of a (2, points) array in
+        segment order, each bit-identical to a one-point evaluation; the
+        orders are checked ints.
 
-    def _psi_rows(self, keys: list[tuple[int, float]]) -> list[tuple[float, float, int]]:
-        """The row (value, err_bound, terms) of psi(k, x) for every (k, x)
-        of keys, in their order, evaluated as psi_grid evaluates them but
-        without making an EvalResult."""
-        self._fill(keys)
-        return [
-            r if type(r) is tuple else (r.value, r.err_bound, r.terms)
-            for r in map(self._results.__getitem__, keys)
-        ]
+        Each order's distinct points are looked up among this context's
+        swept and keyed rows, and the rest are evaluated in one _psi_orders
+        pass, order-major (orders as they first appear, then each order's
+        points as they first appear, so a term cap or a bad x raises for
+        the first such key), and kept as swept rows, with no key made.
+        """
+        by_order: dict[int, list[np.ndarray]] = {}
+        for k, xs in segments:
+            by_order.setdefault(k, []).append(xs)
+        # orders that take the same arrays share their distinct points
+        distinct: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        found = []  # per order: (k, distinct points, index, rows, which are new)
+        for k, parts in by_order.items():
+            ids = tuple(map(id, parts))
+            if ids not in distinct:
+                distinct[ids] = _first_distinct(np.concatenate(parts))
+            xs, index = distinct[ids]
+            rows = np.empty((2, xs.size))
+            new = np.ones(xs.size, dtype=bool)
+            swept = self._swept.get(k)
+            if swept is not None:
+                at, hit = _positions(swept[0], xs)
+                rows[0, hit], rows[1, hit] = swept[1][at[hit]], swept[2][at[hit]]
+                new &= ~hit
+            if self._results:
+                for i in np.flatnonzero(new).tolist():
+                    r = self._results.get((k, xs[i].item()))
+                    if r is not None:
+                        r = r if type(r) is tuple else (r.value, r.err_bound)
+                        rows[0, i], rows[1, i] = r[0], r[1]
+                        new[i] = False
+            found.append((k, xs, index, rows, new))
+        points = {k: xs[new] for k, xs, _, _, new in found if new.any()}
+        if points:
+            values, errs, terms = _psi_orders(self.p, points, self.trunc)
+            start = 0
+            for k, _, _, rows, new in found:
+                if k in points:
+                    end = start + points[k].size
+                    got = (points[k], values[start:end], errs[start:end], terms[start:end])
+                    rows[0, new], rows[1, new] = got[1], got[2]
+                    if k in self._swept:
+                        got = tuple(map(np.concatenate, zip(self._swept[k], got)))
+                    self._swept[k] = got
+                    start = end
+        # each order's rows in its segments' order, then the segments' order
+        taken = {k: rows[:, index] for k, _, index, rows, _ in found}
+        out, used = [], dict.fromkeys(taken, 0)
+        for k, xs in segments:
+            out.append(taken[k][:, used[k] : used[k] + xs.size])
+            used[k] += xs.size
+        return np.concatenate(out, axis=1) if out else np.empty((2, 0))
 
     def _hand_out(self, key: tuple[int, float]) -> EvalResult:
         """The EvalResult under key, made from its row on first use and
@@ -249,9 +295,32 @@ class LogDerivProvider:
         return cls(d=d, lo=lo, hi=hi, name=name, d_grid=d_grid)
 
 
-def _psi_values(ctx: EvalContext, keys: list[tuple[int, float]], shape: tuple) -> np.ndarray:
-    """The values of ctx.psi_grid(keys) as a float array of the given shape."""
-    return np.array([r[0] for r in ctx._psi_rows(keys)]).reshape(shape)
+def _first_distinct(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct points of xs as they first appear, the index of each
+    point of xs among them)."""
+    distinct, first, inverse = np.unique(xs, return_index=True, return_inverse=True)
+    if distinct.size == xs.size:
+        return xs, np.arange(xs.size)
+    order = np.argsort(first)
+    rank = np.empty(order.size, dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    return xs[first[order]], rank[inverse]
+
+
+def _positions(xs: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(an index into the non-empty xs for each point of pts, whether the
+    point is there), each point being at most once in xs."""
+    order = np.argsort(xs)
+    at = order[np.minimum(np.searchsorted(xs, pts, sorter=order), xs.size - 1)]
+    return at, xs[at] == pts
+
+
+def _sweep_points(xs: Sequence[float]) -> np.ndarray:
+    """A provider's points as a float array; where some x is not a float,
+    each x is taken as _check_x takes it, so a bool or a string raises."""
+    if not set(map(type, xs)) <= {float}:
+        xs = [_check_x(x) for x in xs]
+    return np.array(xs, dtype=np.float64)
 
 
 def _check_orders(orders: Sequence[int]) -> None:
@@ -423,7 +492,9 @@ def ln_gamma_provider(p: QParam | EvalContext) -> LogDerivProvider:
 
     def d_grid(orders: Sequence[int], xs: Sequence[float]) -> np.ndarray:
         _check_orders(orders)
-        return _psi_values(ctx, [(n - 1, x) for n in orders for x in xs], (len(orders), len(xs)))
+        xa = _sweep_points(xs)
+        values = ctx._psi_sweep([(n - 1, xa) for n in orders])[0]
+        return values.reshape(len(orders), xa.size)
 
     return LogDerivProvider.from_grid(d_grid, 0.0, math.inf, f"ln_q_gamma(q={ctx.p.q:g})")
 
@@ -446,8 +517,11 @@ def ratio_provider(
 
     def d_grid(orders: Sequence[int], xs: Sequence[float]) -> np.ndarray:
         _check_orders(orders)
-        keys = [key for n in orders for x in xs for key in ((n - 1, a * x), (n - 1, b * x))]
-        psi_a, psi_b = np.moveaxis(_psi_values(ctx, keys, (len(orders), len(xs), 2)), 2, 0)
+        xa = _sweep_points(xs)
+        # per x, psi^(n-1) at a x and then at b x
+        ab = np.stack([a * xa, b * xa], axis=1).ravel()
+        values = ctx._psi_sweep([(n - 1, ab) for n in orders])[0]
+        psi_a, psi_b = np.moveaxis(values.reshape(len(orders), xa.size, 2), 2, 0)
         c_a = np.array([[alpha * a**n] for n in orders])
         c_b = np.array([[beta * b**n] for n in orders])
         return c_a * psi_a - c_b * psi_b

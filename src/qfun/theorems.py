@@ -11,7 +11,10 @@ evaluated at the default truncation, or as an EvalContext at that q,
 resolved by EvalContext.of; the context is the one carrier of the
 truncation, so another one is passed as EvalContext(p, trunc).  Every
 evaluator value goes through that one context, so claim runs that share a
-context solve for the digamma zero once and compute each value once.
+context solve for the digamma zero once and compute each value once.  The
+providers and the duplication gate sweep the context with arrays of points
+per order, and their rows are keyed only where a later psi or psi_grid
+reads the context.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .deriv import (
     EvalContext,
     LogDerivProvider,
     _check_orders,
-    _psi_values,
+    _sweep_points,
     certify_lcm,
     ln_gamma_provider,
     log_derivatives,
@@ -345,13 +348,15 @@ def psi_duplication_residual(p: QParam | EvalContext, x: float) -> ResidualCheck
 
 def _duplication_residuals(ctx: EvalContext, xs: Sequence[float]) -> list[ResidualCheck]:
     """psi_duplication_residual at every x of xs, each base's psi values
-    evaluated in one grid pass."""
+    evaluated in one provider sweep."""
     _require_sub_unit(ctx.p, "the duplication identity")
-    lhs = ctx._psi_rows([(0, 2.0 * x) for x in xs])
-    rhs = ctx.squared()._psi_rows([(0, x) for x in xs] + [(0, x + 0.5) for x in xs])
+    xa = _sweep_points(xs)
+    lhs, lhs_errs = ctx._psi_sweep([(0, 2.0 * xa)]).tolist()
+    rhs = ctx.squared()._psi_sweep([(0, xa), (0, xa + 0.5)])
+    (at_x, at_half), (x_errs, half_errs) = rhs.reshape(2, 2, xa.size).tolist()
     c = math.log1p(ctx.p.q)
     out = []
-    for (left, e0, _), (r1, e1, _), (r2, e2, _) in zip(lhs, rhs[: len(xs)], rhs[len(xs) :]):
+    for left, e0, r1, e1, r2, e2 in zip(lhs, lhs_errs, at_x, x_errs, at_half, half_errs):
         residual = abs(left - c - 0.5 * r1 - 0.5 * r2)
         budget = e0 + 0.5 * e1 + 0.5 * e2 + _fp_allowance(left, c, r1, r2)
         out.append(ResidualCheck(residual, budget))
@@ -460,19 +465,18 @@ def _g_beta_d_grid(
         _require_sub_unit(p, _G_BETA)
         for n in orders:
             _check_count("derivative order", n, 1)
-        for x in xs:
-            if not x > 0.0:
-                raise DomainError(f"x must be positive, got {x}")
-        # psi^(n) at x+1 and x, psi^(n-1) at x+1/2 and x+1, psi^(n) at x+1/2
-        keys = [
-            key
-            for n in orders
-            for x in xs
-            for key in ((n, x + 1.0), (n, x), (n - 1, x + 0.5), (n - 1, x + 1.0), (n, x + 0.5))
-        ]
-        n_x1, n_x, m_xh, m_x1, n_xh = np.moveaxis(
-            _psi_values(half, keys, (len(orders), len(xs), 5)), 2, 0
-        )
+        xa = _sweep_points(xs)
+        bad = np.flatnonzero(~(xa > 0.0))
+        if bad.size:
+            raise DomainError(f"x must be positive, got {xa[bad[0]].item()}")
+        # per x, psi^(n) at x+1, x and x+1/2, and psi^(n-1) at x+1/2 and x+1
+        lead = np.stack([xa + 1.0, xa, xa + 0.5], axis=1).ravel()
+        lag = np.stack([xa + 0.5, xa + 1.0], axis=1).ravel()
+        values = half._psi_sweep([seg for n in orders for seg in ((n, lead), (n - 1, lag))])[0]
+        m = xa.size
+        values = values.reshape(len(orders), 5 * m)
+        n_x1, n_x, n_xh = np.moveaxis(values[:, : 3 * m].reshape(len(orders), m, 3), 2, 0)
+        m_xh, m_x1 = np.moveaxis(values[:, 3 * m :].reshape(len(orders), m, 2), 2, 0)
         dfrac = -(n_x1 - n_x) / ln_q2
         return 2.0 * (m_xh - m_x1) + 0.5 * n_x + 0.5 * n_xh + weight * dfrac
 
@@ -569,8 +573,9 @@ def inv_digamma_provider(p: QParam | EvalContext) -> tuple[LogDerivProvider, flo
     def d_grid(orders: Sequence[int], xs: Sequence[float]) -> np.ndarray:
         _check_orders(orders)
         top = max(orders)
-        psi = _psi_values(ctx, [(k, x) for k in range(top + 1) for x in xs], (top + 1, len(xs)))
-        u = log_derivatives(list(psi))
+        xa = _sweep_points(xs)
+        psi = ctx._psi_sweep([(k, xa) for k in range(top + 1)])[0]
+        u = log_derivatives(list(psi.reshape(top + 1, xa.size)))
         return -np.array([u[n - 1] for n in orders])
 
     x0 = ctx.zero().x0

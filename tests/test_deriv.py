@@ -417,6 +417,35 @@ class TestLnGammaGrid:
         want = [ln_q_gamma(p, x) for x in TestPsiGrid.XS]
         assert EvalContext(p).ln_gamma_grid(TestPsiGrid.XS) == want, q
 
+    def test_array_tails_equal_the_one_point_tails(self):
+        # infinite at the first chunk end near q = 1, 0.0 far out, and in
+        # range between; sub-unit bases, as q > 1 sums at 1/q
+        xs = [0.3, 1.0, 2.5, 1e-3, 40.0, 0.999999, 7.0]
+        kinds = set()
+        for q in (0.2, 0.5, 0.99, 0.9999, 1 / 3.0):
+            tails = qfun.core._logprod_tails(q, np.array(xs))
+            for next_j in (1, 64, 192, 16_320, 10_000_000):
+                got = tails(next_j, np.arange(len(xs))).tolist()
+                want = [qfun.core._logprod_tail(q, x, next_j) for x in xs]
+                assert got == want, (q, next_j)
+                assert tails(next_j, np.array([4, 0, 4])).tolist() == [want[4], want[0], want[4]]
+                kinds.update(v if v in (0.0, math.inf) else "finite" for v in got)
+        assert kinds == {0.0, "finite", math.inf}
+
+    @pytest.mark.parametrize("q", [0.99, 2.0, 1.25])
+    def test_err_bounds_equal_the_one_point_ones(self, q):
+        # x < 1 and x >= 1, at q > 1 too; at q = 0.99 every tail with x >= 1
+        # is infinite at the first chunk end
+        p = QParam(q)
+        xs = [0.3, 0.05, 1.0, 2.5, 12.0, 0.75]
+        base = q if q < 1.0 else 1.0 / q
+        infinite = [qfun.core._logprod_tail(base, x, 64) == math.inf for x in xs]
+        assert any(infinite) == (q == 0.99)
+        got = EvalContext(p).ln_gamma_grid(xs)
+        want = [ln_q_gamma(p, x) for x in xs]
+        assert [(r.err_bound, r.terms) for r in got] == [(r.err_bound, r.terms) for r in want]
+        assert got == want
+
     def test_term_cap_raises_the_first_points_error(self):
         # with q = 0.8 and a 300-term cap, 0.3 and 1.0001 converge while 2.0
         # and 1.0 (where ln Gamma_q is 0, so the target is abs_tol) do not

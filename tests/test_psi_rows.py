@@ -1,6 +1,7 @@
 """The psi grid pass as arrays and the EvalContext's rows: bit identity with
 the one-point evaluators, the array check of the points, the order checks,
-and a count guard against per-row objects in the certification sweeps."""
+the provider sweeps' contract, and a count guard against per-row objects in
+the certification sweeps."""
 
 import math
 import random
@@ -16,11 +17,16 @@ from qfun import (
     DomainError,
     EvalContext,
     EvalResult,
+    NonConvergent,
     QParam,
+    Truncation,
     UnsupportedOrder,
     certify_lcm,
+    digamma_zero,
+    g_beta_provider,
     inv_digamma_provider,
     ln_gamma_provider,
+    log_derivatives,
     make_grid,
     q_digamma,
     q_polygamma,
@@ -32,8 +38,104 @@ from qfun import (
 from qfun.theorems import RatioSpec
 
 
-def one_point(p: QParam, k: int, x: float) -> EvalResult:
-    return q_digamma(p, x) if k == 0 else q_polygamma(p, x, k)
+def one_point(p: QParam, k: int, x: float, t: Truncation | None = None) -> EvalResult:
+    return q_digamma(p, x, t) if k == 0 else q_polygamma(p, x, k, t)
+
+
+# The (k, x) keys that each library provider's d_grid reads, listed order n
+# by order n and x by x as its formula reads them, with the base they are
+# read at and the one-point form of its d(n, x).  A sweep passes them
+# order-major: orders as they first appear, each order's points as they
+# first appear.
+
+A, B, ALPHA, BETA = 1.0, 2.0, 2.0, 0.75
+
+
+def ratio_keys(orders, xs):
+    return [key for n in orders for x in xs for key in ((n - 1, A * x), (n - 1, B * x))]
+
+
+def g_beta_keys(orders, xs):
+    return [
+        key
+        for n in orders
+        for x in xs
+        for key in ((n, x + 1.0), (n, x), (n - 1, x + 0.5), (n - 1, x + 1.0), (n, x + 0.5))
+    ]
+
+
+def providers(p: QParam, t: Truncation | None = None):
+    """name -> (provider at a fresh context at truncation t, keys of
+    (orders, xs), base of the keys, one-point d(n, x))."""
+    q = p.q
+    half = QParam(q * q)
+
+    def psi(base, k, x):
+        return one_point(base, k, x).value
+
+    def ratio_d(n, x):
+        return ALPHA * A**n * psi(p, n - 1, A * x) - BETA * B**n * psi(p, n - 1, B * x)
+
+    def g_beta_d(n, x):
+        dfrac = -(psi(half, n, x + 1.0) - psi(half, n, x)) / (2.0 * math.log(q))
+        return (
+            2.0 * (psi(half, n - 1, x + 0.5) - psi(half, n - 1, x + 1.0))
+            + 0.5 * psi(half, n, x)
+            + 0.5 * psi(half, n, x + 0.5)
+            + 0.5 * BETA * (1.0 - q * q) * dfrac
+        )
+
+    def inv_d(n, x):
+        return -log_derivatives([psi(p, k, x) for k in range(n + 1)])[n - 1]
+
+    return {
+        "ln-gamma": (
+            ln_gamma_provider(EvalContext(p, t)),
+            lambda orders, xs: [(n - 1, x) for n in orders for x in xs],
+            p,
+            lambda n, x: psi(p, n - 1, x),
+        ),
+        "ratio": (ratio_provider(EvalContext(p, t), A, B, ALPHA, BETA), ratio_keys, p, ratio_d),
+        "g-beta": (g_beta_provider(EvalContext(p, t), BETA), g_beta_keys, half, g_beta_d),
+        "inv-digamma": (
+            inv_digamma_provider(EvalContext(p, t))[0],
+            lambda orders, xs: [(k, x) for k in range(max(orders) + 1) for x in xs],
+            p,
+            inv_d,
+        ),
+    }
+
+
+def pass_order(keys: list[tuple[int, float]]) -> list[tuple[int, float]]:
+    """The distinct keys, order-major: orders as they first appear, each
+    order's points as they first appear."""
+    by_order: dict[int, dict[float, None]] = {}
+    for k, x in keys:
+        by_order.setdefault(k, {})[x] = None
+    return [(k, x) for k, xs in by_order.items() for x in xs]
+
+
+def record_passes(monkeypatch) -> list[dict]:
+    """The points of every grid pass made from deriv."""
+    passes = []
+    one_pass = qfun.deriv._psi_orders
+
+    def recording(p, points, t):
+        passes.append(points)
+        return one_pass(p, points, t)
+
+    monkeypatch.setattr(qfun.deriv, "_psi_orders", recording)
+    return passes
+
+
+def passed_keys(passes: list[dict]) -> list[tuple[int, float]]:
+    return [(k, float(x)) for points in passes for k, xs in points.items() for x in xs]
+
+
+PROVIDERS = ["ln-gamma", "ratio", "g-beta", "inv-digamma"]
+# right of the digamma zero at each q, for inv-digamma; repeated points,
+# and points whose shifts by 1/2 and 1 are points too, for g-beta
+SWEEP_XS = [1.5, 2.0, 7.25, 2.5, 2.0, 3.0, 12.0, 1.5]
 
 
 def draw_points(rng: random.Random, count: int) -> list[float]:
@@ -77,6 +179,21 @@ class TestBitIdentity:
         d = ln_gamma_provider(EvalContext(p)).d_grid(orders, xs)
         assert d.tolist() == [[want[n - 1, x].value for x in xs] for n in orders]
 
+    @pytest.mark.parametrize("name", PROVIDERS)
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("orders", [[3, 1], [1, 2, 3, 4], [2, 2]], ids=str)
+    def test_provider_sweeps_equal_point_evaluations(self, name, q, orders):
+        assert digamma_zero(QParam(q)).x0 < min(SWEEP_XS)
+        prov, _, _, d = providers(QParam(q))[name]
+        got = prov.d_grid(orders, SWEEP_XS)
+        assert got.tolist() == [[d(n, x) for x in SWEEP_XS] for n in orders]
+
+    @pytest.mark.parametrize("name", ["ln-gamma", "ratio"])
+    def test_super_unit_provider_sweeps_equal_point_evaluations(self, name):
+        prov, _, _, d = providers(QParam(2.0))[name]
+        got = prov.d_grid([3, 1], SWEEP_XS)
+        assert got.tolist() == [[d(n, x) for x in SWEEP_XS] for n in (3, 1)]
+
 
 class TestPointCheck:
     """The pass checks its points as one array; a bad point raises, for the
@@ -113,10 +230,22 @@ class TestPointCheck:
         with pytest.raises(UnsupportedOrder, match=re.escape("got 9")):
             qfun.core._psi_orders(self.P, {9: [1.0], 0: [0.0]}, DEFAULT_TRUNCATION)
 
+    @pytest.mark.parametrize("bad", [True, "1.5", None], ids=["True", "str", "None"])
+    @pytest.mark.parametrize("name", PROVIDERS)
+    def test_providers_check_a_point_that_is_not_a_float(self, name, bad):
+        # as psi checks it, before a provider shifts or scales the point
+        prov = providers(self.P)[name][0]
+        want = f"x must be a finite real, got {bad!r}"
+        for call in (lambda: prov.d(1, bad), lambda: prov.d_grid([2, 1], [2.5, bad])):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert str(info.value) == want
+
     @pytest.mark.parametrize("k", [0, 1, 5])
     def test_int_and_numpy_points_equal_float_points(self, k):
-        floats = [1.0, 2.5, 3.0, 0.25]
-        others = [1, np.float64(2.5), 3, np.float64(0.25)]
+        # 2^53 + 1 rounds to the float 2^53
+        floats = [1.0, 2.5, 3.0, 0.25, 2.0**53]
+        others = [1, np.float64(2.5), 3, np.float64(0.25), 2**53 + 1]
         want = q_psi_grid(self.P, k, floats)
         assert q_psi_grid(self.P, k, others) == want
         assert EvalContext(self.P).psi_grid((k, x) for x in others) == want
@@ -171,6 +300,75 @@ class TestHandedOutResults:
         got = ctx.psi_grid([(0, y), (0, y)])
         assert got[0] is got[1] is ctx.psi(0, y)
         assert got[0] == q_digamma(ctx.p, y)
+
+
+class TestProviderSweeps:
+    """A provider sweep hands the pass an array of points per order and
+    keeps the rows unkeyed until the context is read."""
+
+    @pytest.mark.parametrize("name", PROVIDERS)
+    @pytest.mark.parametrize("orders", [[3, 1], [1, 2, 3, 4, 5, 6]], ids=str)
+    def test_one_pass_of_the_distinct_keys_in_order(self, monkeypatch, name, orders):
+        prov, keys_of, _, _ = providers(QParam(0.5))[name]
+        passes = record_passes(monkeypatch)
+        prov.d_grid(orders, SWEEP_XS)
+        assert len(passes) == 1
+        assert all(type(xs) is np.ndarray for xs in passes[0].values())
+        assert passed_keys(passes) == pass_order(keys_of(orders, SWEEP_XS))
+
+    def test_g_beta_evaluates_each_distinct_key_once(self, monkeypatch):
+        # order n reads psi^(n) at x, x+1/2 and x+1 and psi^(n-1) at x+1/2
+        # and x+1, so orders 1..6 on a grid list 30 keys per x
+        xs = [float(x) for x in make_grid(0.05, 20.0, points=16)]
+        keys = g_beta_keys(range(1, 7), xs)
+        assert len(set(keys)) < len(keys)
+        ctx = EvalContext(QParam(0.5))
+        passes = record_passes(monkeypatch)
+        assert verify_g_beta_lcm(ctx, grid=np.array(xs)).passed
+        # the duplication gate on each base, then the sweep, which finds
+        # the gate's psi^(0) rows among the swept ones
+        evaluated = passed_keys(passes[2:])
+        assert len(passes) == 3
+        assert len(evaluated) == len(set(evaluated))
+        assert set(evaluated) == set(keys) - set(passed_keys(passes[1:2]))
+        assert ctx._results == ctx.squared()._results == {}
+
+    def test_a_swept_g_beta_key_is_read_without_a_second_evaluation(self, monkeypatch):
+        want = g_beta_provider(QParam(0.5), BETA).d_grid([3, 1], SWEEP_XS).tolist()
+        ctx = EvalContext(QParam(0.5))
+        prov = g_beta_provider(ctx, BETA)
+        prov.d_grid([1, 2, 3], SWEEP_XS)
+        half = ctx.squared()
+        passes = record_passes(monkeypatch)
+        points = []
+        monkeypatch.setattr(qfun.deriv, "_psi_point", lambda *args: points.append(args))
+        r = half.psi(2, 3.0)
+        assert half.psi_grid([(2, 3.0), (1, 2.5)])[0] is r
+        assert half.psi(2, 3.0) is r
+        assert r == q_polygamma(QParam(0.25), 3.0, 2)
+        # another sweep over the same keys finds them keyed, one handed out
+        assert prov.d_grid([3, 1], SWEEP_XS).tolist() == want
+        assert passes == [] and points == []
+
+    @pytest.mark.parametrize("name", PROVIDERS)
+    def test_term_cap_raises_the_first_capped_keys_error(self, name):
+        # a 1000-term cap fails psi^(k) at q = 0.5 for k >= 2 near x = 0.05,
+        # and at base 0.25 for k >= 4 near x = 0.03 and every k at 0.02
+        q, t = 0.5, Truncation(max_terms=1000)
+        xs = [2.0, 0.03, 0.4, 0.0226, 0.02]
+        orders = [5, 2]
+        prov, keys_of, base, _ = providers(QParam(q), t)[name]
+        for key in pass_order(keys_of(orders, xs)):
+            try:
+                one_point(base, *key, t)
+            except NonConvergent as err:
+                want = str(err)
+                break
+        else:
+            pytest.fail("no key reaches the cap")
+        with pytest.raises(NonConvergent) as info:
+            prov.d_grid(orders, xs)
+        assert str(info.value) == want
 
 
 class TestSweepCounts:
