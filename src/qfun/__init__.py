@@ -47,8 +47,6 @@ _HOME = dict.fromkeys(
         "LogDerivProvider",
         "N_MAX",
         "certify_lcm",
-        "default_step",
-        "finite_diff",
         "ln_gamma_provider",
         "log_derivatives",
         "make_grid",

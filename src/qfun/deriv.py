@@ -1,19 +1,16 @@
 """Derivative plumbing for the monotonicity certifiers.
 
-An EvalContext computes each q-polygamma value, each ln Gamma_q value and
-the digamma zero for one (q, truncation) at most once, a whole grid of
+An EvalContext computes each q-polygamma and ln Gamma_q value read by key,
+and the digamma zero, for one (q, truncation) at most once, a whole grid of
 q-polygamma or ln Gamma_q values in one pass.  It is the one carrier of the
 truncation: a provider takes p as a QParam, evaluated at the default
 truncation, or as an EvalContext(p, trunc).  A LogDerivProvider packages
 analytic derivatives of ln f for some positive function f.  The library
-providers hand the grid pass one float array of points per order and read
-its values as arrays; the context keys those rows under (k, x) only when
-psi or psi_grid first reads it.
+providers hand the grid pass one float array of points per order, each
+order's distinct points once, and store nothing in the context.
 certify_lcm sweeps such a provider over a grid and checks the
 alternating-sign pattern that defines logarithmic complete monotonicity,
-reporting the first violation and the worst margin seen.  Central finite
-differences of the next-lower derivative give an independent check on each
-analytic formula at matched accuracy.
+reporting the first violation and the worst margin seen.
 """
 
 from __future__ import annotations
@@ -48,8 +45,6 @@ __all__ = [
     "LogDerivProvider",
     "CMReport",
     "make_grid",
-    "finite_diff",
-    "default_step",
     "log_derivatives",
     "certify_lcm",
     "ln_gamma_provider",
@@ -63,14 +58,6 @@ N_MAX = 6
 # domains (like x just above a zero) are never sampled at the boundary
 GRID_PULL = 1e-6
 
-# central stencils, O(h^2); keys are multiples of h
-_STENCILS: dict[int, dict[int, float]] = {
-    1: {-1: -0.5, 1: 0.5},
-    2: {-1: 1.0, 0: -2.0, 1: 1.0},
-    3: {-2: -0.5, -1: 1.0, 1: -1.0, 2: 0.5},
-    4: {-2: 1.0, -1: -4.0, 0: 6.0, 1: -4.0, 2: 1.0},
-}
-
 
 def _check_key(x: float) -> None:
     """_check_x for an x that is not a float, before it is looked up: True
@@ -80,30 +67,24 @@ def _check_key(x: float) -> None:
 
 
 class EvalContext:
-    """Evaluator results for one (QParam, Truncation), each computed once.
+    """The evaluator results read by key for one (QParam, Truncation), each
+    computed once.
 
     psi(k, x) is the order-k q-polygamma with psi(0, x) the q-digamma, and
-    ln_gamma(x) is ln Gamma_q.  A grid pass keeps each psi value as its
-    row (value, err_bound, terms) under its exact (k, float(x)) key; the
-    EvalResult that psi or psi_grid first hands out for a key takes the
-    row's place, so a repeated point returns the identical result.  A
-    provider sweep (_psi_sweep) keeps its rows as arrays per order and
-    keys them only when psi or psi_grid next reads this context.
-    Each ln_gamma EvalResult is kept whole under its x.
-    zero() solves for the digamma zero on first use, and squared() is the
-    context at base q^2.  Create one per verification, or one per q for the
-    claim runs of one invocation, and drop it afterwards: it holds every
-    value it computed.
+    ln_gamma(x) is ln Gamma_q.  Every value that psi, psi_grid, ln_gamma or
+    ln_gamma_grid hands out is kept as its EvalResult under its exact key,
+    (k, float(x)) or x, so a repeated point returns the identical result.
+    A provider sweep (_psi_sweep) evaluates its own points and keeps
+    nothing.  zero() solves for the digamma zero on first use, and
+    squared() is the context at base q^2.  Create one per verification, or
+    one per q for the claim runs of one invocation, and drop it afterwards:
+    it holds every value read by key.
     """
 
     def __init__(self, p: QParam, trunc: Truncation | None = None) -> None:
         self.p = p
         self.trunc = trunc or DEFAULT_TRUNCATION
-        # a (value, err_bound, terms) row, or the EvalResult handed out for it
-        self._results: dict[tuple[int, float], tuple[float, float, int] | EvalResult] = {}
-        # the rows of provider sweeps, not yet keyed: per order, the arrays
-        # (x, value, err_bound, terms), each x distinct and in no key above
-        self._swept: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._results: dict[tuple[int, float], EvalResult] = {}
         self._ln_gammas: dict[float, EvalResult] = {}
         self._zero: ZeroResult | None = None
         self._squared: EvalContext | None = None
@@ -123,12 +104,11 @@ class EvalContext:
         the key is stored."""
         _check_psi_order(k)
         _check_key(x)
-        if self._swept:
-            self._key_sweeps()
         key = k, float(x)
-        if key not in self._results:
-            self._results[key] = _psi_point(self.p, k, _check_x(x), self.trunc)
-        return self._hand_out(key)
+        r = self._results.get(key)
+        if r is None:
+            r = self._results[key] = _psi_point(self.p, k, _check_x(x), self.trunc)
+        return r
 
     def psi_grid(self, keys: Iterable[tuple[int, float]]) -> list[EvalResult]:
         """psi(k, x) for every (k, x) of keys, in their order.
@@ -136,10 +116,10 @@ class EvalContext:
         The missing keys of every order are evaluated in one pass, each
         bit-identical to a one-point evaluation, and stored under the keys
         psi reads, so psi(k, x) then returns the identical result.  The
-        pass takes them order-major: orders as they first appear, and each
-        order's points as they first appear; a term cap raises
-        NonConvergent for the first key in that order that reaches it.
-        Every key's order is checked first, as psi checks it, and then
+        pass takes them order-major: orders as they first appear among
+        keys, and each order's points as they first appear; a term cap
+        raises NonConvergent for the first key in that order that reaches
+        it.  Every key's order is checked first, as psi checks it, and then
         every x that is not a float.
         """
         keys = list(keys)
@@ -147,19 +127,19 @@ class EvalContext:
             _check_psi_order(k)
         for _, x in keys:
             _check_key(x)
-        points: dict[int, list[float]] = {}
-        for k, x in keys:
-            points.setdefault(k, []).append(x)
-        self._psi_sweep([(k, np.array(xs, dtype=np.float64)) for k, xs in points.items()])
-        self._key_sweeps()
-        return [self._hand_out((k, float(x))) for k, x in keys]
-
-    def _key_sweeps(self) -> None:
-        """Store every swept row under its (k, x) key."""
-        for k, (xs, *rows) in self._swept.items():
-            keys = [(k, x) for x in xs.tolist()]
-            self._results.update(zip(keys, zip(*(a.tolist() for a in rows))))
-        self._swept = {}
+        keys = [(k, float(x)) for k, x in keys]
+        results = self._results
+        # orders as they first appear among keys, each with its missing points
+        missing: dict[int, list[float]] = {k: [] for k, _ in keys}
+        for k, x in dict.fromkeys(keys):
+            if (k, x) not in results:
+                missing[k].append(x)
+        missing = {k: xs for k, xs in missing.items() if xs}
+        if missing:
+            values, errs, terms = (a.tolist() for a in _psi_orders(self.p, missing, self.trunc))
+            new = [(k, x) for k, xs in missing.items() for x in xs]
+            results.update(zip(new, map(EvalResult, values, errs, terms)))
+        return [results[key] for key in keys]
 
     def _psi_sweep(self, segments: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
         """The values and err_bounds of psi(k, x) for every segment (k, xs)
@@ -167,66 +147,32 @@ class EvalContext:
         segment order, each bit-identical to a one-point evaluation; the
         orders are checked ints.
 
-        Each order's distinct points are looked up among this context's
-        swept and keyed rows, and the rest are evaluated in one _psi_orders
+        Each order's distinct points are evaluated once, in one _psi_orders
         pass, order-major (orders as they first appear, then each order's
         points as they first appear, so a term cap or a bad x raises for
-        the first such key), and kept as swept rows, with no key made.
+        the first such key); nothing is stored.
         """
         by_order: dict[int, list[np.ndarray]] = {}
         for k, xs in segments:
             by_order.setdefault(k, []).append(xs)
         # orders that take the same arrays share their distinct points
         distinct: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-        found = []  # per order: (k, distinct points, index, rows, which are new)
+        points, index = {}, {}
         for k, parts in by_order.items():
             ids = tuple(map(id, parts))
             if ids not in distinct:
                 distinct[ids] = _first_distinct(np.concatenate(parts))
-            xs, index = distinct[ids]
-            rows = np.empty((2, xs.size))
-            new = np.ones(xs.size, dtype=bool)
-            swept = self._swept.get(k)
-            if swept is not None:
-                at, hit = _positions(swept[0], xs)
-                rows[0, hit], rows[1, hit] = swept[1][at[hit]], swept[2][at[hit]]
-                new &= ~hit
-            if self._results:
-                for i in np.flatnonzero(new).tolist():
-                    r = self._results.get((k, xs[i].item()))
-                    if r is not None:
-                        r = r if type(r) is tuple else (r.value, r.err_bound)
-                        rows[0, i], rows[1, i] = r[0], r[1]
-                        new[i] = False
-            found.append((k, xs, index, rows, new))
-        points = {k: xs[new] for k, xs, _, _, new in found if new.any()}
-        if points:
-            values, errs, terms = _psi_orders(self.p, points, self.trunc)
-            start = 0
-            for k, _, _, rows, new in found:
-                if k in points:
-                    end = start + points[k].size
-                    got = (points[k], values[start:end], errs[start:end], terms[start:end])
-                    rows[0, new], rows[1, new] = got[1], got[2]
-                    if k in self._swept:
-                        got = tuple(map(np.concatenate, zip(self._swept[k], got)))
-                    self._swept[k] = got
-                    start = end
+            points[k], index[k] = distinct[ids]
+        if not points:
+            return np.empty((2, 0))
+        values, errs, _ = _psi_orders(self.p, points, self.trunc)
         # each order's rows in its segments' order, then the segments' order
-        taken = {k: rows[:, index] for k, _, index, rows, _ in found}
-        out, used = [], dict.fromkeys(taken, 0)
+        starts = dict(zip(points, np.cumsum([0] + [xs.size for xs in points.values()])))
+        at, used = [], dict.fromkeys(points, 0)
         for k, xs in segments:
-            out.append(taken[k][:, used[k] : used[k] + xs.size])
+            at.append(starts[k] + index[k][used[k] : used[k] + xs.size])
             used[k] += xs.size
-        return np.concatenate(out, axis=1) if out else np.empty((2, 0))
-
-    def _hand_out(self, key: tuple[int, float]) -> EvalResult:
-        """The EvalResult under key, made from its row on first use and
-        kept in its place, so every later read returns the same object."""
-        r = self._results[key]
-        if type(r) is tuple:
-            r = self._results[key] = EvalResult(*r)
-        return r
+        return np.stack([values, errs])[:, np.concatenate(at)]
 
     def ln_gamma(self, x: float) -> EvalResult:
         _check_key(x)
@@ -307,14 +253,6 @@ def _first_distinct(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xs[first[order]], rank[inverse]
 
 
-def _positions(xs: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(an index into the non-empty xs for each point of pts, whether the
-    point is there), each point being at most once in xs."""
-    order = np.argsort(xs)
-    at = order[np.minimum(np.searchsorted(xs, pts, sorter=order), xs.size - 1)]
-    return at, xs[at] == pts
-
-
 def _sweep_points(xs: Sequence[float]) -> np.ndarray:
     """A provider's points as a float array; where some x is not a float,
     each x is taken as _check_x takes it, so a bool or a string raises."""
@@ -368,39 +306,6 @@ def make_grid(
         pad = GRID_PULL * (lhi - llo)
         return np.exp(np.linspace(llo + pad, lhi - pad, points))
     raise DomainError(f"spacing must be 'linear' or 'geometric', got {spacing!r}")
-
-
-def default_step(x: float, n: int) -> float:
-    """Step size for the order-n stencil at x; grows with the order since
-    higher stencils divide by h^n."""
-    return max(1e-5, 1e-5 * abs(x)) * 10.0 ** (n - 1)
-
-
-def finite_diff(
-    f: Callable[[float], float],
-    x: float,
-    n: int = 1,
-    h: float | None = None,
-    lo: float = -math.inf,
-    hi: float = math.inf,
-) -> float:
-    """Central O(h^2) approximation to f^(n)(x), n in 1..4.
-
-    Raises DomainError if a stencil point would leave (lo, hi).
-    """
-    if not isinstance(n, int) or isinstance(n, bool) or n not in _STENCILS:
-        raise UnsupportedOrder(f"finite_diff supports orders {sorted(_STENCILS)}, got {n!r}")
-    step = default_step(x, n) if h is None else h
-    if step <= 0.0:
-        raise DomainError(f"step must be positive, got {step}")
-    stencil = _STENCILS[n]
-    for k in stencil:
-        if not lo < x + k * step < hi:
-            raise DomainError(
-                f"stencil point {x + k * step!r} outside ({lo}, {hi}) for order {n} at x={x}"
-            )
-    acc = math.fsum(w * f(x + k * step) for k, w in stencil.items())
-    return acc / step**n
 
 
 def log_derivatives(values: Sequence) -> list:

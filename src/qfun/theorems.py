@@ -11,10 +11,10 @@ evaluated at the default truncation, or as an EvalContext at that q,
 resolved by EvalContext.of; the context is the one carrier of the
 truncation, so another one is passed as EvalContext(p, trunc).  Every
 evaluator value goes through that one context, so claim runs that share a
-context solve for the digamma zero once and compute each value once.  The
-providers and the duplication gate sweep the context with arrays of points
-per order, and their rows are keyed only where a later psi or psi_grid
-reads the context.
+context solve for the digamma zero once and compute each value they read
+by key once.  The providers and the duplication gate sweep the context with
+arrays of points per order, evaluate each order's distinct points once per
+sweep, and store nothing in it.
 """
 
 from __future__ import annotations
@@ -463,8 +463,7 @@ def _g_beta_d_grid(
 
     def d_grid(orders: Sequence[int], xs: Sequence[float]) -> np.ndarray:
         _require_sub_unit(p, _G_BETA)
-        for n in orders:
-            _check_count("derivative order", n, 1)
+        _check_orders(orders)
         xa = _sweep_points(xs)
         bad = np.flatnonzero(~(xa > 0.0))
         if bad.size:
@@ -947,8 +946,8 @@ def run_claim(claim_id: str, p: QParam | EvalContext, **overrides) -> VerifyRepo
 
     p is the q parameter, evaluated at the default truncation, or an
     EvalContext at that q, which carries its own truncation and which
-    several claim runs share so that each value and the digamma zero are
-    computed once.
+    several claim runs share so that the digamma zero and each value read
+    by key are computed once.
     The keyword arguments are the ClaimArgs fields; one given as None
     keeps the claim's default, and an unknown name with a value raises
     TypeError.  x switches to single-point mode.  For the paired claims

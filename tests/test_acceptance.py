@@ -33,7 +33,6 @@ from qfun import (
     certify_lcm,
     digamma_inversion_residual,
     digamma_zero,
-    finite_diff,
     g_beta_provider,
     gamma_inversion_residual,
     inv_digamma_provider,
@@ -62,6 +61,7 @@ from qfun import (
     verify_remark_ineq,
 )
 from qfun.cli import main as cli_main
+from stencils import finite_diff
 
 SUB_QS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 ALL_QS = SUB_QS + (2.0, 5.0)

@@ -22,8 +22,6 @@ from qfun import (
     Truncation,
     UnsupportedOrder,
     certify_lcm,
-    default_step,
-    finite_diff,
     ln_gamma_provider,
     ln_q_gamma,
     log_derivatives,
@@ -34,6 +32,7 @@ from qfun import (
     q_psi_grid,
     ratio_provider,
 )
+from stencils import default_step, finite_diff
 
 
 class TestMakeGrid:

@@ -23,6 +23,7 @@ from qfun import (
     UnsupportedOrder,
     certify_lcm,
     digamma_zero,
+    g_beta_log_deriv,
     g_beta_provider,
     inv_digamma_provider,
     ln_gamma_provider,
@@ -274,8 +275,9 @@ class TestOrderChecks:
             lambda p: ln_gamma_provider(p),
             lambda p: ratio_provider(p, 1.0, 2.0, 2.0, 1.0),
             lambda p: inv_digamma_provider(p)[0],
+            lambda p: g_beta_provider(p, BETA),
         ],
-        ids=["ln-gamma", "ratio", "inv-digamma"],
+        ids=["ln-gamma", "ratio", "inv-digamma", "g-beta"],
     )
     def test_providers_reject_orders_other_than_ints_from_one(self, make, bad):
         prov = make(QParam(0.5))
@@ -284,6 +286,13 @@ class TestOrderChecks:
             with pytest.raises(UnsupportedOrder) as info:
                 call()
             assert str(info.value) == want
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.0, 2.5, True])
+    def test_g_beta_log_deriv_rejects_the_same_orders(self, bad):
+        want = f"derivative order must be an int >= 1, got {bad!r}"
+        with pytest.raises(UnsupportedOrder) as info:
+            g_beta_log_deriv(QParam(0.5), 1.0, bad, 1.5)
+        assert str(info.value) == want
 
 
 class TestHandedOutResults:
@@ -303,8 +312,8 @@ class TestHandedOutResults:
 
 
 class TestProviderSweeps:
-    """A provider sweep hands the pass an array of points per order and
-    keeps the rows unkeyed until the context is read."""
+    """A provider sweep hands the pass an array of points per order, each
+    order's distinct points once, and stores nothing in the context."""
 
     @pytest.mark.parametrize("name", PROVIDERS)
     @pytest.mark.parametrize("orders", [[3, 1], [1, 2, 3, 4, 5, 6]], ids=str)
@@ -325,12 +334,12 @@ class TestProviderSweeps:
         ctx = EvalContext(QParam(0.5))
         passes = record_passes(monkeypatch)
         assert verify_g_beta_lcm(ctx, grid=np.array(xs)).passed
-        # the duplication gate on each base, then the sweep, which finds
-        # the gate's psi^(0) rows among the swept ones
+        # the duplication gate on each base, then the sweep, which
+        # evaluates every key it reads, the gate's ones too
         evaluated = passed_keys(passes[2:])
         assert len(passes) == 3
         assert len(evaluated) == len(set(evaluated))
-        assert set(evaluated) == set(keys) - set(passed_keys(passes[1:2]))
+        assert set(evaluated) == set(keys)
         assert ctx._results == ctx.squared()._results == {}
 
     def test_a_swept_g_beta_key_is_read_without_a_second_evaluation(self, monkeypatch):
@@ -341,14 +350,25 @@ class TestProviderSweeps:
         half = ctx.squared()
         passes = record_passes(monkeypatch)
         points = []
-        monkeypatch.setattr(qfun.deriv, "_psi_point", lambda *args: points.append(args))
+        one_point_eval = qfun.deriv._psi_point
+
+        def counting(*args):
+            points.append(args)
+            return one_point_eval(*args)
+
+        monkeypatch.setattr(qfun.deriv, "_psi_point", counting)
+        # the sweep stored nothing: the first read evaluates its one point
         r = half.psi(2, 3.0)
-        assert half.psi_grid([(2, 3.0), (1, 2.5)])[0] is r
-        assert half.psi(2, 3.0) is r
+        assert len(points) == 1 and passes == []
         assert r == q_polygamma(QParam(0.25), 3.0, 2)
-        # another sweep over the same keys finds them keyed, one handed out
+        # later reads of that key find it and evaluate nothing more
+        got = half.psi_grid([(2, 3.0), (2, 3.0)])
+        assert got[0] is got[1] is r
+        assert half.psi(2, 3.0) is r
+        assert len(points) == 1 and passes == []
+        # another sweep over the same keys evaluates them afresh, in one pass
         assert prov.d_grid([3, 1], SWEEP_XS).tolist() == want
-        assert passes == [] and points == []
+        assert len(passes) == 1 and len(points) == 1
 
     @pytest.mark.parametrize("name", PROVIDERS)
     def test_term_cap_raises_the_first_capped_keys_error(self, name):
@@ -369,6 +389,19 @@ class TestProviderSweeps:
         with pytest.raises(NonConvergent) as info:
             prov.d_grid(orders, xs)
         assert str(info.value) == want
+
+    def test_psi_grid_takes_orders_as_they_first_appear_among_all_its_keys(self):
+        # (4, 2.0) is stored, so the pass takes (0, 0.02) and (4, 0.03), both
+        # past a 1000-term cap at q = 0.25; order 4 comes first among the keys
+        p, t = QParam(0.25), Truncation(max_terms=1000)
+        ctx = EvalContext(p, t)
+        ctx.psi(4, 2.0)
+        for key in ((0, 0.02), (4, 0.03)):
+            with pytest.raises(NonConvergent) as want:
+                one_point(p, *key, t)
+        with pytest.raises(NonConvergent) as info:
+            ctx.psi_grid([(4, 2.0), (0, 0.02), (4, 0.03)])
+        assert str(info.value) == str(want.value)
 
 
 class TestSweepCounts:
