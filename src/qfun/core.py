@@ -199,7 +199,9 @@ class ResidualCheck:
 
 
 def _check_x(x: float) -> float:
-    if not isinstance(x, (int, float)) or isinstance(x, bool) or not math.isfinite(x):
+    # a range check, not math.isfinite, so an int too large for a float
+    # fails here rather than raising OverflowError
+    if not isinstance(x, (int, float)) or isinstance(x, bool) or not abs(x) <= sys.float_info.max:
         raise DomainError(f"x must be a finite real, got {x!r}")
     if x <= 0.0:
         raise DomainError(f"x must be positive, got {x}")

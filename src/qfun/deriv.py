@@ -6,8 +6,8 @@ q-polygamma or ln Gamma_q values in one pass.  It is the one carrier of the
 truncation: a provider takes p as a QParam, evaluated at the default
 truncation, or as an EvalContext(p, trunc).  A LogDerivProvider packages
 analytic derivatives of ln f for some positive function f.  The library
-providers hand the grid pass one float array of points per order, each
-order's distinct points once, and store nothing in the context.
+providers hand the grid pass one float array of points per order, the
+points their formula reads at that order, and store nothing in the context.
 certify_lcm sweeps such a provider over a grid and checks the
 alternating-sign pattern that defines logarithmic complete monotonicity,
 reporting the first violation and the worst margin seen.
@@ -74,8 +74,8 @@ class EvalContext:
     ln_gamma(x) is ln Gamma_q.  Every value that psi, psi_grid, ln_gamma or
     ln_gamma_grid hands out is kept as its EvalResult under its exact key,
     (k, float(x)) or x, so a repeated point returns the identical result.
-    A provider sweep (_psi_sweep) evaluates its own points and keeps
-    nothing.  zero() solves for the digamma zero on first use, and
+    A provider sweep hands its points to the grid pass and keeps nothing
+    here.  zero() solves for the digamma zero on first use, and
     squared() is the context at base q^2.  Create one per verification, or
     one per q for the claim runs of one invocation, and drop it afterwards:
     it holds every value read by key.
@@ -140,39 +140,6 @@ class EvalContext:
             new = [(k, x) for k, xs in missing.items() for x in xs]
             results.update(zip(new, map(EvalResult, values, errs, terms)))
         return [results[key] for key in keys]
-
-    def _psi_sweep(self, segments: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
-        """The values and err_bounds of psi(k, x) for every segment (k, xs)
-        and x of the float array xs, as the rows of a (2, points) array in
-        segment order, each bit-identical to a one-point evaluation; the
-        orders are checked ints.
-
-        Each order's distinct points are evaluated once, in one _psi_orders
-        pass, order-major (orders as they first appear, then each order's
-        points as they first appear, so a term cap or a bad x raises for
-        the first such key); nothing is stored.
-        """
-        by_order: dict[int, list[np.ndarray]] = {}
-        for k, xs in segments:
-            by_order.setdefault(k, []).append(xs)
-        # orders that take the same arrays share their distinct points
-        distinct: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-        points, index = {}, {}
-        for k, parts in by_order.items():
-            ids = tuple(map(id, parts))
-            if ids not in distinct:
-                distinct[ids] = _first_distinct(np.concatenate(parts))
-            points[k], index[k] = distinct[ids]
-        if not points:
-            return np.empty((2, 0))
-        values, errs, _ = _psi_orders(self.p, points, self.trunc)
-        # each order's rows in its segments' order, then the segments' order
-        starts = dict(zip(points, np.cumsum([0] + [xs.size for xs in points.values()])))
-        at, used = [], dict.fromkeys(points, 0)
-        for k, xs in segments:
-            at.append(starts[k] + index[k][used[k] : used[k] + xs.size])
-            used[k] += xs.size
-        return np.stack([values, errs])[:, np.concatenate(at)]
 
     def ln_gamma(self, x: float) -> EvalResult:
         _check_key(x)
@@ -241,16 +208,12 @@ class LogDerivProvider:
         return cls(d=d, lo=lo, hi=hi, name=name, d_grid=d_grid)
 
 
-def _first_distinct(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(the distinct points of xs as they first appear, the index of each
-    point of xs among them)."""
-    distinct, first, inverse = np.unique(xs, return_index=True, return_inverse=True)
-    if distinct.size == xs.size:
-        return xs, np.arange(xs.size)
-    order = np.argsort(first)
-    rank = np.empty(order.size, dtype=np.intp)
-    rank[order] = np.arange(order.size)
-    return xs[first[order]], rank[inverse]
+def _order_rows(ctx: EvalContext, points: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """psi^(k) at the float array points[k] for every order k, from one
+    _psi_orders pass at ctx, as one row of values per order."""
+    values = _psi_orders(ctx.p, points, ctx.trunc)[0]
+    ends = np.cumsum([xs.size for xs in points.values()])
+    return dict(zip(points, np.split(values, ends[:-1])))
 
 
 def _sweep_points(xs: Sequence[float]) -> np.ndarray:
@@ -398,8 +361,8 @@ def ln_gamma_provider(p: QParam | EvalContext) -> LogDerivProvider:
     def d_grid(orders: Sequence[int], xs: Sequence[float]) -> np.ndarray:
         _check_orders(orders)
         xa = _sweep_points(xs)
-        values = ctx._psi_sweep([(n - 1, xa) for n in orders])[0]
-        return values.reshape(len(orders), xa.size)
+        rows = _order_rows(ctx, {n - 1: xa for n in orders})
+        return np.array([rows[n - 1] for n in orders])
 
     return LogDerivProvider.from_grid(d_grid, 0.0, math.inf, f"ln_q_gamma(q={ctx.p.q:g})")
 
@@ -425,11 +388,11 @@ def ratio_provider(
         xa = _sweep_points(xs)
         # per x, psi^(n-1) at a x and then at b x
         ab = np.stack([a * xa, b * xa], axis=1).ravel()
-        values = ctx._psi_sweep([(n - 1, ab) for n in orders])[0]
-        psi_a, psi_b = np.moveaxis(values.reshape(len(orders), xa.size, 2), 2, 0)
+        rows = _order_rows(ctx, {n - 1: ab for n in orders})
+        psi = np.array([rows[n - 1] for n in orders])
         c_a = np.array([[alpha * a**n] for n in orders])
         c_b = np.array([[beta * b**n] for n in orders])
-        return c_a * psi_a - c_b * psi_b
+        return c_a * psi[:, 0::2] - c_b * psi[:, 1::2]
 
     name = f"gamma_ratio(q={ctx.p.q:g}, a={a:g}, b={b:g}, alpha={alpha:g}, beta={beta:g})"
     return LogDerivProvider.from_grid(d_grid, 0.0, math.inf, name)

@@ -12,9 +12,9 @@ resolved by EvalContext.of; the context is the one carrier of the
 truncation, so another one is passed as EvalContext(p, trunc).  Every
 evaluator value goes through that one context, so claim runs that share a
 context solve for the digamma zero once and compute each value they read
-by key once.  The providers and the duplication gate sweep the context with
-arrays of points per order, evaluate each order's distinct points once per
-sweep, and store nothing in it.
+by key once.  The providers and the duplication gate hand the grid pass one
+array per order of the points their formula reads at that order, and store
+nothing in the context.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ from .core import (
     Regime,
     ResidualCheck,
     _check_count,
+    _check_x,
     _fp_allowance,
+    _psi_orders,
     _require_sub_unit,
 )
 from .deriv import (
@@ -39,6 +41,7 @@ from .deriv import (
     EvalContext,
     LogDerivProvider,
     _check_orders,
+    _order_rows,
     _sweep_points,
     certify_lcm,
     ln_gamma_provider,
@@ -348,15 +351,17 @@ def psi_duplication_residual(p: QParam | EvalContext, x: float) -> ResidualCheck
 
 def _duplication_residuals(ctx: EvalContext, xs: Sequence[float]) -> list[ResidualCheck]:
     """psi_duplication_residual at every x of xs, each base's psi values
-    evaluated in one provider sweep."""
+    evaluated in one grid pass."""
     _require_sub_unit(ctx.p, "the duplication identity")
     xa = _sweep_points(xs)
-    lhs, lhs_errs = ctx._psi_sweep([(0, 2.0 * xa)]).tolist()
-    rhs = ctx.squared()._psi_sweep([(0, xa), (0, xa + 0.5)])
-    (at_x, at_half), (x_errs, half_errs) = rhs.reshape(2, 2, xa.size).tolist()
+    half = ctx.squared()
+    lhs = _psi_orders(ctx.p, {0: 2.0 * xa}, ctx.trunc)[:2]
+    rhs = _psi_orders(half.p, {0: np.concatenate([xa, xa + 0.5])}, half.trunc)[:2]
+    # per x: psi(2x), its err_bound, psi_{q^2} at x and x+1/2, their err_bounds
+    cols = np.concatenate([np.stack(lhs), np.stack(rhs).reshape(4, xa.size)]).T.tolist()
     c = math.log1p(ctx.p.q)
     out = []
-    for left, e0, r1, e1, r2, e2 in zip(lhs, lhs_errs, at_x, x_errs, at_half, half_errs):
+    for left, e0, r1, r2, e1, e2 in cols:
         residual = abs(left - c - 0.5 * r1 - 0.5 * r2)
         budget = e0 + 0.5 * e1 + 0.5 * e2 + _fp_allowance(left, c, r1, r2)
         out.append(ResidualCheck(residual, budget))
@@ -420,8 +425,7 @@ def ln_g_beta(p: QParam | EvalContext, beta: float, x: float) -> float:
     ctx = EvalContext.of(p)
     p = ctx.p
     _require_sub_unit(p, _G_BETA)
-    if not x > 0.0:
-        raise DomainError(f"x must be positive, got {x}")
+    x = _check_x(x)
     half = ctx.squared()
     e = math.exp(2.0 * x * math.log(p.q))
     frac = e / (1.0 - e)
@@ -468,14 +472,13 @@ def _g_beta_d_grid(
         bad = np.flatnonzero(~(xa > 0.0))
         if bad.size:
             raise DomainError(f"x must be positive, got {xa[bad[0]].item()}")
-        # per x, psi^(n) at x+1, x and x+1/2, and psi^(n-1) at x+1/2 and x+1
-        lead = np.stack([xa + 1.0, xa, xa + 0.5], axis=1).ravel()
-        lag = np.stack([xa + 0.5, xa + 1.0], axis=1).ravel()
-        values = half._psi_sweep([seg for n in orders for seg in ((n, lead), (n - 1, lag))])[0]
+        # psi^(n) at x, x+1/2 and x+1, and psi^(n-1) at x+1/2 and x+1
         m = xa.size
-        values = values.reshape(len(orders), 5 * m)
-        n_x1, n_x, n_xh = np.moveaxis(values[:, : 3 * m].reshape(len(orders), m, 3), 2, 0)
-        m_xh, m_x1 = np.moveaxis(values[:, 3 * m :].reshape(len(orders), m, 2), 2, 0)
+        shifts = np.concatenate([xa, xa + 0.5, xa + 1.0])
+        points = {k: shifts if k in orders else shifts[m:] for n in orders for k in (n, n - 1)}
+        rows = _order_rows(half, points)
+        n_x, n_xh, n_x1 = np.split(np.array([rows[n] for n in orders]), 3, axis=1)
+        m_xh, m_x1 = np.split(np.array([rows[n - 1][-2 * m :] for n in orders]), 2, axis=1)
         dfrac = -(n_x1 - n_x) / ln_q2
         return 2.0 * (m_xh - m_x1) + 0.5 * n_x + 0.5 * n_xh + weight * dfrac
 
@@ -573,8 +576,7 @@ def inv_digamma_provider(p: QParam | EvalContext) -> tuple[LogDerivProvider, flo
         _check_orders(orders)
         top = max(orders)
         xa = _sweep_points(xs)
-        psi = ctx._psi_sweep([(k, xa) for k in range(top + 1)])[0]
-        u = log_derivatives(list(psi.reshape(top + 1, xa.size)))
+        u = log_derivatives(list(_order_rows(ctx, {k: xa for k in range(top + 1)}).values()))
         return -np.array([u[n - 1] for n in orders])
 
     x0 = ctx.zero().x0
@@ -827,6 +829,7 @@ def _run_ineq_555(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
     if o.x is not None:
         grid = o.grid()
     else:
+        _check_count("points", o.points, 2)
         grid = x1 + np.geomspace(1e-4, max(o.x_max - x1, 1e-3), o.points)
     return verify_ineq_555(RatioSpec(o.a, o.b, o.alpha, o.beta), ctx, x1, grid, o.tol)
 

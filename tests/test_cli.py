@@ -122,6 +122,17 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: no grid point in [0.01, 0.02]")
 
+    @pytest.mark.parametrize("points", ["0", "1", "-3"])
+    @pytest.mark.parametrize("claim", ["c-555", "t31-ratio-lcm"])
+    def test_too_few_points_exits_two(self, capsys, claim, points):
+        # c-555 builds its own grid, and said numpy's words about it
+        code, out, err = run_cli(
+            capsys, "verify", "--claim", claim, "--q", "0.5", "--points", points
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: points must be an int >= 2, got {points}\n"
+
     @pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("claim", ["phi-coeff", "g-beta-lcm"])
     def test_non_finite_beta_exits_two(self, capsys, claim, beta):

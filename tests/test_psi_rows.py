@@ -12,6 +12,7 @@ import pytest
 
 import qfun.core
 import qfun.deriv
+import qfun.theorems
 from qfun import (
     DEFAULT_TRUNCATION,
     DomainError,
@@ -45,9 +46,9 @@ def one_point(p: QParam, k: int, x: float, t: Truncation | None = None) -> EvalR
 
 # The (k, x) keys that each library provider's d_grid reads, listed order n
 # by order n and x by x as its formula reads them, with the base they are
-# read at and the one-point form of its d(n, x).  A sweep passes them
-# order-major: orders as they first appear, each order's points as they
-# first appear.
+# read at and the one-point form of its d(n, x).  A sweep passes the orders
+# as they first appear among these keys (listed_points gives each order's
+# points as a sweep lists them).
 
 A, B, ALPHA, BETA = 1.0, 2.0, 2.0, 0.75
 
@@ -116,16 +117,33 @@ def pass_order(keys: list[tuple[int, float]]) -> list[tuple[int, float]]:
     return [(k, x) for k, xs in by_order.items() for x in xs]
 
 
+def listed_points(name: str, orders, xs) -> dict[int, list[float]]:
+    """The points that a library provider's d_grid hands the grid pass for
+    (orders, xs), order by order as the pass takes them: the points its
+    formula reads at that order, each x of xs in turn, repeats and all."""
+    if name == "inv-digamma":
+        return {k: xs for k in range(max(orders) + 1)}
+    if name == "g-beta":
+        # psi^(n) at x, x+1/2 and x+1; an order read only as some n-1, at
+        # x+1/2 and x+1
+        lead = xs + [x + 0.5 for x in xs] + [x + 1.0 for x in xs]
+        firsts = dict.fromkeys(k for k, _ in g_beta_keys(orders, xs))
+        return {k: lead if k in orders else lead[len(xs) :] for k in firsts}
+    if name == "ratio":
+        xs = [y for x in xs for y in (A * x, B * x)]
+    return {n - 1: xs for n in orders}
+
+
 def record_passes(monkeypatch) -> list[dict]:
-    """The points of every grid pass made from deriv."""
+    """The points of every grid pass made from deriv or theorems."""
     passes = []
-    one_pass = qfun.deriv._psi_orders
+    for mod in (qfun.deriv, qfun.theorems):
 
-    def recording(p, points, t):
-        passes.append(points)
-        return one_pass(p, points, t)
+        def recording(p, points, t, _one_pass=mod._psi_orders):
+            passes.append(points)
+            return _one_pass(p, points, t)
 
-    monkeypatch.setattr(qfun.deriv, "_psi_orders", recording)
+        monkeypatch.setattr(mod, "_psi_orders", recording)
     return passes
 
 
@@ -203,8 +221,11 @@ class TestPointCheck:
     P = QParam(0.5)
 
     @pytest.mark.parametrize(
-        "bad", [math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1.5", None],
-        ids=["nan", "inf", "-inf", "zero", "negative", "True", "str", "None"],
+        "bad",
+        [math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1.5", None, 10**400, -(10**400)],
+        ids=[
+            "nan", "inf", "-inf", "zero", "negative", "True", "str", "None", "huge-int", "-huge-int"
+        ],
     )
     def test_first_bad_point_raises_the_one_point_error(self, bad):
         with pytest.raises(DomainError) as info:
@@ -231,7 +252,9 @@ class TestPointCheck:
         with pytest.raises(UnsupportedOrder, match=re.escape("got 9")):
             qfun.core._psi_orders(self.P, {9: [1.0], 0: [0.0]}, DEFAULT_TRUNCATION)
 
-    @pytest.mark.parametrize("bad", [True, "1.5", None], ids=["True", "str", "None"])
+    @pytest.mark.parametrize(
+        "bad", [True, "1.5", None, 10**400], ids=["True", "str", "None", "huge-int"]
+    )
     @pytest.mark.parametrize("name", PROVIDERS)
     def test_providers_check_a_point_that_is_not_a_float(self, name, bad):
         # as psi checks it, before a provider shifts or scales the point
@@ -312,25 +335,29 @@ class TestHandedOutResults:
 
 
 class TestProviderSweeps:
-    """A provider sweep hands the pass an array of points per order, each
-    order's distinct points once, and stores nothing in the context."""
+    """A provider sweep hands the pass one float array per order, holding
+    the points its formula reads at that order, and stores nothing in the
+    context."""
 
     @pytest.mark.parametrize("name", PROVIDERS)
     @pytest.mark.parametrize("orders", [[3, 1], [1, 2, 3, 4, 5, 6]], ids=str)
     def test_one_pass_of_the_distinct_keys_in_order(self, monkeypatch, name, orders):
-        prov, keys_of, _, _ = providers(QParam(0.5))[name]
+        # the keys each provider lists, in order; SWEEP_XS repeats points,
+        # and the pass takes them as listed
+        prov = providers(QParam(0.5))[name][0]
         passes = record_passes(monkeypatch)
         prov.d_grid(orders, SWEEP_XS)
         assert len(passes) == 1
-        assert all(type(xs) is np.ndarray for xs in passes[0].values())
-        assert passed_keys(passes) == pass_order(keys_of(orders, SWEEP_XS))
+        assert all(type(xs) is np.ndarray and xs.dtype == np.float64 for xs in passes[0].values())
+        got = [(k, xs.tolist()) for k, xs in passes[0].items()]
+        assert got == list(listed_points(name, orders, SWEEP_XS).items())
 
     def test_g_beta_evaluates_each_distinct_key_once(self, monkeypatch):
         # order n reads psi^(n) at x, x+1/2 and x+1 and psi^(n-1) at x+1/2
-        # and x+1, so orders 1..6 on a grid list 30 keys per x
-        xs = [float(x) for x in make_grid(0.05, 20.0, points=16)]
+        # and x+1, so orders 1..6 list 30 keys per x, of which 20 are distinct
+        xs = [float(x) for x in make_grid(0.05, 20.0, points=64)]
         keys = g_beta_keys(range(1, 7), xs)
-        assert len(set(keys)) < len(keys)
+        assert len(keys) == 30 * 64 and len(set(keys)) == 1_280
         ctx = EvalContext(QParam(0.5))
         passes = record_passes(monkeypatch)
         assert verify_g_beta_lcm(ctx, grid=np.array(xs)).passed
@@ -338,7 +365,7 @@ class TestProviderSweeps:
         # evaluates every key it reads, the gate's ones too
         evaluated = passed_keys(passes[2:])
         assert len(passes) == 3
-        assert len(evaluated) == len(set(evaluated))
+        assert len(evaluated) == len(set(evaluated)) == 1_280
         assert set(evaluated) == set(keys)
         assert ctx._results == ctx.squared()._results == {}
 

@@ -350,6 +350,20 @@ class TestGBeta:
         with pytest.raises(DomainError):
             verify_g_beta_lcm(QParam(2.0))
 
+    @pytest.mark.parametrize(
+        "bad",
+        ["a", True, None, math.nan, math.inf, 0.0, -1.0, 10**400],
+        ids=["str", "True", "None", "nan", "inf", "zero", "negative", "huge-int"],
+    )
+    def test_ln_g_beta_checks_x_as_q_digamma_does(self, bad):
+        # "a" raised TypeError, and True evaluated at 1.0
+        with pytest.raises(DomainError) as want:
+            q_digamma(QParam(0.5), bad)
+        with pytest.raises(DomainError) as got:
+            ln_g_beta(QParam(0.5), 1.0, bad)
+        assert str(got.value) == str(want.value)
+        assert ln_g_beta(QParam(0.5), 1.0, 2) == ln_g_beta(QParam(0.5), 1.0, 2.0)
+
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("verify", [verify_g_beta_lcm, verify_phi_coeff])
     def test_non_finite_beta_rejected(self, verify, beta):
