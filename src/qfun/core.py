@@ -47,6 +47,9 @@ MAX_DERIV_ORDER = 8
 _LN_MAX = 709.0
 # below this exponent exp() underflows to 0.0, which is an honest bound here
 _LN_TINY = -745.0
+# the Lambert sums hold x ln q at or above this (_x_ln): below it every
+# term q^{kx} underflows to 0.0, and k x ln q stays finite for any k < 1e304
+_XL_FLOOR = -1e4
 
 _CHUNK_START = 64
 _CHUNK_LIMIT = 65536
@@ -202,10 +205,31 @@ def _check_x(x: float) -> float:
     # a range check, not math.isfinite, so an int too large for a float
     # fails here rather than raising OverflowError
     if not isinstance(x, (int, float)) or isinstance(x, bool) or not abs(x) <= sys.float_info.max:
-        raise DomainError(f"x must be a finite real, got {x!r}")
+        try:
+            shown = repr(x)
+        except ValueError:  # an int with too many digits to print
+            shown = f"{'a negative' if x < 0 else 'an'} int of {x.bit_length()} bits"
+        raise DomainError(f"x must be a finite real, got {shown}")
     if x <= 0.0:
         raise DomainError(f"x must be positive, got {x}")
     return float(x)
+
+
+def _check_points(xs: Sequence[float] | np.ndarray) -> np.ndarray:
+    """xs as a float array, each point checked as _check_x checks it.
+
+    Where every point is a float, finite and > 0, xs is taken as it is (a
+    float array is returned itself).  Otherwise _check_x takes the points
+    one by one, so an int or a NumPy float converts and the first bad point
+    raises its one-point error.
+    """
+    if type(xs) is np.ndarray:
+        if xs.dtype == np.float64 and ((xs > 0.0) & (xs < math.inf)).all():
+            return xs
+        xs = xs.tolist()
+    if not all(type(x) is float and 0.0 < x < math.inf for x in xs):
+        xs = [_check_x(x) for x in xs]
+    return np.array(xs, dtype=np.float64)
 
 
 def _fp_allowance(*magnitudes: float) -> float:
@@ -238,6 +262,15 @@ def _base_rounding(p: QParam, x: float) -> float:
     return eta * slope
 
 
+def _x_ln(x, lnq: float):
+    """x ln q of the Lambert terms q^{kx} = e^{k x ln q}, 0 < q < 1, for a
+    float x or a float array, with x held at or below _XL_FLOOR / ln q.
+    Past that point every term and tail majorant is 0.0, held or not, so
+    every value keeps its bits, and no k x ln q overflows."""
+    cap = _XL_FLOOR / lnq
+    return (np.minimum(x, cap) if type(x) is np.ndarray else min(x, cap)) * lnq
+
+
 def _tail_factors(n: int, last_k: int) -> tuple[float, float]:
     """The factors of the order-n tail majorant after term last_k that
     depend on n and last_k alone: ((last_k + 2) / (last_k + 1))^n and
@@ -254,7 +287,7 @@ def _lambert_tail(q: float, x: float, n: int, last_k: int) -> float:
     the two change together.
     """
     grow, log_k = _tail_factors(n, last_k)
-    log_r = x * math.log(q)
+    log_r = _x_ln(x, math.log(q))
     rho = grow * math.exp(log_r)
     if rho >= 1.0:
         return math.inf
@@ -289,7 +322,7 @@ def _lambert_block(q: float, x: float, n: int) -> Callable[..., float]:
     q^k - 1 and negating the block sum gives the bits of dividing by
     1 - q^k, since rounding is symmetric in sign, and saves a pass."""
     lnq = math.log(q)
-    xl = x * lnq
+    xl = _x_ln(x, lnq)
 
     def block(k: np.ndarray, num: np.ndarray, den: np.ndarray) -> float:
         np.multiply(k, xl, out=num)
@@ -484,7 +517,7 @@ def _lambert_rows(
     reaches the term cap.
     """
     lnq = math.log(q)
-    xl = xs * lnq  # x * ln q of each row
+    xl = _x_ln(xs, lnq)  # x * ln q of each row
     r = np.array([math.exp(v) for v in xl.tolist()])
     top = int(ns.max())
     orders = sorted(set(ns.tolist()) - {0})
@@ -656,7 +689,7 @@ def _ln_gamma_rows(p: QParam, xs: Sequence[float], t: Truncation) -> list[EvalRe
     ln_q_gamma, whatever the other points.  The first x in the order given
     that reaches the term cap raises ln_q_gamma's NonConvergent, and else
     the first whose value is not finite raises its OverflowError."""
-    xs = [_check_x(x) for x in xs]
+    xs = _check_points(xs).tolist()
     parts = [_ln_gamma_parts(p, x) for x in xs]
     out = [_ln_gamma_em_instead(p, x, xp, t, t.target) for x, xp in zip(xs, parts)]
     product = [i for i, r in enumerate(out) if r is None]
@@ -831,27 +864,16 @@ def _psi_orders(
     reaches it.
 
     Each order's points are a float array, as a provider sweep hands them
-    over, or a list of points of any type.  They are checked as one array:
-    each a float, finite and > 0.  Where that fails, _check_x takes them
-    one by one, each order's points before the order itself, so the first
-    bad key raises what a one-point call would.
+    over, or a list of points of any type.  _check_points checks each
+    order's points before the order itself, so the first bad key raises
+    what a one-point call would.
     """
-    parts = list(points.values())
-    if parts and all(type(pts) is np.ndarray for pts in parts):
-        a = np.concatenate(parts)
-    else:
-        xs = [x for pts in parts for x in pts]
-        a = np.array(xs, dtype=np.float64) if set(map(type, xs)) <= {float} else None
-    if a is not None and ((a > 0.0) & (a < math.inf)).all():
-        for k in points:
-            _check_psi_order(k)
-    else:
-        xs = []
-        for k, pts in points.items():
-            xs += map(_check_x, pts.tolist() if type(pts) is np.ndarray else pts)
-            _check_psi_order(k)
-        a = np.array(xs, dtype=np.float64)
-    ks = np.repeat(np.array(list(points), dtype=np.int64), [len(pts) for pts in parts])
+    parts = []
+    for k, pts in points.items():
+        parts.append(_check_points(pts))
+        _check_psi_order(k)
+    a = np.concatenate(parts) if parts else np.empty(0)
+    ks = np.repeat(np.array(list(points), dtype=np.int64), [x.size for x in parts])
     return _psi_rows(p, ks, a, t)
 
 
@@ -912,7 +934,7 @@ def _lambert_may_pass(lnb: float, ks, xs):
     tail majorant at term _EM_REACH underflows to 0, so that it stops there
     at the latest and _em_instead returns None.  _psi_rows' prefilter over
     its rows; the float operations are _lambert_tail's."""
-    return ks * math.log(_EM_REACH + 1) + (_EM_REACH + 1) * (xs * lnb) >= _LN_TINY
+    return ks * math.log(_EM_REACH + 1) + (_EM_REACH + 1) * _x_ln(xs, lnb) >= _LN_TINY
 
 
 def _em_instead(p: QParam, k: int, x: float, t: Truncation) -> EvalResult | None:

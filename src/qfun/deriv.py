@@ -6,11 +6,14 @@ q-polygamma or ln Gamma_q values in one pass.  It is the one carrier of the
 truncation: a provider takes p as a QParam, evaluated at the default
 truncation, or as an EvalContext(p, trunc).  A LogDerivProvider packages
 analytic derivatives of ln f for some positive function f.  The library
-providers hand the grid pass one float array of points per order, the
-points their formula reads at that order, and store nothing in the context.
+providers are stated by their formula alone through from_grid, which
+checks the orders and every point before the formula shifts or scales it;
+they hand the grid pass one float array of points per order, the points
+their formula reads at that order, and store nothing in the context.
 certify_lcm sweeps such a provider over a grid and checks the
 alternating-sign pattern that defines logarithmic complete monotonicity,
-reporting the first violation and the worst margin seen.
+reporting the first violation and the worst margin seen; _verdict is the
+one rule that picks both, for it and for theorems' reports.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .core import (
     Truncation,
     UnsupportedOrder,
     _check_count,
+    _check_points,
     _check_psi_order,
     _check_x,
     _ln_gamma_rows,
@@ -184,8 +188,11 @@ class LogDerivProvider:
     d(n, x) returns the n-th derivative of ln f at x, n >= 1.  d_grid, when
     set, takes (orders, xs) and returns d(n, x) for every n of orders and x
     of xs as a float array of shape (len(orders), len(xs)); certify_lcm
-    calls it once per sweep.  from_grid states a provider by its d_grid
-    alone, with d its one-point case.
+    calls it once per sweep.  from_grid states a provider by its formula
+    alone, a d_grid that takes the points as a float array: the provider's
+    d_grid checks the orders (_check_orders) and then every point
+    (_check_points) before it calls the formula, and d is its one-point
+    case.
     """
 
     d: Callable[[int, float], float]
@@ -197,15 +204,19 @@ class LogDerivProvider:
     @classmethod
     def from_grid(
         cls,
-        d_grid: Callable[[Sequence[int], Sequence[float]], np.ndarray],
+        d_grid: Callable[[Sequence[int], np.ndarray], np.ndarray],
         lo: float,
         hi: float,
         name: str,
     ) -> LogDerivProvider:
-        def d(n: int, x: float) -> float:
-            return float(d_grid([n], [x])[0, 0])
+        def checked(orders: Sequence[int], xs: Sequence[float]) -> np.ndarray:
+            _check_orders(orders)
+            return d_grid(orders, _check_points(xs))
 
-        return cls(d=d, lo=lo, hi=hi, name=name, d_grid=d_grid)
+        def d(n: int, x: float) -> float:
+            return float(checked([n], [x])[0, 0])
+
+        return cls(d=d, lo=lo, hi=hi, name=name, d_grid=checked)
 
 
 def _order_rows(ctx: EvalContext, points: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
@@ -214,14 +225,6 @@ def _order_rows(ctx: EvalContext, points: dict[int, np.ndarray]) -> dict[int, np
     values = _psi_orders(ctx.p, points, ctx.trunc)[0]
     ends = np.cumsum([xs.size for xs in points.values()])
     return dict(zip(points, np.split(values, ends[:-1])))
-
-
-def _sweep_points(xs: Sequence[float]) -> np.ndarray:
-    """A provider's points as a float array; where some x is not a float,
-    each x is taken as _check_x takes it, so a bool or a string raises."""
-    if not set(map(type, xs)) <= {float}:
-        xs = [_check_x(x) for x in xs]
-    return np.array(xs, dtype=np.float64)
 
 
 def _check_orders(orders: Sequence[int]) -> None:
@@ -296,6 +299,15 @@ def log_derivatives(values: Sequence) -> list:
     return u
 
 
+def _verdict(margins: np.ndarray, tol: float) -> tuple[int, int | None]:
+    """The indices of the worst margin and the first failing one among
+    margins, a float array in scan order.  The worst is the first NaN, else
+    the first least margin; a margin fails when it is not >= -tol, NaN
+    included, and the second index is None when none fails."""
+    below = np.flatnonzero(~(margins >= -tol))
+    return int(np.argmin(margins)), (int(below[0]) if below.size else None)
+
+
 def certify_lcm(
     provider: LogDerivProvider,
     grid: np.ndarray,
@@ -330,23 +342,15 @@ def certify_lcm(
             raise ValueError(f"d_grid returned shape {d.shape}, expected {(n_orders, len(xs))}")
     signs = np.array([-1.0 if n % 2 else 1.0 for n in orders])
     margins = (signs[:, None] * d).ravel()
-    # the first least margin in order-then-x order; argmin takes the first
-    # NaN before any number
-    i = int(np.argmin(margins))
-    worst = float(margins[i])
-    worst_order, worst_x = i // len(xs) + 1, xs[i % len(xs)]
-    below = np.flatnonzero(~(margins >= -tol))
-    violation: tuple[int, float, float] | None = None
-    if below.size:
-        j = int(below[0])
-        violation = (j // len(xs) + 1, xs[j % len(xs)], float(margins[j]))
+    i, j = _verdict(margins, tol)
+    violation = None if j is None else (j // len(xs) + 1, xs[j % len(xs)], float(margins[j]))
     return CMReport(
         name=provider.name,
         orders_checked=n_orders,
         grid=tuple(xs),
-        worst_margin=worst,
-        worst_order=worst_order,
-        worst_x=worst_x,
+        worst_margin=float(margins[i]),
+        worst_order=i // len(xs) + 1,
+        worst_x=xs[i % len(xs)],
         violation=violation,
         passed=violation is None,
         tol=tol,
@@ -358,9 +362,7 @@ def ln_gamma_provider(p: QParam | EvalContext) -> LogDerivProvider:
     n >= 2 the order n-1 q-polygamma."""
     ctx = EvalContext.of(p)
 
-    def d_grid(orders: Sequence[int], xs: Sequence[float]) -> np.ndarray:
-        _check_orders(orders)
-        xa = _sweep_points(xs)
+    def d_grid(orders: Sequence[int], xa: np.ndarray) -> np.ndarray:
         rows = _order_rows(ctx, {n - 1: xa for n in orders})
         return np.array([rows[n - 1] for n in orders])
 
@@ -383,9 +385,7 @@ def ratio_provider(
     if not (0.0 < a < b):
         raise DomainError(f"need 0 < a < b, got a={a}, b={b}")
 
-    def d_grid(orders: Sequence[int], xs: Sequence[float]) -> np.ndarray:
-        _check_orders(orders)
-        xa = _sweep_points(xs)
+    def d_grid(orders: Sequence[int], xa: np.ndarray) -> np.ndarray:
         # per x, psi^(n-1) at a x and then at b x
         ab = np.stack([a * xa, b * xa], axis=1).ravel()
         rows = _order_rows(ctx, {n - 1: ab for n in orders})

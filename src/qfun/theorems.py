@@ -31,6 +31,7 @@ from .core import (
     Regime,
     ResidualCheck,
     _check_count,
+    _check_points,
     _check_x,
     _fp_allowance,
     _psi_orders,
@@ -40,9 +41,8 @@ from .deriv import (
     N_MAX,
     EvalContext,
     LogDerivProvider,
-    _check_orders,
     _order_rows,
-    _sweep_points,
+    _verdict,
     certify_lcm,
     ln_gamma_provider,
     log_derivatives,
@@ -152,9 +152,9 @@ def _finish(
     tol: float,
     notes: tuple[str, ...] = (),
 ) -> VerifyReport:
-    """Fold margin rows into a report; rows are scanned in append order.
-    A margin that is not >= -tol fails, NaN included, and the first NaN
-    margin is then the worst."""
+    """Fold margin rows into a report; rows are scanned in append order and
+    the worst row and the first failing one are picked by _verdict, as
+    certify_lcm picks its own."""
     notes = tuple(notes)
     if not rows:
         return VerifyReport(
@@ -168,9 +168,9 @@ def _finish(
             notes=notes + ("no points examined",),
             tol=tol,
         )
-    nans = [r for r in rows if math.isnan(r["margin"])]
-    worst = nans[0] if nans else min(rows, key=lambda r: r["margin"])
-    counter = next((r for r in rows if not r["margin"] >= -tol), None)
+    i, j = _verdict(np.array([r["margin"] for r in rows], dtype=np.float64), tol)
+    worst = rows[i]
+    counter = None if j is None else rows[j]
     passed = counter is None
     if passed and worst["margin"] < TIGHT_MARGIN:
         notes = notes + (f"tight margin {worst['margin']:.3e}",)
@@ -353,7 +353,7 @@ def _duplication_residuals(ctx: EvalContext, xs: Sequence[float]) -> list[Residu
     """psi_duplication_residual at every x of xs, each base's psi values
     evaluated in one grid pass."""
     _require_sub_unit(ctx.p, "the duplication identity")
-    xa = _sweep_points(xs)
+    xa = _check_points(xs)
     half = ctx.squared()
     lhs = _psi_orders(ctx.p, {0: 2.0 * xa}, ctx.trunc)[:2]
     rhs = _psi_orders(half.p, {0: np.concatenate([xa, xa + 0.5])}, half.trunc)[:2]
@@ -448,30 +448,24 @@ def g_beta_log_deriv(p: QParam | EvalContext, beta: float, n: int, x: float) -> 
         + psi^(n)(x)/2 + psi^(n)(x+1/2)/2
         - beta (1-q^2)/2 * [psi^(n)(x+1) - psi^(n)(x)] / ln(q^2)
 
-    with every psi taken at base q^2 and psi^(0) the digamma; the one-point
-    case of g_beta_provider's d_grid.
+    with every psi taken at base q^2 and psi^(0) the digamma; g_beta_provider's
+    d at (n, x).
     """
-    ctx = EvalContext.of(p)
-    return float(_g_beta_d_grid(ctx, beta)([n], [x])[0, 0])
+    return g_beta_provider(p, beta).d(n, x)
 
 
 def _g_beta_d_grid(
     ctx: EvalContext, beta: float
-) -> Callable[[Sequence[int], Sequence[float]], np.ndarray]:
-    """The d_grid of ln g_beta at ctx's q: the formula of g_beta_log_deriv
-    over (order, x) arrays."""
+) -> Callable[[Sequence[int], np.ndarray], np.ndarray]:
+    """The d_grid of ln g_beta at ctx's q, for from_grid: the formula of
+    g_beta_log_deriv over (order, x) arrays."""
     p, half = ctx.p, ctx.squared()
     ln_q2 = 2.0 * math.log(p.q)
     # the grouping of 0.5 * beta * (1 - q^2) * dfrac, taken once
     weight = 0.5 * beta * (1.0 - p.q * p.q)
 
-    def d_grid(orders: Sequence[int], xs: Sequence[float]) -> np.ndarray:
+    def d_grid(orders: Sequence[int], xa: np.ndarray) -> np.ndarray:
         _require_sub_unit(p, _G_BETA)
-        _check_orders(orders)
-        xa = _sweep_points(xs)
-        bad = np.flatnonzero(~(xa > 0.0))
-        if bad.size:
-            raise DomainError(f"x must be positive, got {xa[bad[0]].item()}")
         # psi^(n) at x, x+1/2 and x+1, and psi^(n-1) at x+1/2 and x+1
         m = xa.size
         shifts = np.concatenate([xa, xa + 0.5, xa + 1.0])
@@ -572,10 +566,8 @@ def inv_digamma_provider(p: QParam | EvalContext) -> tuple[LogDerivProvider, flo
     """
     ctx = EvalContext.of(p)
 
-    def d_grid(orders: Sequence[int], xs: Sequence[float]) -> np.ndarray:
-        _check_orders(orders)
+    def d_grid(orders: Sequence[int], xa: np.ndarray) -> np.ndarray:
         top = max(orders)
-        xa = _sweep_points(xs)
         u = log_derivatives(list(_order_rows(ctx, {k: xa for k in range(top + 1)}).values()))
         return -np.array([u[n - 1] for n in orders])
 

@@ -6,6 +6,7 @@ the certification sweeps."""
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -222,9 +223,13 @@ class TestPointCheck:
 
     @pytest.mark.parametrize(
         "bad",
-        [math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1.5", None, 10**400, -(10**400)],
+        [
+            math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1.5", None, 10**400, -(10**400),
+            10**5000,
+        ],
         ids=[
-            "nan", "inf", "-inf", "zero", "negative", "True", "str", "None", "huge-int", "-huge-int"
+            "nan", "inf", "-inf", "zero", "negative", "True", "str", "None", "huge-int", "-huge-int",
+            "unprintable-int",
         ],
     )
     def test_first_bad_point_raises_the_one_point_error(self, bad):
@@ -253,17 +258,44 @@ class TestPointCheck:
             qfun.core._psi_orders(self.P, {9: [1.0], 0: [0.0]}, DEFAULT_TRUNCATION)
 
     @pytest.mark.parametrize(
-        "bad", [True, "1.5", None, 10**400], ids=["True", "str", "None", "huge-int"]
+        "bad",
+        [True, "1.5", None, 10**400, math.nan, math.inf, -math.inf, 0.0, -1.0, 10**5000],
+        ids=[
+            "True", "str", "None", "huge-int", "nan", "inf", "-inf", "zero", "negative",
+            "unprintable-int",
+        ],
     )
     @pytest.mark.parametrize("name", PROVIDERS)
     def test_providers_check_a_point_that_is_not_a_float(self, name, bad):
-        # as psi checks it, before a provider shifts or scales the point
+        # every point, a float or not, is checked as q_digamma checks it,
+        # before a provider shifts or scales it, so the error names the
+        # caller's x
         prov = providers(self.P)[name][0]
-        want = f"x must be a finite real, got {bad!r}"
+        with pytest.raises(DomainError) as info:
+            q_digamma(self.P, bad)
+        want = str(info.value)
         for call in (lambda: prov.d(1, bad), lambda: prov.d_grid([2, 1], [2.5, bad])):
             with pytest.raises(DomainError) as info:
                 call()
             assert str(info.value) == want
+
+    @pytest.mark.parametrize("q", [0.5, 2.0])
+    def test_huge_points_evaluate_without_a_warning(self, q):
+        # every Lambert term underflows to 0, so psi takes its limit as x
+        # grows: -ln(1 - q) at q < 1 and ln q (x - 1/2) - ln(q - 1) at q > 1
+        # for order 0, ln q for order 1 at q > 1, and 0 otherwise
+        p, x, lnq = QParam(q), 2.0**1023, math.log(q)
+        limits = {
+            0: -math.log1p(-q) if q < 1.0 else lnq * (x - 0.5) - math.log(q - 1.0),
+            1: 0.0 if q < 1.0 else lnq,
+            3: 0.0,
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k, limit in limits.items():
+                r = one_point(p, k, x)
+                assert r == EvalResult(limit, 0.0, 64), k
+                assert q_psi_grid(p, k, [x, 3.0]) == [r, one_point(p, k, 3.0)], k
 
     @pytest.mark.parametrize("k", [0, 1, 5])
     def test_int_and_numpy_points_equal_float_points(self, k):

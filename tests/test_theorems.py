@@ -352,8 +352,8 @@ class TestGBeta:
 
     @pytest.mark.parametrize(
         "bad",
-        ["a", True, None, math.nan, math.inf, 0.0, -1.0, 10**400],
-        ids=["str", "True", "None", "nan", "inf", "zero", "negative", "huge-int"],
+        ["a", True, None, math.nan, math.inf, 0.0, -1.0, 10**400, 10**5000],
+        ids=["str", "True", "None", "nan", "inf", "zero", "negative", "huge-int", "unprintable-int"],
     )
     def test_ln_g_beta_checks_x_as_q_digamma_does(self, bad):
         # "a" raised TypeError, and True evaluated at 1.0
@@ -681,6 +681,38 @@ class TestRunClaim:
         assert not rep.passed
         assert math.isnan(rep.worst_margin)
         assert rep.worst_point["x"] == rep.counterexample["x"] == 2.0
+
+    @pytest.mark.parametrize(
+        "table, worst, failure",
+        [
+            ([[1.0, -2.0, math.nan], [0.5, 0.5, 0.5]], (1, 3.0), (1, 2.0)),
+            ([[math.nan, 1.0, -1.0], [0.5, 0.5, 0.5]], (1, 1.0), (1, 1.0)),
+            ([[1.0, -0.5, 2.0], [-0.5, 3.0, 1.0]], (1, 2.0), (1, 2.0)),
+            ([[0.0, -0.0, 1.0], [2.0, 2.0, 2.0]], (1, 1.0), None),
+            ([[1.0, 2.0, 3.0], [0.5, 4.0, 0.25]], (2, 3.0), None),
+        ],
+        ids=["nan-after-failure", "nan-first", "tied-least", "signed-zeros", "all-pass"],
+    )
+    def test_certify_lcm_and_finish_reach_one_verdict(self, table, worst, failure):
+        # one margin table, as a sweep's (order, x) margins and as report rows
+        xs = [1.0, 2.0, 3.0]
+        signs = [(-1.0) ** n for n in range(1, len(table) + 1)]
+        d = np.array([[s * m for m in row] for s, row in zip(signs, table)])
+        prov = LogDerivProvider(
+            d=lambda n, x: math.nan, lo=0.0, hi=math.inf, name="table",
+            d_grid=lambda orders, grid: d,
+        )
+        cm = certify_lcm(prov, np.array(xs), n_orders=len(table), tol=0.1)
+        rows = [_row(n, x, m, m) for n, row in enumerate(table, 1) for x, m in zip(xs, row)]
+        rep = _finish("c-555", {}, {}, rows, 0.1)
+        assert (cm.worst_order, cm.worst_x) == (rep.worst_point["n_order"], rep.worst_point["x"])
+        assert (cm.worst_order, cm.worst_x) == worst
+        assert repr(cm.worst_margin) == repr(rep.worst_margin)
+        got = None if rep.counterexample is None else (
+            rep.counterexample["n_order"], rep.counterexample["x"]
+        )
+        assert (cm.violation and cm.violation[:2]) == got == failure
+        assert cm.passed == rep.passed == (failure is None)
 
     @pytest.mark.parametrize("tol", [-10.0, math.nan, math.inf])
     @pytest.mark.parametrize("claim", CLAIM_IDS)
