@@ -209,6 +209,9 @@ class LogDerivProvider:
         hi: float,
         name: str,
     ) -> LogDerivProvider:
+        """A provider stated by its formula d_grid, for formulas on x > 0:
+        every point must be finite and > 0, whatever lo and hi are."""
+
         def checked(orders: Sequence[int], xs: Sequence[float]) -> np.ndarray:
             _check_orders(orders)
             return d_grid(orders, _check_points(xs))

@@ -449,8 +449,10 @@ def g_beta_log_deriv(p: QParam | EvalContext, beta: float, n: int, x: float) -> 
         - beta (1-q^2)/2 * [psi^(n)(x+1) - psi^(n)(x)] / ln(q^2)
 
     with every psi taken at base q^2 and psi^(0) the digamma; g_beta_provider's
-    d at (n, x).
+    d at (n, x), after the regime check, which comes before the order and x
+    checks here.
     """
+    _require_sub_unit(EvalContext.of(p).p, _G_BETA)
     return g_beta_provider(p, beta).d(n, x)
 
 

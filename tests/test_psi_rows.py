@@ -221,21 +221,32 @@ class TestPointCheck:
 
     P = QParam(0.5)
 
+    # the one-point error's own text for an int too large for a float: by
+    # repr while repr can print it, by its bit length past that
+    INT_TEXT = {
+        10**400: f"x must be a finite real, got {10**400!r}",
+        -(10**400): f"x must be a finite real, got {-(10**400)!r}",
+        10**5000: "x must be a finite real, got an int of 16610 bits",
+        -(10**5000): "x must be a finite real, got a negative int of 16610 bits",
+    }
+
     @pytest.mark.parametrize(
         "bad",
         [
             math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1.5", None, 10**400, -(10**400),
-            10**5000,
+            10**5000, -(10**5000),
         ],
         ids=[
             "nan", "inf", "-inf", "zero", "negative", "True", "str", "None", "huge-int", "-huge-int",
-            "unprintable-int",
+            "unprintable-int", "-unprintable-int",
         ],
     )
     def test_first_bad_point_raises_the_one_point_error(self, bad):
         with pytest.raises(DomainError) as info:
             q_digamma(self.P, bad)
         want = str(info.value)
+        if type(bad) is int:
+            assert want == self.INT_TEXT[bad]
         # alone, and before -2.0, which is bad too but later in pass order
         for later in ([], [-2.0]):
             points = {0: [1.5, 2.0], 3: [0.5, bad, *later], 1: [2.5, *later]}
@@ -274,6 +285,8 @@ class TestPointCheck:
         with pytest.raises(DomainError) as info:
             q_digamma(self.P, bad)
         want = str(info.value)
+        if type(bad) is int:
+            assert want == self.INT_TEXT[bad]
         for call in (lambda: prov.d(1, bad), lambda: prov.d_grid([2, 1], [2.5, bad])):
             with pytest.raises(DomainError) as info:
                 call()

@@ -349,6 +349,10 @@ class TestGBeta:
     def test_super_unit_rejected(self):
         with pytest.raises(DomainError):
             verify_g_beta_lcm(QParam(2.0))
+        # the regime is checked before a bad order or x
+        for n, x in [(1, 1.5), (0, 1.5), (1, -1.0), (0, math.nan)]:
+            with pytest.raises(DomainError, match="stated for 0 < q < 1"):
+                g_beta_log_deriv(QParam(2.0), 1.0, n, x)
 
     @pytest.mark.parametrize(
         "bad",
