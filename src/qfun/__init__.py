@@ -5,10 +5,12 @@ both regimes (0 < q < 1 and q > 1), a locator for the unique positive zero
 of the q-digamma, and numerical certifiers for a family of logarithmic
 complete-monotonicity claims about ratios and products of these functions.
 
-`import qfun` loads the evaluators of `qfun.core` only.  The other public
-names below load their layer (`qfun.roots`, `qfun.deriv` or
-`qfun.theorems`) on first access, so a script that only evaluates never
-compiles the zero locator or the certifiers.
+`import qfun` loads the one-point evaluators of `qfun.core` only.  The
+other public names below load their layer (`qfun.rows`, `qfun.roots`,
+`qfun.deriv` or `qfun.theorems`) on first access, and core loads the
+Euler-Maclaurin sums of `qfun.em` inside the first evaluation that needs
+one, so a script that evaluates single points never compiles the grid
+passes, the zero locator or the certifiers.
 """
 
 import importlib
@@ -31,13 +33,12 @@ from .core import (
     q_digamma,
     q_gamma,
     q_polygamma,
-    q_psi_grid,
 )
 
 __version__ = "0.1.0"
 
 # every public name outside core, with the layer that defines it
-_HOME = dict.fromkeys(
+_HOME = {"q_psi_grid": "rows"} | dict.fromkeys(
     ("BracketError", "ZeroResult", "digamma_zero", "q_euler_mascheroni", "q_harmonic"),
     "roots",
 ) | dict.fromkeys(
@@ -100,7 +101,6 @@ __all__ = [
     "q_digamma",
     "q_gamma",
     "q_polygamma",
-    "q_psi_grid",
     *_HOME,
     "__version__",
 ]

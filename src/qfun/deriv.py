@@ -32,15 +32,13 @@ from .core import (
     Truncation,
     UnsupportedOrder,
     _check_count,
-    _check_points,
     _check_psi_order,
     _check_x,
-    _ln_gamma_rows,
-    _psi_orders,
     _psi_point,
     ln_q_gamma,
 )
 from .roots import ZeroResult, digamma_zero
+from .rows import _check_points, _ln_gamma_rows, _psi_orders
 
 __all__ = [
     "N_MAX",

@@ -31,10 +31,8 @@ from .core import (
     Regime,
     ResidualCheck,
     _check_count,
-    _check_points,
     _check_x,
     _fp_allowance,
-    _psi_orders,
     _require_sub_unit,
 )
 from .deriv import (
@@ -51,6 +49,7 @@ from .deriv import (
 )
 from .roots import q_euler_mascheroni, q_harmonic
 from .roots import digamma_zero  # noqa: F401 (kept importable here)
+from .rows import _check_points, _psi_orders
 
 __all__ = [
     "BALANCE_TOL",

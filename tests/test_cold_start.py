@@ -1,5 +1,6 @@
-"""What `import qfun` loads: the evaluators of qfun.core at once, and each
-other layer on the first access to one of its public names."""
+"""What `import qfun` loads: the one-point evaluators of qfun.core at once,
+the Euler-Maclaurin sums of qfun.em inside the first evaluation that needs
+one, and each other layer on the first access to one of its public names."""
 
 import importlib
 import os
@@ -20,21 +21,33 @@ def loaded():
 
 qfun.q_digamma(qfun.QParam(0.5), 2.5)
 print(loaded())
+# 21 Euler-Maclaurin terms: past the psi switch
+qfun.q_polygamma(qfun.QParam(0.9999, allow_near_one=True), 0.05, 6)
+print(loaded())
+qfun.q_psi_grid
+print(loaded())
 qfun.EvalContext
 print(loaded())
 """
-LAYERS = ("core", "roots", "deriv", "theorems")
+LAYERS = ("core", "rows", "em", "roots", "deriv", "theorems")
 
 
 def test_a_core_evaluation_loads_only_core():
+    # without a bytecode cache, as the benchmark's set-up launches run:
+    # each launch compiles every module it loads
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     run = subprocess.run(
         [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=60
     )
     assert run.returncode == 0, run.stderr
-    # deriv imports roots
-    assert run.stdout.splitlines() == ["qfun qfun.core", "qfun qfun.core qfun.deriv qfun.roots"]
+    # deriv imports roots and rows, and roots imports em
+    assert run.stdout.splitlines() == [
+        "qfun qfun.core",
+        "qfun qfun.core qfun.em",
+        "qfun qfun.core qfun.em qfun.rows",
+        "qfun qfun.core qfun.deriv qfun.em qfun.roots qfun.rows",
+    ]
 
 
 def test_every_public_name_is_its_home_modules_object():

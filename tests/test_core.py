@@ -12,8 +12,11 @@ import tracemalloc
 import pytest
 
 import qfun.core
+import qfun.rows
 from qfun import (
+    DEFAULT_TRUNCATION,
     DomainError,
+    EvalContext,
     EvalResult,
     NonConvergent,
     QParam,
@@ -277,6 +280,14 @@ class TestBracket:
         assert q_bracket(QParam(0.5), 2.0) == pytest.approx(1.5, rel=1e-15)
         assert q_bracket(QParam(0.5), 3.0) == pytest.approx(1.75, rel=1e-15)
 
+    # q^x leaves the double range past x = 1024 at q = 2; near q = 1 the
+    # quotient leaves it first
+    @pytest.mark.parametrize("q, x", [(2.0, 1e308), (1.0001, 7.09e6)], ids=str)
+    def test_overflow_names_x(self, q, x):
+        want = f"q_bracket overflows the double range at x = {x!r}"
+        with pytest.raises(OverflowError, match=re.escape(want)):
+            q_bracket(QParam(q, allow_near_one=True), x)
+
 
 class TestInversionResiduals:
     def test_gamma_inversion(self):
@@ -299,6 +310,59 @@ class TestInversionResiduals:
             gamma_inversion_residual(QParam(0.5), 1.0)
         with pytest.raises(DomainError):
             digamma_inversion_residual(QParam(0.5), 1.0)
+
+
+class TestHugeX:
+    """At q > 1, where the head ln q (x - 1/2) of psi or the prefactor of
+    ln Gamma_q leaves the double range, the evaluator raises its
+    OverflowError before any sum: at one point, and on a grid for the first
+    such x in pass order."""
+
+    @pytest.fixture
+    def no_sums(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("started a sum")
+
+        monkeypatch.setattr(qfun.core, "_chunk_sum", refuse)
+        monkeypatch.setattr(qfun.rows, "_chunk_rows", refuse)
+
+    # the prefactor is NaN (-inf + inf) at q = 10 from about x = 8.2e307,
+    # and +inf at q = 2 past x = 1.9e154
+    @pytest.mark.parametrize("q, x", [(10.0, 1e308), (10.0, 8.3e307), (2.0, 1e200)], ids=str)
+    def test_ln_gamma_prefactor(self, no_sums, q, x):
+        p = QParam(q)
+        for fn, call in (("ln_q_gamma", ln_q_gamma), ("q_gamma", q_gamma)):
+            want = f"{fn} overflows the double range at x = {x!r}"
+            with pytest.raises(OverflowError, match=re.escape(want)):
+                call(p, x)
+        want = f"ln_q_gamma overflows the double range at x = {x!r}"
+        with pytest.raises(OverflowError, match=re.escape(want)):
+            EvalContext(p).ln_gamma_grid([1.5, x, 1.5 * x])
+
+    # ln 10 x passes the largest double from x = 7.8e307
+    @pytest.mark.parametrize("x", [1e308, 7.9e307], ids=str)
+    def test_psi_head(self, no_sums, x):
+        p = QParam(10.0)
+        later = 1.7e308  # past the range too, but later in pass order
+        calls = [
+            lambda: q_digamma(p, x),
+            lambda: q_psi_grid(p, 0, [3.0, x, later]),
+            lambda: qfun.rows._psi_orders(p, {1: [x], 0: [2.0, x, later]}, DEFAULT_TRUNCATION),
+            lambda: EvalContext(p).psi_grid([(1, 3.0), (0, x), (0, later)]),
+        ]
+        for call in calls:
+            with pytest.raises(OverflowError) as info:
+                call()
+            assert str(info.value) == f"q_digamma overflows the double range at x = {x!r}"
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_other_orders_keep_their_limit(self, k):
+        # only order 0 takes the head: the others evaluate, on a grid too,
+        # without an overflow warning
+        p = QParam(10.0)
+        r = q_polygamma(p, 1e308, k)
+        assert r == EvalResult(math.log(10.0) if k == 1 else 0.0, 0.0, 64)
+        assert q_psi_grid(p, k, [1e308, 3.0]) == [r, q_polygamma(p, 3.0, k)]
 
 
 class TestEvalResult:
@@ -338,7 +402,7 @@ class TestTinyX:
 
     def test_grid_rows_that_cannot_stop_are_not_summed(self, monkeypatch):
         rows = []
-        chunk_rows = qfun.core._chunk_rows
+        chunk_rows = qfun.rows._chunk_rows
 
         def recording(count, trunc, offsets, scales, chunk, tails, where):
             def chunk_of(k):
@@ -352,7 +416,7 @@ class TestTinyX:
 
             return chunk_rows(count, trunc, offsets, scales, chunk_of, tails, where)
 
-        monkeypatch.setattr(qfun.core, "_chunk_rows", recording)
+        monkeypatch.setattr(qfun.rows, "_chunk_rows", recording)
         with pytest.raises(NonConvergent) as info:
             q_psi_grid(QParam(0.5), 0, [1.0, 1e-310, 2.0, 5e-324])
         assert "(q=0.5, x=1e-310, order=0)" in str(info.value)

@@ -10,6 +10,7 @@ import pytest
 
 import qfun.core
 import qfun.deriv
+import qfun.rows
 
 from qfun import (
     CMReport,
@@ -371,7 +372,7 @@ class TestPsiGrid:
         # the kernel: the first capped row in the order given
         ks, xs = [1, 0, 2, 3, 1], [0.4, 0.045, 0.0451, 0.05, 0.045]
         with pytest.raises(NonConvergent) as info:
-            qfun.core._psi_rows(p, ks, xs, t)
+            qfun.rows._psi_rows(p, ks, xs, t)
         assert str(info.value) == per_point(2, 0.0451)
         # the context: orders as they first appear (0, 3, 1, 2), each
         # order's points as they first appear
@@ -422,7 +423,7 @@ class TestLnGammaGrid:
         xs = [0.3, 1.0, 2.5, 1e-3, 40.0, 0.999999, 7.0]
         kinds = set()
         for q in (0.2, 0.5, 0.99, 0.9999, 1 / 3.0):
-            tails = qfun.core._logprod_tails(q, np.array(xs))
+            tails = qfun.rows._logprod_tails(q, np.array(xs))
             for next_j in (1, 64, 192, 16_320, 10_000_000):
                 got = tails(next_j, np.arange(len(xs))).tolist()
                 want = [qfun.core._logprod_tail(q, x, next_j) for x in xs]

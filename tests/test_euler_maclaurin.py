@@ -1,4 +1,4 @@
-"""The Euler-Maclaurin q-polygammas (core._psi_em) and the rule that takes
+"""The Euler-Maclaurin q-polygammas (qfun.em._psi_em) and the rule that takes
 them in place of the Lambert series.
 
 psi^(k) takes the Euler-Maclaurin sum only where the Lambert series
@@ -35,7 +35,8 @@ from qfun import (
     q_polygamma,
     q_psi_grid,
 )
-from qfun import core
+import qfun.em
+from qfun import core, roots, rows
 
 REFERENCE = Path(__file__).with_name("em_corners_reference.json")
 LONG_SUMS = Path(__file__).with_name("long_sums_reference.json")
@@ -67,12 +68,12 @@ def base_allowance(p, value):
 def allowance(p, k, x, value):
     """Rounding beyond both err_bounds: 1e-14 of the magnitudes the value
     is assembled from, and at q > 1 what the rounded base 1/q adds, which
-    core._base_rounding bounds for psi^(0) and base_allowance for the
+    roots._base_rounding bounds for psi^(0) and base_allowance for the
     other orders."""
     h, _ = core._psi_offsets(p, k, x, core._psi_parts(p, 0)[2])
     out = 1e-14 * (abs(value) + abs(h))
     if p.q > 1.0:
-        out += core._base_rounding(p, x) if k == 0 else base_allowance(p, value)
+        out += roots._base_rounding(p, x) if k == 0 else base_allowance(p, value)
     return out
 
 
@@ -81,14 +82,14 @@ def test_paths_agree_and_the_floor_stays_below_the_lambert_terms(q):
     p = QParam(q, allow_near_one=True)
     for k, x in seeded_points(q):
         lam = core._psi_lambert(p, k, x, CAP)
-        em = core._psi_em(p, k, x, CAP)
+        em = qfun.em._psi_em(p, k, x, CAP)
         assert em.err_bound <= CAP.target(em.value), (q, k, x)
         budget = lam.err_bound + em.err_bound + allowance(p, k, x, em.value)
         assert abs(lam.value - em.value) <= budget, (q, k, x, lam, em)
         if lam.terms <= core._EM_REACH:
             assert core._em_instead(p, k, x, CAP) is None, (q, k, x)
         if k == 0:  # the derived bound is the tighter one
-            assert core._base_rounding(p, x) <= base_allowance(p, em.value), (q, x)
+            assert roots._base_rounding(p, x) <= base_allowance(p, em.value), (q, x)
 
 
 def test_settling_from_the_head_keeps_every_path_choice(monkeypatch):
@@ -99,8 +100,8 @@ def test_settling_from_the_head_keeps_every_path_choice(monkeypatch):
     # series without computing _psi_em.  Every point counts; the sums, up
     # to 2,097,088 terms each, run at every other one, to keep it under 2 s
     em_calls = []
-    psi_em = core._psi_em
-    monkeypatch.setattr(core, "_psi_em", lambda *args: em_calls.append(args) or psi_em(*args))
+    psi_em = qfun.em._psi_em
+    monkeypatch.setattr(qfun.em, "_psi_em", lambda *args: em_calls.append(args) or psi_em(*args))
     reach = Truncation(max_terms=core._EM_REACH)
     rng = random.Random("em-instead")
     seen = {"lambert": 0, "em": 0, "settled by the head": 0}
@@ -114,7 +115,7 @@ def test_settling_from_the_head_keeps_every_path_choice(monkeypatch):
         got = core._em_instead(p, k, x, DEFAULT_TRUNCATION)
         if got is None:
             seen["lambert"] += 1
-            flagged = core._lambert_may_pass(math.log(core._psi_parts(p, 0)[0]), k, x)
+            flagged = rows._lambert_may_pass(math.log(core._psi_parts(p, 0)[0]), k, x)
             seen["settled by the head"] += bool(flagged and not em_calls)
         else:
             seen["em"] += 1

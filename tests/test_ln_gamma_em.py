@@ -1,4 +1,4 @@
-"""The Euler-Maclaurin ln Gamma_q (core._ln_gamma_em) and the rule that takes
+"""The Euler-Maclaurin ln Gamma_q (qfun.em._ln_gamma_em) and the rule that takes
 it in place of the product series in ln_q_gamma, q_gamma and the ln Gamma_q
 grid pass.
 
@@ -32,6 +32,7 @@ from qfun import (
     q_bracket,
     q_gamma,
 )
+import qfun.em
 from qfun import core
 
 LONG_SUMS = Path(__file__).with_name("long_sums_reference.json")
@@ -69,7 +70,7 @@ def gamma_target(value):
 
 def em_sum(p, x, t=T, target=T.target):
     """ln Gamma_q(x) by the Euler-Maclaurin sum alone."""
-    return core._ln_gamma_em(p, x, pre_of(p, x), t, target)
+    return qfun.em._ln_gamma_em(p, x, pre_of(p, x), t, target)
 
 
 def em_instead(p, x, target):
@@ -270,8 +271,8 @@ def test_underflow_settles_qfun_alls_rows_without_euler_maclaurin(monkeypatch):
     def refuse(*args):
         raise AssertionError("computed an Euler-Maclaurin sum")
 
-    monkeypatch.setattr(core, "_ln_gamma_em", refuse)
-    monkeypatch.setattr(core, "_psi_em", refuse)
+    monkeypatch.setattr(qfun.em, "_ln_gamma_em", refuse)
+    monkeypatch.setattr(qfun.em, "_psi_em", refuse)
     xs = [1e-8, 0.05, 0.5, 1.0, 1.4616, 2.0, 7.5, 20.0, 1e6]
     for q in ALL_QS:
         p = QParam(q)

@@ -13,6 +13,7 @@ import pytest
 
 import qfun.core
 import qfun.deriv
+import qfun.rows
 import qfun.theorems
 from qfun import (
     DEFAULT_TRUNCATION,
@@ -251,7 +252,7 @@ class TestPointCheck:
         for later in ([], [-2.0]):
             points = {0: [1.5, 2.0], 3: [0.5, bad, *later], 1: [2.5, *later]}
             calls = [
-                lambda: qfun.core._psi_orders(self.P, points, DEFAULT_TRUNCATION),
+                lambda: qfun.rows._psi_orders(self.P, points, DEFAULT_TRUNCATION),
                 lambda: q_psi_grid(self.P, 3, [0.5, bad, *later]),
                 lambda: EvalContext(self.P).psi_grid(
                     [(k, x) for k, xs in points.items() for x in xs]
@@ -264,9 +265,9 @@ class TestPointCheck:
 
     def test_a_bad_point_before_a_bad_order_raises_first(self):
         with pytest.raises(DomainError, match="x must be positive, got 0.0"):
-            qfun.core._psi_orders(self.P, {0: [0.0], 9: [1.0]}, DEFAULT_TRUNCATION)
+            qfun.rows._psi_orders(self.P, {0: [0.0], 9: [1.0]}, DEFAULT_TRUNCATION)
         with pytest.raises(UnsupportedOrder, match=re.escape("got 9")):
-            qfun.core._psi_orders(self.P, {9: [1.0], 0: [0.0]}, DEFAULT_TRUNCATION)
+            qfun.rows._psi_orders(self.P, {9: [1.0], 0: [0.0]}, DEFAULT_TRUNCATION)
 
     @pytest.mark.parametrize(
         "bad",
@@ -497,7 +498,7 @@ class TestSweepCounts:
             return check(x)
 
         monkeypatch.setattr(EvalResult, "__init__", counting_init)
-        for mod in (qfun.core, qfun.deriv):
+        for mod in (qfun.core, qfun.rows, qfun.deriv):
             monkeypatch.setattr(mod, "_check_x", counting_check)
         call()
         return len(made), len(checked)

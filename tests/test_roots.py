@@ -21,6 +21,7 @@ from qfun import (
     q_harmonic,
     q_polygamma,
 )
+import qfun.em
 from qfun import core, roots
 
 # mpmath, 40 dps
@@ -259,10 +260,10 @@ class TestEulerMaclaurinGuidance:
         rng = random.Random(7)
         t = Truncation()
         for p in near_one_draw(29, 16, 3e-5, 1e-2):
-            ends = [core._psi_em(p, 0, x, t).value for x in (1.0, 2.0)]
+            ends = [qfun.em._psi_em(p, 0, x, t).value for x in (1.0, 2.0)]
             err = roots._lambert_error(p, t, 1.0, *ends)
             x = digamma_zero(p).x0 + rng.uniform(-1e-6, 1e-6)
-            em = core._psi_em(p, 0, x, t)
+            em = qfun.em._psi_em(p, 0, x, t)
             lam = core._psi_point(p, 0, x, t)
             assert abs(lam.value - em.value) <= em.err_bound + err, (p.q, x, lam, em, err)
 
