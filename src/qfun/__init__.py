@@ -43,10 +43,10 @@ _HOME = {"q_psi_grid": "rows"} | dict.fromkeys(
     "roots",
 ) | dict.fromkeys(
     (
-        "CMReport",
         "EvalContext",
         "LogDerivProvider",
         "N_MAX",
+        "VerifyReport",
         "certify_lcm",
         "ln_gamma_provider",
         "log_derivatives",
@@ -58,7 +58,6 @@ _HOME = {"q_psi_grid": "rows"} | dict.fromkeys(
     (
         "CLAIM_IDS",
         "RatioSpec",
-        "VerifyReport",
         "beta_star",
         "g_beta_log_deriv",
         "g_beta_provider",

@@ -37,14 +37,13 @@ from .core import (
     q_gamma,
     q_polygamma,
 )
-from .deriv import EvalContext
+from .deriv import EvalContext, VerifyReport
 from .roots import DEFAULT_ZERO_TOL, BracketError, digamma_zero
 from .theorems import (
     CLAIM_IDS,
     CLAIMS,
     DEFAULT_TOL,
     ClaimArgs,
-    VerifyReport,
     rerun_kwargs,
     run_claim,
 )
@@ -90,22 +89,10 @@ def _point_row(rep: VerifyReport, point: dict, passed: bool) -> dict:
 
 
 def _report_rows(rep: VerifyReport) -> list[dict]:
-    """Summary row at the worst point, plus the counterexample row when it
-    is a different point; ordered by x then order for stable output."""
-    if rep.worst_point is None:
-        return [
-            {
-                "claim_id": rep.claim_id,
-                "q": rep.params.get("q"),
-                "param_summary": _param_summary(rep.params),
-                "n_order": None,
-                "x": None,
-                "value": None,
-                "margin": None,
-                "passed": rep.passed,
-            }
-        ]
-    rows = [_point_row(rep, rep.worst_point, rep.passed)]
+    """Summary row at the worst point, empty when no point was examined,
+    plus the counterexample row when it is a different point; ordered by x
+    then order for stable output."""
+    rows = [_point_row(rep, rep.worst_point or {}, rep.passed)]
     if rep.counterexample is not None and rep.counterexample != rep.worst_point:
         rows.append(_point_row(rep, rep.counterexample, False))
     rows.sort(

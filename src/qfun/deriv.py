@@ -11,9 +11,10 @@ checks the orders and every point before the formula shifts or scales it;
 they hand the grid pass one float array of points per order, the points
 their formula reads at that order, and store nothing in the context.
 certify_lcm sweeps such a provider over a grid and checks the
-alternating-sign pattern that defines logarithmic complete monotonicity,
-reporting the first violation and the worst margin seen; _verdict is the
-one rule that picks both, for it and for theorems' reports.
+alternating-sign pattern that defines logarithmic complete monotonicity.
+It returns a VerifyReport, the one report type of qfun, which every claim
+of theorems returns too: _verdict forms every report from its margins in
+scan order, with the worst point and the first counterexample.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ __all__ = [
     "GRID_PULL",
     "EvalContext",
     "LogDerivProvider",
-    "CMReport",
+    "VerifyReport",
+    "TIGHT_MARGIN",
     "make_grid",
     "log_derivatives",
     "certify_lcm",
@@ -55,6 +57,9 @@ __all__ = [
 
 # certification sweeps check alternating signs up to this derivative order
 N_MAX = 6
+
+# a passing margin below this is flagged as tight rather than comfortable
+TIGHT_MARGIN = 1e-6
 
 # endpoints are pulled inward by this relative amount so open-interval
 # domains (like x just above a zero) are never sampled at the boundary
@@ -236,24 +241,36 @@ def _check_orders(orders: Sequence[int]) -> None:
 
 
 @dataclass(frozen=True)
-class CMReport:
-    """Outcome of one alternating-sign sweep.
+class VerifyReport:
+    """Per-claim verdict, from _verdict.
 
-    margin at (n, x) is (-1)^n d(n, x); the pattern holds when every margin
-    is >= -tol.  violation is the first offending (order, x, margin) in
-    ascending order-then-x, or None; worst_order and worst_x locate the
-    global minimum margin.
+    worst_point and counterexample are row dicts with keys n_order, x,
+    value, margin (n_order or x may be None when the claim is not indexed
+    that way); extra pair coordinates ride in an "extra" sub-dict.
+    passed is exactly (worst_margin >= -tol) over the examined points.
     """
 
-    name: str
-    orders_checked: int
-    grid: tuple[float, ...]
-    worst_margin: float
-    worst_order: int
-    worst_x: float
-    violation: tuple[int, float, float] | None
+    claim_id: str
+    params: dict
+    grid_summary: dict
     passed: bool
+    worst_margin: float
+    worst_point: dict | None
+    counterexample: dict | None
+    notes: tuple[str, ...]
     tol: float
+
+
+def _row(n_order, x, value, margin, extra=None) -> dict:
+    r = {"n_order": n_order, "x": x, "value": value, "margin": margin}
+    if extra:
+        r["extra"] = dict(extra)
+    return r
+
+
+def _grid_summary(grid: Sequence[float] | np.ndarray) -> dict:
+    xs = np.asarray(grid, dtype=np.float64).ravel()
+    return {"lo": float(xs.min()), "hi": float(xs.max()), "points": int(xs.size)}
 
 
 def make_grid(
@@ -300,13 +317,49 @@ def log_derivatives(values: Sequence) -> list:
     return u
 
 
-def _verdict(margins: np.ndarray, tol: float) -> tuple[int, int | None]:
-    """The indices of the worst margin and the first failing one among
-    margins, a float array in scan order.  The worst is the first NaN, else
-    the first least margin; a margin fails when it is not >= -tol, NaN
-    included, and the second index is None when none fails."""
-    below = np.flatnonzero(~(margins >= -tol))
-    return int(np.argmin(margins)), (int(below[0]) if below.size else None)
+def _verdict(
+    claim_id: str,
+    params: dict,
+    grid_summary: dict,
+    margins: np.ndarray,
+    row: Callable[[int], dict],
+    tol: float,
+    notes: tuple[str, ...] = (),
+) -> VerifyReport:
+    """The report on margins, a float array in scan order, after notes.
+
+    The worst point is the first NaN margin, else the first least one; a
+    margin fails when it is not >= -tol, NaN included, and the first that
+    fails is the counterexample.  row(i) is the row dict at index i, read
+    for those two indices only.  An empty margins array passes with a note
+    that no point was examined; a pass whose worst margin is below
+    TIGHT_MARGIN is noted as tight.
+    """
+    notes = tuple(notes)
+    worst = counter = None
+    if margins.size:
+        i = int(np.argmin(margins))
+        worst = row(i)
+        below = np.flatnonzero(~(margins >= -tol))
+        if below.size:
+            j = int(below[0])
+            # a copy of the same row compares equal to it even at a NaN margin
+            counter = dict(worst) if j == i else row(j)
+    if worst is None:
+        notes = notes + ("no points examined",)
+    elif counter is None and worst["margin"] < TIGHT_MARGIN:
+        notes = notes + (f"tight margin {worst['margin']:.3e}",)
+    return VerifyReport(
+        claim_id=claim_id,
+        params=params,
+        grid_summary=grid_summary,
+        passed=counter is None,
+        worst_margin=0.0 if worst is None else worst["margin"],
+        worst_point=worst,
+        counterexample=counter,
+        notes=notes,
+        tol=tol,
+    )
 
 
 def certify_lcm(
@@ -314,14 +367,17 @@ def certify_lcm(
     grid: np.ndarray,
     n_orders: int = N_MAX,
     tol: float = 1e-9,
-) -> CMReport:
+) -> VerifyReport:
     """Check (-1)^n (ln f)^(n) >= -tol for n = 1..n_orders over the grid.
 
     The margins of all orders are one array, from the provider's d_grid or
-    else from d in ascending order then grid order, and are reduced in that
-    order: the reported violation is the lowest-order, leftmost one, and
-    the worst margin the first of the least ones.  A margin that is not
-    >= -tol fails, NaN included, and a NaN margin is then the worst.
+    else from d in ascending order then grid order, and _verdict reduces it
+    in that order: the counterexample is the lowest-order, leftmost
+    violation, and the worst point the first of the least margins.  A
+    margin that is not >= -tol fails, NaN included, and a NaN margin is
+    then the worst.  The report's claim_id is the provider's name, its
+    params are empty, and a row's value is d(n, x) and its margin
+    (-1)^n d(n, x).
     """
     _check_count("n_orders", n_orders, 1)
     if not 0.0 <= tol < math.inf:
@@ -343,19 +399,12 @@ def certify_lcm(
             raise ValueError(f"d_grid returned shape {d.shape}, expected {(n_orders, len(xs))}")
     signs = np.array([-1.0 if n % 2 else 1.0 for n in orders])
     margins = (signs[:, None] * d).ravel()
-    i, j = _verdict(margins, tol)
-    violation = None if j is None else (j // len(xs) + 1, xs[j % len(xs)], float(margins[j]))
-    return CMReport(
-        name=provider.name,
-        orders_checked=n_orders,
-        grid=tuple(xs),
-        worst_margin=float(margins[i]),
-        worst_order=i // len(xs) + 1,
-        worst_x=xs[i % len(xs)],
-        violation=violation,
-        passed=violation is None,
-        tol=tol,
-    )
+
+    def row(i: int) -> dict:
+        n, k = divmod(i, len(xs))
+        return _row(n + 1, xs[k], float(d[n, k]), float(margins[i]))
+
+    return _verdict(provider.name, {}, _grid_summary(xs), margins, row, tol)
 
 
 def ln_gamma_provider(p: QParam | EvalContext) -> LogDerivProvider:

@@ -3,9 +3,13 @@ q-gamma family.
 
 Each verifier checks one claim over a grid and returns a VerifyReport
 carrying the worst margin, the first counterexample if any, and notes on
-branch choices or excluded points.  Wherever a claim involves products or
-powers of gamma values the comparison happens in log space.  The CLAIMS
-registry maps the stable claim-id strings onto these verifiers and regimes.
+branch choices or excluded points.  VerifyReport is deriv's one report
+type: the three monotonicity claims return certify_lcm's report with
+their own claim id, parameters and notes, and the others fold their
+margin rows into one through _finish, so deriv._verdict forms every
+verdict.  Wherever a claim involves products or powers of gamma values
+the comparison happens in log space.  The CLAIMS registry maps the
+stable claim-id strings onto these verifiers and regimes.
 Every public verifier and provider, and run_claim, takes p as a QParam,
 evaluated at the default truncation, or as an EvalContext at that q,
 resolved by EvalContext.of; the context is the one carrier of the
@@ -37,9 +41,13 @@ from .core import (
 )
 from .deriv import (
     N_MAX,
+    TIGHT_MARGIN,  # noqa: F401 (kept importable here)
     EvalContext,
     LogDerivProvider,
+    VerifyReport,
+    _grid_summary,
     _order_rows,
+    _row,
     _verdict,
     certify_lcm,
     ln_gamma_provider,
@@ -54,14 +62,12 @@ from .rows import _check_points, _psi_orders
 __all__ = [
     "BALANCE_TOL",
     "DEFAULT_TOL",
-    "TIGHT_MARGIN",
     "ZERO_MARGIN",
     "CLAIM_IDS",
     "CLAIMS",
     "Claim",
     "ClaimArgs",
     "RatioSpec",
-    "VerifyReport",
     "verify_theorem_ratio_lcm",
     "ratio_log_middle",
     "verify_ineq_555",
@@ -87,8 +93,6 @@ __all__ = [
 
 BALANCE_TOL = 1e-12
 DEFAULT_TOL = 1e-9
-# a passing margin below this is flagged as tight rather than comfortable
-TIGHT_MARGIN = 1e-6
 # grid points must clear the digamma zero by at least this much
 ZERO_MARGIN = 1e-3
 
@@ -122,27 +126,6 @@ class RatioSpec:
         return abs(self.alpha * self.a - self.beta * self.b) <= BALANCE_TOL
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    """Per-claim verdict.
-
-    worst_point and counterexample are row dicts with keys n_order, x,
-    value, margin (n_order or x may be None when the claim is not indexed
-    that way); extra pair coordinates ride in an "extra" sub-dict.
-    passed is exactly (worst_margin >= -tol) over the examined points.
-    """
-
-    claim_id: str
-    params: dict
-    grid_summary: dict
-    passed: bool
-    worst_margin: float
-    worst_point: dict | None
-    counterexample: dict | None
-    notes: tuple[str, ...]
-    tol: float
-
-
 def _finish(
     claim_id: str,
     params: dict,
@@ -151,64 +134,10 @@ def _finish(
     tol: float,
     notes: tuple[str, ...] = (),
 ) -> VerifyReport:
-    """Fold margin rows into a report; rows are scanned in append order and
-    the worst row and the first failing one are picked by _verdict, as
-    certify_lcm picks its own."""
-    notes = tuple(notes)
-    if not rows:
-        return VerifyReport(
-            claim_id=claim_id,
-            params=params,
-            grid_summary=grid_summary,
-            passed=True,
-            worst_margin=0.0,
-            worst_point=None,
-            counterexample=None,
-            notes=notes + ("no points examined",),
-            tol=tol,
-        )
-    i, j = _verdict(np.array([r["margin"] for r in rows], dtype=np.float64), tol)
-    worst = rows[i]
-    counter = None if j is None else rows[j]
-    passed = counter is None
-    if passed and worst["margin"] < TIGHT_MARGIN:
-        notes = notes + (f"tight margin {worst['margin']:.3e}",)
-    return VerifyReport(
-        claim_id=claim_id,
-        params=params,
-        grid_summary=grid_summary,
-        passed=passed,
-        worst_margin=worst["margin"],
-        worst_point=dict(worst),
-        counterexample=dict(counter) if counter is not None else None,
-        notes=notes,
-        tol=tol,
-    )
-
-
-def _row(n_order, x, value, margin, extra=None) -> dict:
-    r = {"n_order": n_order, "x": x, "value": value, "margin": margin}
-    if extra:
-        r["extra"] = dict(extra)
-    return r
-
-
-def _cm_rows(cm) -> list[dict]:
-    """Summary and violation rows from a certify_lcm sweep; value is the
-    raw log-derivative, margin its sign-adjusted version."""
-    sign_w = -1.0 if cm.worst_order % 2 else 1.0
-    rows = [_row(cm.worst_order, cm.worst_x, sign_w * cm.worst_margin, cm.worst_margin)]
-    if cm.violation is not None:
-        n, x, margin = cm.violation
-        if (n, x) != (cm.worst_order, cm.worst_x):
-            sign_v = -1.0 if n % 2 else 1.0
-            rows.insert(0, _row(n, x, sign_v * margin, margin))
-    return rows
-
-
-def _grid_summary(grid: np.ndarray) -> dict:
-    xs = np.asarray(grid, dtype=np.float64).ravel()
-    return {"lo": float(xs.min()), "hi": float(xs.max()), "points": int(xs.size)}
+    """Fold margin rows, scanned in append order, into a report through
+    _verdict, as certify_lcm folds its margins."""
+    margins = np.array([r["margin"] for r in rows], dtype=np.float64)
+    return _verdict(claim_id, params, grid_summary, margins, lambda i: dict(rows[i]), tol, notes)
 
 
 def _default_grid() -> np.ndarray:
@@ -234,11 +163,17 @@ def verify_theorem_ratio_lcm(
 ) -> VerifyReport:
     """Log-complete-monotonicity of Gamma_q(ax)^alpha / Gamma_q(bx)^beta.
 
-    Balanced exponents with alpha >= 0 take the sufficiency branch and are
-    expected to pass.  Anything else takes the necessity scan, which hunts
-    for a sign violation and is expected to find one when 0 < q < 1; for
-    q > 1 the necessity direction is not asserted, so unbalanced input is
-    reported as out of scope rather than scanned.
+    Balanced exponents with alpha >= 0 take the sufficiency branch.  For
+    0 < q < 1 the default window (orders up to N_MAX, x up to 20) passes,
+    but a pass covers only the orders and points swept: at q = 0.8 the
+    default spec fails at order 8 near x = 15.  For q > 1 the balanced
+    ratio fails at order 2, where the evaluator's prefactor turns the
+    second log-derivative negative.  Anything else takes the necessity
+    scan, which hunts for a sign violation and is expected to find one
+    when 0 < q < 1; for q > 1 the necessity direction is not asserted, so
+    unbalanced input is reported as out of scope rather than scanned.
+    The report is certify_lcm's, with this claim's id, parameters and
+    notes.
     """
     ctx = EvalContext.of(p)
     p = ctx.p
@@ -263,7 +198,7 @@ def verify_theorem_ratio_lcm(
         notes = ("necessity branch: unbalanced exponents, expecting a violation",)
         if cm.passed:
             notes = notes + ("no violation on this grid; widen it or raise the order cap",)
-    return _finish("t31-ratio-lcm", params, _grid_summary(grid), _cm_rows(cm), tol, notes)
+    return replace(cm, claim_id="t31-ratio-lcm", params=params, notes=notes + cm.notes)
 
 
 def ratio_log_middle(spec: RatioSpec, p: QParam | EvalContext, x1: float, x: float) -> float:
@@ -510,17 +445,18 @@ def verify_g_beta_lcm(
     gate_xs = [float(x) for x in gate]
     for x, rc in zip(gate_xs, _duplication_residuals(ctx, gate_xs)):
         if not rc.passed:
+            # judged as psi-duplication judges it: no slack on the budget
             return _finish(
                 "g-beta-lcm",
                 params,
                 _grid_summary(grid),
                 [_row(None, x, rc.residual, rc.budget - rc.residual)],
-                tol,
+                0.0,
                 notes=("duplication gate failed; sweep not run",),
             )
     cm = certify_lcm(g_beta_provider(ctx, b), grid, n_orders, tol)
     notes = (f"duplication gate passed on {gate.size} points",)
-    return _finish("g-beta-lcm", params, _grid_summary(grid), _cm_rows(cm), tol, notes)
+    return replace(cm, claim_id="g-beta-lcm", params=params, notes=notes + cm.notes)
 
 
 def phi_series_coefficient(beta: float, p: QParam | EvalContext, n: int) -> float:
@@ -598,14 +534,9 @@ def verify_inv_digamma_lcm(
             f"grid reaches {float(xs.min()):.6g}, inside the {ZERO_MARGIN:g} margin of x0 = {x0:.6g}"
         )
     cm = certify_lcm(provider, xs, n_orders, tol)
-    return _finish(
-        "t34-inv-psi",
-        {"q": ctx.p.q, "x0": x0},
-        _grid_summary(xs),
-        _cm_rows(cm),
-        tol,
-        notes=(f"zero located at x0 = {x0!r}",),
-    )
+    notes = (f"zero located at x0 = {x0!r}",)
+    params = {"q": ctx.p.q, "x0": x0}
+    return replace(cm, claim_id="t34-inv-psi", params=params, notes=notes + cm.notes)
 
 
 def verify_ineq_1(
@@ -742,7 +673,8 @@ def verify_gamma_lcm_and_superadd(
                 f"monotonicity grid reaches {float(lcm_xs.max()):.6g}, not left of x0 = {z.x0:.6g}"
             )
         cm = certify_lcm(ln_gamma_provider(ctx), lcm_xs, n_orders, tol)
-        rows.extend(_cm_rows(cm))
+        # scan order: the first failing point never follows the worst one
+        rows.extend(r for r in (cm.counterexample, cm.worst_point) if r is not None)
         notes = notes + (f"monotonicity part: orders 1..{n_orders} on (0, x0), x0 = {z.x0!r}",)
     if pair_xs:
         if not all(0.0 < v < 1.0 for v in pair_xs):

@@ -1,7 +1,9 @@
 """Command-line contract: exit codes, formats, config file, re-run lines."""
 
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import re
@@ -21,8 +23,27 @@ from qfun.theorems import CLAIM_IDS, CLAIMS
 # subcommand -> long flag -> (its argparse Action, whether it appends)
 FLAGS = _build_parser()[1]
 
-# stdout and stderr digests of invocations, captured at the commit it names
-CLI_REFERENCE = json.loads(Path(__file__).with_name("cli_reference.json").read_text("utf-8"))
+# the invocations whose exit code and stdout and stderr digests
+# cli_reference.json pins, captured at the commit it names; the q = 2 run of
+# the unbalanced ratio claim examines no point
+PINNED_RUNS = [
+    ["all", "--format", "text"],
+    [
+        "verify", "--claim", "t34-inv-psi", "--claim", "c-ineq-1",
+        "--q", "2", "--q", "0.5", "--format", "json",
+    ],
+    ["all", "--format", "csv"],
+    ["all", "--format", "json"],
+    *(
+        [
+            "verify", "--claim", "t31-ratio-lcm", "--q", "2", "--q", "0.5",
+            "--a", "1", "--b", "2", "--alpha", "1", "--beta", "1", "--format", fmt,
+        ]
+        for fmt in ("text", "csv", "json")
+    ),
+]
+CLI_REFERENCE_PATH = Path(__file__).with_name("cli_reference.json")
+CLI_REFERENCE = json.loads(CLI_REFERENCE_PATH.read_text("utf-8"))
 
 
 def run_cli(capsys, *argv):
@@ -421,6 +442,9 @@ class TestDeterminism:
         assert found == ref["counterexamples"]
         assert all(float(q) > 1.0 for _, q in found)
 
+    def test_reference_pins_every_run(self):
+        assert [ref["argv"] for ref in CLI_REFERENCE["runs"]] == PINNED_RUNS
+
     @pytest.mark.parametrize("ref", CLI_REFERENCE["runs"], ids=lambda ref: " ".join(ref["argv"]))
     def test_matches_pinned_digests(self, capsys, ref):
         code, out, err = run_cli(capsys, *ref["argv"])
@@ -591,3 +615,28 @@ class TestEvalVariants:
         assert code == 0
         # creeping toward the classical digamma value at 1
         assert "-0.577" in out
+
+
+def _pinned_run(argv: list[str]) -> dict:
+    """argv's exit code and the sha256 of its stdout and stderr, from main
+    run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {
+        "argv": argv,
+        "exit_code": code,
+        "stdout_sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
+        "stderr_sha256": hashlib.sha256(err.getvalue().encode("utf-8")).hexdigest(),
+    }
+
+
+if __name__ == "__main__":
+    # re-capture cli_reference.json after an intended change of output:
+    # python tests/test_cli.py <commit>, and say why the bytes changed
+    os.environ.pop("QFUN_CONFIG", None)
+    captured_at = sys.argv[1] if len(sys.argv) > 1 else ""
+    ref = {"captured_at": captured_at, "runs": [_pinned_run(argv) for argv in PINNED_RUNS]}
+    CLI_REFERENCE_PATH.write_text(json.dumps(ref, indent=1) + "\n", "utf-8")
+    for run in ref["runs"]:
+        print(run["exit_code"], run["stdout_sha256"], " ".join(run["argv"]))

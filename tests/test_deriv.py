@@ -13,7 +13,6 @@ import qfun.deriv
 import qfun.rows
 
 from qfun import (
-    CMReport,
     DomainError,
     EvalContext,
     LogDerivProvider,
@@ -22,6 +21,7 @@ from qfun import (
     QParam,
     Truncation,
     UnsupportedOrder,
+    VerifyReport,
     certify_lcm,
     ln_gamma_provider,
     ln_q_gamma,
@@ -33,6 +33,7 @@ from qfun import (
     q_psi_grid,
     ratio_provider,
 )
+from qfun.deriv import TIGHT_MARGIN
 from stencils import default_step, finite_diff
 
 
@@ -165,10 +166,13 @@ class TestCertifyLcm:
             return (-1.0) ** n * math.factorial(n) / x ** (n + 1)
 
         prov = LogDerivProvider(d=d, lo=0.0, hi=math.inf, name="exp(1/x)")
-        rep = certify_lcm(prov, make_grid(0.5, 8.0, points=24))
+        grid = make_grid(0.5, 8.0, points=24)
+        rep = certify_lcm(prov, grid)
         assert rep.passed
         assert rep.worst_margin >= 0.0
-        assert rep.orders_checked == N_MAX
+        # n!/x^(n+1) at x near 8 falls with n, so the last order checked
+        # holds the worst margin: the default sweep stops at N_MAX
+        assert (rep.worst_point["n_order"], rep.worst_point["x"]) == (N_MAX, float(grid[-1]))
 
     def test_designed_violation(self):
         # ln f = -x^2: n=1 is fine (margin 2x > 0) but n=2 margin is -2
@@ -182,11 +186,10 @@ class TestCertifyLcm:
         prov = LogDerivProvider(d=d, lo=0.0, hi=math.inf, name="exp(-x^2)")
         rep = certify_lcm(prov, make_grid(0.5, 8.0, points=8))
         assert not rep.passed
-        assert rep.violation is not None
-        n, x, margin = rep.violation
-        assert n == 2
-        assert margin == pytest.approx(-2.0, rel=1e-12)
-        assert rep.worst_order == 2
+        assert rep.counterexample is not None
+        assert rep.counterexample["n_order"] == 2
+        assert rep.counterexample["margin"] == pytest.approx(-2.0, rel=1e-12)
+        assert rep.worst_point["n_order"] == 2
         assert rep.worst_margin == pytest.approx(-2.0, rel=1e-12)
 
     def test_margin_sign_convention(self):
@@ -197,17 +200,24 @@ class TestCertifyLcm:
         prov = LogDerivProvider(d=d, lo=0.0, hi=math.inf, name="bad")
         rep = certify_lcm(prov, make_grid(1.0, 2.0, points=4))
         assert not rep.passed
-        assert rep.violation[0] == 1
+        assert rep.counterexample["n_order"] == 1
+        # value is d itself, margin its sign-adjusted version
+        assert (rep.counterexample["value"], rep.counterexample["margin"]) == (1.0, -1.0)
 
     def test_report_type(self):
+        orders = set()
+
         def d(n, x):
+            orders.add(n)
             return (-1.0) ** n
 
         prov = LogDerivProvider(d=d, lo=0.0, hi=math.inf, name="flat")
-        rep = certify_lcm(prov, make_grid(1.0, 2.0, points=4), n_orders=3)
-        assert isinstance(rep, CMReport)
-        assert rep.orders_checked == 3
-        assert rep.tol == 1e-9
+        grid = make_grid(1.0, 2.0, points=4)
+        rep = certify_lcm(prov, grid, n_orders=3)
+        assert isinstance(rep, VerifyReport)
+        assert orders == {1, 2, 3}
+        assert (rep.claim_id, rep.params, rep.tol) == ("flat", {}, 1e-9)
+        assert rep.grid_summary == {"lo": float(grid[0]), "hi": float(grid[-1]), "points": 4}
 
     @pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf])
     def test_rejects_negative_or_non_finite_tol(self, tol):
@@ -222,9 +232,11 @@ class TestCertifyLcm:
         rep = certify_lcm(prov, grid, n_orders=2)
         assert not rep.passed
         assert math.isnan(rep.worst_margin)
-        assert (rep.worst_order, rep.worst_x) == (1, float(grid[0]))
-        n, x, margin = rep.violation
-        assert (n, x) == (1, float(grid[0])) and math.isnan(margin)
+        assert (rep.worst_point["n_order"], rep.worst_point["x"]) == (1, float(grid[0]))
+        ce = rep.counterexample
+        assert (ce["n_order"], ce["x"]) == (1, float(grid[0])) and math.isnan(ce["margin"])
+        # one point, so equal rows even at NaN: the CLI renders it once
+        assert ce == rep.worst_point
 
 
 class TestProviders:
@@ -609,37 +621,43 @@ class TestGridHook:
 
 def plain_certify(provider, grid, n_orders=N_MAX, tol=1e-9):
     """The sweep certify_lcm must agree with: read d(n, x) one point at a
-    time, ascending order then grid order, keeping the first strictly
-    smaller margin, or the first NaN one, and the first one not >= -tol."""
+    time, ascending order then grid order, keeping the row of the first
+    point, then of each strictly smaller margin until a NaN one, and of the
+    first margin not >= -tol."""
     xs = [float(x) for x in np.asarray(grid, dtype=np.float64).ravel()]
-    worst = math.inf
-    worst_order, worst_x = 1, xs[0]
-    violation = None
+    worst = violation = None
     for n in range(1, n_orders + 1):
         sign = -1.0 if n % 2 else 1.0
         for x in xs:
-            margin = sign * provider.d(n, x)
-            if not math.isnan(worst) and (math.isnan(margin) or margin < worst):
-                worst = margin
-                worst_order, worst_x = n, x
+            value = provider.d(n, x)
+            row = {"n_order": n, "x": x, "value": value, "margin": sign * value}
+            margin = row["margin"]
+            if worst is None or (
+                not math.isnan(worst["margin"]) and (math.isnan(margin) or margin < worst["margin"])
+            ):
+                worst = row
             if violation is None and not margin >= -tol:
-                violation = (n, x, margin)
-    return CMReport(
-        name=provider.name,
-        orders_checked=n_orders,
-        grid=tuple(xs),
-        worst_margin=worst,
-        worst_order=worst_order,
-        worst_x=worst_x,
-        violation=violation,
+                violation = row
+    notes = ()
+    if violation is None and worst["margin"] < TIGHT_MARGIN:
+        notes = (f"tight margin {worst['margin']:.3e}",)
+    return VerifyReport(
+        claim_id=provider.name,
+        params={},
+        grid_summary={"lo": min(xs), "hi": max(xs), "points": len(xs)},
         passed=violation is None,
+        worst_margin=worst["margin"],
+        worst_point=worst,
+        counterexample=violation,
+        notes=notes,
         tol=tol,
     )
 
 
 class TestCertifyReduction:
     """certify_lcm's array reduction against the plain sweep, on margins
-    chosen for their edge cases; repr tells -0.0 from 0.0."""
+    chosen for their edge cases; repr tells -0.0 from 0.0, in the margins
+    and in the values d(n, x) the rows carry."""
 
     XS = [0.5, 1.0, 2.0, 4.0]
     TOL = 1e-9

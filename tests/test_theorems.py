@@ -21,6 +21,7 @@ from qfun import (
     NonConvergent,
     QParam,
     RatioSpec,
+    ResidualCheck,
     Truncation,
     beta_star,
     certify_lcm,
@@ -339,6 +340,26 @@ class TestGBeta:
         rep = verify_g_beta_lcm(p, beta=beta_star(p) - 0.5)
         assert not rep.passed
         assert rep.counterexample is not None
+
+    def test_gate_miss_below_tol_fails(self, monkeypatch):
+        # a residual over its budget fails the gate however small the miss:
+        # the gate row is judged with no slack, as psi-duplication judges it
+        def over_budget(ctx, xs):
+            return [ResidualCheck(2e-13, 1e-13) for _ in xs]
+
+        def no_sweep(*args):
+            raise AssertionError("the sweep ran after a failed gate")
+
+        monkeypatch.setattr(qfun.theorems, "_duplication_residuals", over_budget)
+        monkeypatch.setattr(qfun.theorems, "certify_lcm", no_sweep)
+        grid = make_grid(0.5, 4.0, points=16)
+        rep = verify_g_beta_lcm(QParam(0.5), grid=grid)
+        assert not rep.passed
+        assert rep.notes == ("duplication gate failed; sweep not run",)
+        assert rep.worst_margin == 1e-13 - 2e-13
+        assert rep.counterexample == rep.worst_point
+        assert rep.counterexample["x"] == float(grid[0])
+        assert rep.counterexample["value"] == 2e-13
 
     def test_default_beta_is_threshold(self):
         p = QParam(0.5)
@@ -709,14 +730,15 @@ class TestRunClaim:
         cm = certify_lcm(prov, np.array(xs), n_orders=len(table), tol=0.1)
         rows = [_row(n, x, m, m) for n, row in enumerate(table, 1) for x, m in zip(xs, row)]
         rep = _finish("c-555", {}, {}, rows, 0.1)
-        assert (cm.worst_order, cm.worst_x) == (rep.worst_point["n_order"], rep.worst_point["x"])
-        assert (cm.worst_order, cm.worst_x) == worst
+
+        def located(point):
+            return None if point is None else (point["n_order"], point["x"])
+
+        assert located(cm.worst_point) == located(rep.worst_point) == worst
         assert repr(cm.worst_margin) == repr(rep.worst_margin)
-        got = None if rep.counterexample is None else (
-            rep.counterexample["n_order"], rep.counterexample["x"]
-        )
-        assert (cm.violation and cm.violation[:2]) == got == failure
+        assert located(cm.counterexample) == located(rep.counterexample) == failure
         assert cm.passed == rep.passed == (failure is None)
+        assert cm.notes == rep.notes
 
     @pytest.mark.parametrize("tol", [-10.0, math.nan, math.inf])
     @pytest.mark.parametrize("claim", CLAIM_IDS)
