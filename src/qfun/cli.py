@@ -325,9 +325,8 @@ def _run_claims(
 ) -> list[VerifyReport]:
     """run_claim(claim, p, **kwargs) for each (claim, p) of runs, reported
     in that order but evaluated one q at a time: the runs at one q share
-    one EvalContext, so they solve for the digamma zero once and compute
-    each value read by key once, and it is dropped before the next q
-    starts."""
+    one EvalContext, so they solve for the digamma zero once, and it is
+    dropped before the next q starts."""
     reports = {}
     for p in dict.fromkeys(p for _, p in runs):
         ctx = EvalContext(p, trunc)

@@ -197,18 +197,25 @@ class ResidualCheck:
         return self.residual <= self.budget
 
 
-def _check_x(x: float) -> float:
+def _check_real(name: str, v: float) -> float:
+    """v as a float; DomainError unless it is an int (not a bool) or a float,
+    finite, and in the double range."""
     # a range check, not math.isfinite, so an int too large for a float
     # fails here rather than raising OverflowError
-    if not isinstance(x, (int, float)) or isinstance(x, bool) or not abs(x) <= sys.float_info.max:
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not abs(v) <= sys.float_info.max:
         try:
-            shown = repr(x)
+            shown = repr(v)
         except ValueError:  # an int with too many digits to print
-            shown = f"{'a negative' if x < 0 else 'an'} int of {x.bit_length()} bits"
-        raise DomainError(f"x must be a finite real, got {shown}")
-    if x <= 0.0:
+            shown = f"{'a negative' if v < 0 else 'an'} int of {v.bit_length()} bits"
+        raise DomainError(f"{name} must be a finite real, got {shown}")
+    return float(v)
+
+
+def _check_x(x: float) -> float:
+    v = _check_real("x", x)
+    if v <= 0.0:
         raise DomainError(f"x must be positive, got {x}")
-    return float(x)
+    return v
 
 
 def _fp_allowance(*magnitudes: float) -> float:

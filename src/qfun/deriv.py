@@ -1,15 +1,16 @@
 """Derivative plumbing for the monotonicity certifiers.
 
-An EvalContext computes each q-polygamma and ln Gamma_q value read by key,
-and the digamma zero, for one (q, truncation) at most once, a whole grid of
-q-polygamma or ln Gamma_q values in one pass.  It is the one carrier of the
-truncation: a provider takes p as a QParam, evaluated at the default
-truncation, or as an EvalContext(p, trunc).  A LogDerivProvider packages
-analytic derivatives of ln f for some positive function f.  The library
-providers are stated by their formula alone through from_grid, which
-checks the orders and every point before the formula shifts or scales it;
-they hand the grid pass one float array of points per order, the points
-their formula reads at that order, and store nothing in the context.
+An EvalContext evaluates the q-polygammas and ln Gamma_q at one
+(q, truncation), a whole grid of them in one pass, and solves for the
+digamma zero once; it keeps no value, so each sweep reads what its own
+grid call returns.  It is the one carrier of the truncation: a provider
+takes p as a QParam, evaluated at the default truncation, or as an
+EvalContext(p, trunc).  A LogDerivProvider packages analytic derivatives
+of ln f for some positive function f.  The library providers are stated
+by their formula alone through from_grid, which checks the orders and
+every point before the formula shifts or scales it; they hand the grid
+pass one float array of points per order, the points their formula reads
+at that order.
 certify_lcm sweeps such a provider over a grid and checks the
 alternating-sign pattern that defines logarithmic complete monotonicity.
 It returns a VerifyReport, the one report type of qfun, which every claim
@@ -34,6 +35,7 @@ from .core import (
     UnsupportedOrder,
     _check_count,
     _check_psi_order,
+    _check_real,
     _check_x,
     _psi_point,
     ln_q_gamma,
@@ -66,33 +68,24 @@ TIGHT_MARGIN = 1e-6
 GRID_PULL = 1e-6
 
 
-def _check_key(x: float) -> None:
-    """_check_x for an x that is not a float, before it is looked up: True
-    and False equal and hash like the stored keys 1.0 and 0.0."""
-    if type(x) is not float:
-        _check_x(x)
-
-
 class EvalContext:
-    """The evaluator results read by key for one (QParam, Truncation), each
-    computed once.
+    """The evaluators at one (QParam, Truncation), with the digamma zero
+    solved once.
 
     psi(k, x) is the order-k q-polygamma with psi(0, x) the q-digamma, and
-    ln_gamma(x) is ln Gamma_q.  Every value that psi, psi_grid, ln_gamma or
-    ln_gamma_grid hands out is kept as its EvalResult under its exact key,
-    (k, float(x)) or x, so a repeated point returns the identical result.
-    A provider sweep hands its points to the grid pass and keeps nothing
-    here.  zero() solves for the digamma zero on first use, and
-    squared() is the context at base q^2.  Create one per verification, or
-    one per q for the claim runs of one invocation, and drop it afterwards:
-    it holds every value read by key.
+    ln_gamma(x) is ln Gamma_q; psi_grid and ln_gamma_grid evaluate many
+    points in one pass.  Each call evaluates afresh and keeps nothing, so a
+    sweep reads the values its own call returns.  zero() solves for the
+    digamma zero on first use, and squared() is the context at base q^2;
+    both are kept, so the claim runs that share a context at one q solve
+    for the zero once.
     """
+
+    __slots__ = ("p", "trunc", "_zero", "_squared", "__weakref__")
 
     def __init__(self, p: QParam, trunc: Truncation | None = None) -> None:
         self.p = p
         self.trunc = trunc or DEFAULT_TRUNCATION
-        self._results: dict[tuple[int, float], EvalResult] = {}
-        self._ln_gammas: dict[float, EvalResult] = {}
         self._zero: ZeroResult | None = None
         self._squared: EvalContext | None = None
 
@@ -107,23 +100,16 @@ class EvalContext:
         return p if isinstance(p, EvalContext) else cls(p)
 
     def psi(self, k: int, x: float) -> EvalResult:
-        """psi^(k)(x), for an int order 0 <= k <= 8, checked whether or not
-        the key is stored."""
+        """psi^(k)(x), for an int order 0 <= k <= 8."""
         _check_psi_order(k)
-        _check_key(x)
-        key = k, float(x)
-        r = self._results.get(key)
-        if r is None:
-            r = self._results[key] = _psi_point(self.p, k, _check_x(x), self.trunc)
-        return r
+        return _psi_point(self.p, k, _check_x(x), self.trunc)
 
     def psi_grid(self, keys: Iterable[tuple[int, float]]) -> list[EvalResult]:
         """psi(k, x) for every (k, x) of keys, in their order.
 
-        The missing keys of every order are evaluated in one pass, each
-        bit-identical to a one-point evaluation, and stored under the keys
-        psi reads, so psi(k, x) then returns the identical result.  The
-        pass takes them order-major: orders as they first appear among
+        Each distinct key is evaluated once, in one pass, bit-identical to
+        a one-point evaluation; a repeated key hands out one result.  The
+        pass takes the keys order-major: orders as they first appear among
         keys, and each order's points as they first appear; a term cap
         raises NonConvergent for the first key in that order that reaches
         it.  Every key's order is checked first, as psi checks it, and then
@@ -132,42 +118,26 @@ class EvalContext:
         keys = list(keys)
         for k, _ in keys:
             _check_psi_order(k)
-        for _, x in keys:
-            _check_key(x)
-        keys = [(k, float(x)) for k, x in keys]
-        results = self._results
-        # orders as they first appear among keys, each with its missing points
-        missing: dict[int, list[float]] = {k: [] for k, _ in keys}
+        # before repeated keys merge: True equals and hashes like 1.0
+        keys = [(k, x if type(x) is float else _check_x(x)) for k, x in keys]
+        points: dict[int, list[float]] = {k: [] for k, _ in keys}
         for k, x in dict.fromkeys(keys):
-            if (k, x) not in results:
-                missing[k].append(x)
-        missing = {k: xs for k, xs in missing.items() if xs}
-        if missing:
-            values, errs, terms = (a.tolist() for a in _psi_orders(self.p, missing, self.trunc))
-            new = [(k, x) for k, xs in missing.items() for x in xs]
-            results.update(zip(new, map(EvalResult, values, errs, terms)))
+            points[k].append(x)
+        values, errs, terms = (a.tolist() for a in _psi_orders(self.p, points, self.trunc))
+        passed = [(k, x) for k, xs in points.items() for x in xs]
+        results = dict(zip(passed, map(EvalResult, values, errs, terms)))
         return [results[key] for key in keys]
 
     def ln_gamma(self, x: float) -> EvalResult:
-        _check_key(x)
-        r = self._ln_gammas.get(x)
-        if r is None:
-            r = ln_q_gamma(self.p, x, self.trunc)
-            self._ln_gammas[x] = r
-        return r
+        return ln_q_gamma(self.p, x, self.trunc)
 
     def ln_gamma_grid(self, xs: Iterable[float]) -> list[EvalResult]:
-        """ln_gamma(x) for every x of xs, in their order.
-
-        The missing points are evaluated in one pass, each bit-identical to
-        ln_q_gamma, and stored under the keys ln_gamma reads.
-        """
-        xs = list(xs)
-        for x in xs:
-            _check_key(x)
-        results = self._ln_gammas
-        missing = [x for x in dict.fromkeys(xs) if x not in results]
-        results.update(zip(missing, _ln_gamma_rows(self.p, missing, self.trunc)))
+        """ln_gamma(x) for every x of xs, in their order: each distinct point
+        once, in one pass, bit-identical to ln_q_gamma, once every x that is
+        not a float is checked."""
+        xs = [x if type(x) is float else _check_x(x) for x in xs]
+        distinct = list(dict.fromkeys(xs))
+        results = dict(zip(distinct, _ln_gamma_rows(self.p, distinct, self.trunc)))
         return [results[x] for x in xs]
 
     def zero(self) -> ZeroResult:
@@ -432,6 +402,8 @@ def ratio_provider(
     with psi^(0) the q-digamma.
     """
     ctx = EvalContext.of(p)
+    for name, v in (("a", a), ("b", b), ("alpha", alpha), ("beta", beta)):
+        _check_real(name, v)
     if not (0.0 < a < b):
         raise DomainError(f"need 0 < a < b, got a={a}, b={b}")
 

@@ -15,10 +15,10 @@ evaluated at the default truncation, or as an EvalContext at that q,
 resolved by EvalContext.of; the context is the one carrier of the
 truncation, so another one is passed as EvalContext(p, trunc).  Every
 evaluator value goes through that one context, so claim runs that share a
-context solve for the digamma zero once and compute each value they read
-by key once.  The providers and the duplication gate hand the grid pass one
-array per order of the points their formula reads at that order, and store
-nothing in the context.
+context solve for the digamma zero once.  The context keeps no value: each
+sweep lists its points once and reads the values that its one grid call
+returns, and the providers and the duplication gate hand the grid pass one
+array per order of the points their formula reads at that order.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .core import (
     Regime,
     ResidualCheck,
     _check_count,
+    _check_real,
     _check_x,
     _fp_allowance,
     _require_sub_unit,
@@ -116,9 +117,8 @@ class RatioSpec:
     beta: float
 
     def __post_init__(self) -> None:
-        for name, v in (("a", self.a), ("b", self.b), ("alpha", self.alpha), ("beta", self.beta)):
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise DomainError(f"{name} must be a finite real, got {v!r}")
+        for name in ("a", "b", "alpha", "beta"):
+            _check_real(name, getattr(self, name))
         if not 0.0 < self.a < self.b:
             raise DomainError(f"need 0 < a < b, got a={self.a}, b={self.b}")
 
@@ -144,11 +144,20 @@ def _default_grid() -> np.ndarray:
     return make_grid(DEFAULT_X_MIN, DEFAULT_X_MAX, DEFAULT_POINTS, DEFAULT_SPACING)
 
 
-def _log_psi(ctx: EvalContext, x: float) -> float:
-    v = ctx.psi(0, x).value
-    if v <= 0.0:
-        raise DomainError(f"psi_q({x}) = {v:.6g} is not positive; point left of the zero")
-    return math.log(v)
+def _log_psi(ctx: EvalContext, xs: list[float]) -> dict[float, float]:
+    """ln psi_q(x) by x, for the points xs, from one grid pass at ctx; the
+    first x whose psi_q(x) is not positive raises."""
+    out = {}
+    for x, r in zip(xs, ctx.psi_grid((0, x) for x in xs)):
+        if r.value <= 0.0:
+            raise DomainError(f"psi_q({x}) = {r.value:.6g} is not positive; point left of the zero")
+        out[x] = math.log(r.value)
+    return out
+
+
+def _ln_gammas(ctx: EvalContext, xs: list[float]) -> dict[float, float]:
+    """ln Gamma_q by x, for the points xs, from one grid pass at ctx."""
+    return dict(zip(xs, (r.value for r in ctx.ln_gamma_grid(xs))))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +236,7 @@ def verify_ineq_555(
         raise DomainError("the two-sided bound needs balanced exponents (alpha a = beta b)")
     if spec.alpha < 0.0 or spec.beta < 0.0:
         raise DomainError("the two-sided bound needs alpha, beta >= 0")
-    if not (isinstance(x1, (int, float)) and math.isfinite(x1) and x1 > 0.0):
+    if not _check_real("x1", x1) > 0.0:
         raise DomainError(f"x1 must be a positive real, got {x1!r}")
     if grid is None:
         grid = x1 + np.geomspace(1e-4, 10.0, DEFAULT_POINTS)
@@ -235,11 +244,12 @@ def verify_ineq_555(
     if any(v <= x1 for v in xs):
         raise DomainError("every grid point must lie strictly right of x1")
     slope = spec.alpha * spec.a * (ctx.psi(0, spec.a * x1).value - ctx.psi(0, spec.b * x1).value)
-    # one grid pass for every ln Gamma_q point ratio_log_middle reads
-    ctx.ln_gamma_grid(v for x in [x1] + xs for v in (spec.a * x, spec.b * x))
+    # ln Gamma_q at a x and b x, for x1 and then each grid x
+    points = [v for x in [x1] + xs for v in (spec.a * x, spec.b * x)]
+    ax1, bx1, *lng = (r.value for r in ctx.ln_gamma_grid(points))
     rows = []
-    for x in xs:
-        mid = ratio_log_middle(spec, ctx, x1, x)
+    for x, ax, bx in zip(xs, lng[0::2], lng[1::2]):
+        mid = spec.alpha * (ax - ax1) - spec.beta * (bx - bx1)
         lower = slope * (x - x1)
         rows.append(_row(None, x, mid, min(mid - lower, -mid)))
     params = {
@@ -260,10 +270,10 @@ def verify_ineq_666(
     _require_sub_unit(p, "this bound")
     _check_count("n_max", n_max, 1)
     lnq = math.log(p.q)
-    ctx.ln_gamma_grid(v for n in range(1, n_max + 1) for v in (float(n), 2.0 * n))
+    lng = _ln_gammas(ctx, [v for n in range(1, n_max + 1) for v in (float(n), 2.0 * n)])
     rows = []
     for n in range(1, n_max + 1):
-        mid = 2.0 * ctx.ln_gamma(float(n)).value - ctx.ln_gamma(2.0 * n).value
+        mid = 2.0 * lng[float(n)] - lng[2.0 * n]
         lower = 2.0 * p.q * (n - 1) * lnq / (1.0 - p.q)
         rows.append(_row(n, None, mid, min(mid - lower, -mid)))
     params = {"q": p.q, "n_max": n_max}
@@ -334,10 +344,7 @@ _G_BETA = "the corrected ratio square"
 def _g_beta_weight(ctx: EvalContext, beta: float | None) -> float:
     """beta as given, or beta_star(q) when None; it must be finite."""
     _require_sub_unit(ctx.p, _G_BETA)
-    b = beta_star(ctx) if beta is None else float(beta)
-    if not math.isfinite(b):
-        raise DomainError(f"beta must be a finite real, got {b!r}")
-    return b
+    return beta_star(ctx) if beta is None else _check_real("beta", beta)
 
 
 def beta_star(p: QParam | EvalContext) -> float:
@@ -552,13 +559,18 @@ def verify_ineq_1(
     a convex combination, so it stays right of the zero automatically.
     """
     ctx = EvalContext.of(p)
-    rows = [_ineq_1_row(ctx, a, x, y)]
-    params = {"q": ctx.p.q, "a": a, "x": x, "y": y, "x0": ctx.zero().x0}
+    _check_mean_exponent(a)
+    x0 = ctx.zero().x0
+    for name, v in (("x", x), ("y", y)):
+        if not _check_real(name, v) > x0:
+            raise DomainError(f"{name} = {v} is not right of the digamma zero {x0:.6g}")
+    rows = [_ineq_1_row(a, x, y, _log_psi(ctx, [_mean_mix(a, x, y), x, y]))]
+    params = {"q": ctx.p.q, "a": a, "x": x, "y": y, "x0": x0}
     return _finish("c-ineq-1", params, {"points": 1}, rows, tol)
 
 
 def _check_mean_exponent(a: float) -> None:
-    if not a > 1.0:
+    if not _check_real("a", a) > 1.0:
         raise DomainError(f"a must exceed 1, got {a}")
 
 
@@ -566,14 +578,8 @@ def _mean_mix(a: float, x: float, y: float) -> float:
     return x / a + (1.0 - 1.0 / a) * y
 
 
-def _ineq_1_row(ctx: EvalContext, a: float, x: float, y: float) -> dict:
-    _check_mean_exponent(a)
-    x0 = ctx.zero().x0
-    for name, v in (("x", x), ("y", y)):
-        if not v > x0:
-            raise DomainError(f"{name} = {v} is not right of the digamma zero {x0:.6g}")
-    mix = _mean_mix(a, x, y)
-    margin = _log_psi(ctx, mix) - (_log_psi(ctx, x) / a + (1.0 - 1.0 / a) * _log_psi(ctx, y))
+def _ineq_1_row(a: float, x: float, y: float, log_psi: dict[float, float]) -> dict:
+    margin = log_psi[_mean_mix(a, x, y)] - (log_psi[x] / a + (1.0 - 1.0 / a) * log_psi[y])
     return _row(None, x, margin, margin, extra={"y": y})
 
 
@@ -589,22 +595,22 @@ def verify_ineq_010(
     exist; u and the derived argument a(u-1)+2 are both checked.
     """
     ctx = EvalContext.of(p)
-    rows = [_ineq_010_row(ctx, a, u)]
-    params = {"q": ctx.p.q, "a": a, "u": u, "x0": ctx.zero().x0}
-    return _finish("c-ineq-010", params, {"points": 1}, rows, tol)
-
-
-def _ineq_010_row(ctx: EvalContext, a: float, u: float) -> dict:
     _check_mean_exponent(a)
     x0 = ctx.zero().x0
-    if not u > 1.0 - 2.0 / a:
+    if not _check_real("u", u) > 1.0 - 2.0 / a:
         raise DomainError(f"u = {u} violates u > 1 - 2/a = {1.0 - 2.0 / a:.6g}")
     arg = a * (u - 1.0) + 2.0
     if not (u + 1.0 > x0 and arg > x0):
         raise DomainError(
             f"psi arguments u+1 = {u + 1.0:.6g}, a(u-1)+2 = {arg:.6g} must clear x0 = {x0:.6g}"
         )
-    margin = a * _log_psi(ctx, u + 1.0) - _log_psi(ctx, arg) - (a - 1.0) * _log_psi(ctx, 2.0)
+    rows = [_ineq_010_row(a, u, _log_psi(ctx, [u + 1.0, arg, 2.0]))]
+    params = {"q": ctx.p.q, "a": a, "u": u, "x0": x0}
+    return _finish("c-ineq-010", params, {"points": 1}, rows, tol)
+
+
+def _ineq_010_row(a: float, u: float, log_psi: dict[float, float]) -> dict:
+    margin = a * log_psi[u + 1.0] - log_psi[a * (u - 1.0) + 2.0] - (a - 1.0) * log_psi[2.0]
     return _row(None, u, margin, margin)
 
 
@@ -625,20 +631,19 @@ def verify_remark_ineq(
     _require_sub_unit(p, "this bound")
     _check_count("n_max", n_max, 1)
     lnq = math.log(p.q)
-    # one grid pass for every psi point below; n = 1 gives psi(2)
-    ctx.psi_grid((0, v) for n in range(1, n_max + 1) for v in (float(n + 1), 2.0 * n))
+    # psi at n + 1 and 2n for each n, in one grid pass; n = 1 gives psi(2)
+    psi = ctx.psi_grid((0, v) for n in range(1, n_max + 1) for v in (float(n + 1), 2.0 * n))
     gamma_q = q_euler_mascheroni(p, ctx.trunc)
-    psi2 = ctx.psi(0, 2.0).value
+    psi2 = psi[0].value
     notes: tuple[str, ...] = ()
     rows = []
-    for n in range(1, n_max + 1):
+    for n, direct, at_2n in zip(range(1, n_max + 1), psi[0::2], psi[1::2]):
         inner = lnq / (1.0 - p.q) * gamma_q - lnq * q_harmonic(p, n)
-        direct = ctx.psi(0, float(n + 1))
         drift = abs(inner - direct.value)
         allowance = direct.err_bound + _fp_allowance(inner, direct.value)
         if drift > allowance and not notes:
             notes = (f"bracket identity drift {drift:.3e} at n={n} exceeds {allowance:.3e}",)
-        lhs = psi2 * psi2 * ctx.psi(0, 2.0 * n).value
+        lhs = psi2 * psi2 * at_2n.value
         margin = inner * inner - lhs
         rows.append(_row(n, None, margin, margin))
     return _finish("remark-harmonic", {"q": p.q, "n_max": n_max}, {"n_max": n_max}, rows, tol, notes)
@@ -679,10 +684,9 @@ def verify_gamma_lcm_and_superadd(
     if pair_xs:
         if not all(0.0 < v < 1.0 for v in pair_xs):
             raise DomainError("pair grid must lie inside (0, 1)")
-        ctx.ln_gamma_grid(
-            [x + 1.0 for x in pair_xs] + [x + y + 2.0 for x in pair_xs for y in pair_xs]
-        )
-        rows.extend(_superadd_row(ctx, x, y) for x in pair_xs for y in pair_xs)
+        points = [x + 1.0 for x in pair_xs] + [x + y + 2.0 for x in pair_xs for y in pair_xs]
+        lng = _ln_gammas(ctx, points)
+        rows.extend(_superadd_row(lng, x, y) for x in pair_xs for y in pair_xs)
         notes = notes + (f"superadditivity part: {len(pair_xs) ** 2} pairs in (0,1)^2",)
     params = {"q": ctx.p.q, "x0": z.x0}
     summary = {
@@ -692,9 +696,8 @@ def verify_gamma_lcm_and_superadd(
     return _finish("gamma-lcm-superadd", params, summary, rows, tol, notes)
 
 
-def _superadd_row(ctx: EvalContext, x: float, y: float) -> dict:
-    lng = ctx.ln_gamma
-    margin = lng(x + y + 2.0).value - lng(x + 1.0).value - lng(y + 1.0).value
+def _superadd_row(lng: dict[float, float], x: float, y: float) -> dict:
+    margin = lng[x + y + 2.0] - lng[x + 1.0] - lng[y + 1.0]
     return _row(None, x, margin, margin, extra={"y": y})
 
 
@@ -722,7 +725,7 @@ class ClaimArgs:
 
     def grid(self) -> np.ndarray:
         if self.x is not None:
-            return np.asarray([float(self.x)], dtype=np.float64)
+            return np.asarray([_check_real("x", self.x)], dtype=np.float64)
         return make_grid(self.x_min, self.x_max, self.points, self.spacing)
 
 
@@ -777,8 +780,7 @@ def _run_inv_digamma(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
 
 def _run_ineq_1(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
     if o.x is not None:
-        y = float(o.b) if o.b is not None else float(o.x)
-        return verify_ineq_1(ctx, o.a, float(o.x), y, o.tol)
+        return verify_ineq_1(ctx, o.a, o.x, o.x if o.b is None else o.b, o.tol)
     x0 = ctx.zero().x0
     base = make_grid(max(o.x_min, x0 + 0.1), o.x_max, o.points, o.spacing)
     # pairs grow quadratically, so sweep 8 points evenly spaced in index
@@ -788,8 +790,8 @@ def _run_ineq_1(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
     pairs = [(xi, yj) for xi in xs for yj in xs if xi != yj]
     # before the mixed points divide by a
     _check_mean_exponent(o.a)
-    ctx.psi_grid((0, v) for v in xs + [_mean_mix(o.a, x, y) for x, y in pairs])
-    rows = [_ineq_1_row(ctx, o.a, x, y) for x, y in pairs]
+    log_psi = _log_psi(ctx, xs + [_mean_mix(o.a, x, y) for x, y in pairs])
+    rows = [_ineq_1_row(o.a, x, y, log_psi) for x, y in pairs]
     params = {"q": ctx.p.q, "a": o.a, "x0": x0}
     summary = {"pairs": len(rows), "lo": xs[0], "hi": xs[-1]}
     return _finish(
@@ -800,7 +802,7 @@ def _run_ineq_1(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
 
 def _run_ineq_010(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
     if o.x is not None:
-        return verify_ineq_010(ctx, o.a, float(o.x), o.tol)
+        return verify_ineq_010(ctx, o.a, o.x, o.tol)
     # before the grid filter divides by a
     _check_mean_exponent(o.a)
     x0 = ctx.zero().x0
@@ -816,8 +818,8 @@ def _run_ineq_010(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
             f"no grid point in [{candidates[0]:.6g}, {candidates[-1]:.6g}] has u > 1 - 2/a = "
             f"{1.0 - 2.0 / o.a:.6g} and u + 1, a(u-1)+2 clear of x0 = {x0:.6g} by {ZERO_MARGIN:g}"
         )
-    ctx.psi_grid((0, v) for v in points)
-    rows = [_ineq_010_row(ctx, o.a, u) for u in kept]
+    log_psi = _log_psi(ctx, points)
+    rows = [_ineq_010_row(o.a, u, log_psi) for u in kept]
     excluded = len(candidates) - len(kept)
     notes = ()
     if excluded:
@@ -833,10 +835,10 @@ def _run_gamma_lcm_superadd(ctx: EvalContext, o: ClaimArgs) -> VerifyReport:
     if o.b is None:
         return verify_gamma_lcm_and_superadd(ctx, np.empty(0), o.grid(), o.orders, o.tol)
     # single ordered pair (x, b) of the superadditivity part
-    xv, yv = float(o.x), float(o.b)
+    xv, yv = _check_real("x", o.x), _check_real("y", o.b)
     if not (0.0 < xv < 1.0 and 0.0 < yv < 1.0):
         raise DomainError(f"pair ({xv}, {yv}) must lie inside (0, 1)^2")
-    rows = [_superadd_row(ctx, xv, yv)]
+    rows = [_superadd_row(_ln_gammas(ctx, [xv + yv + 2.0, xv + 1.0, yv + 1.0]), xv, yv)]
     return _finish(
         "gamma-lcm-superadd", {"q": ctx.p.q}, {"pair_points": 1}, rows, o.tol,
         notes=("single superadditivity pair",),
@@ -874,8 +876,7 @@ def run_claim(claim_id: str, p: QParam | EvalContext, **overrides) -> VerifyRepo
 
     p is the q parameter, evaluated at the default truncation, or an
     EvalContext at that q, which carries its own truncation and which
-    several claim runs share so that the digamma zero and each value read
-    by key are computed once.
+    several claim runs share so that the digamma zero is solved once.
     The keyword arguments are the ClaimArgs fields; one given as None
     keeps the claim's default, and an unknown name with a value raises
     TypeError.  x switches to single-point mode.  For the paired claims

@@ -267,6 +267,30 @@ class TestProviders:
         with pytest.raises(DomainError):
             ratio_provider(p, a=1.0, b=1.0, alpha=1.0, beta=1.0)
 
+    @pytest.mark.parametrize("name", ["a", "b", "alpha", "beta"])
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [
+            (True, "True"),
+            ("1.5", "'1.5'"),
+            (math.nan, "nan"),
+            (-math.inf, "-inf"),
+            (10**400, "1" + "0" * 400),
+            (-(10**5000), "a negative int of 16610 bits"),
+        ],
+        ids=["bool", "str", "nan", "-inf", "huge-int", "unprintable-int"],
+    )
+    def test_ratio_parameters_must_be_finite_reals(self, name, bad, shown):
+        # a NaN alpha once built a sweep that failed with worst_margin nan,
+        # and a huge int raised OverflowError
+        from qfun import RatioSpec
+
+        args = {"a": 1.0, "b": 2.0, "alpha": 2.0, "beta": 1.0, name: bad}
+        for make in (lambda: ratio_provider(QParam(0.5), **args), lambda: RatioSpec(**args)):
+            with pytest.raises(DomainError) as info:
+                make()
+            assert str(info.value) == f"{name} must be a finite real, got {shown}"
+
 
 class TestEvalContext:
     def test_values_equal_direct_calls(self):
@@ -282,12 +306,25 @@ class TestEvalContext:
                 assert ctx.ln_gamma(x) == ln_q_gamma(p, x), (q, x)
 
     def test_repeated_point_returns_same_result(self):
+        # each read evaluates afresh, and equals the one-point evaluation
         from qfun import EvalContext
 
+        p = QParam(0.5)
+        ctx = EvalContext(p)
+        assert ctx.psi(2, 1.5) == ctx.psi(2, 1.5) == q_polygamma(p, 1.5, 2)
+        assert ctx.ln_gamma(1.5) == ctx.ln_gamma(1.5) == ln_q_gamma(p, 1.5)
+        assert ctx.ln_gamma(1.5) != ctx.psi(0, 1.5)
+
+    def test_holds_no_value_store(self):
+        # only p, the truncation, the zero and the q^2 context: there is no
+        # __dict__ for a store of values to grow in
         ctx = EvalContext(QParam(0.5))
-        assert ctx.psi(2, 1.5) is ctx.psi(2, 1.5)
-        assert ctx.ln_gamma(1.5) is ctx.ln_gamma(1.5)
-        assert ctx.ln_gamma(1.5) is not ctx.psi(0, 1.5)
+        ctx.psi_grid([(0, 1.5)])
+        ctx.ln_gamma_grid([1.5])
+        assert EvalContext.__slots__ == ("p", "trunc", "_zero", "_squared", "__weakref__")
+        assert not hasattr(ctx, "__dict__")
+        with pytest.raises(AttributeError):
+            ctx._results = {}
 
     def test_zero_solved_once(self, monkeypatch):
         import qfun.deriv
@@ -307,8 +344,8 @@ class TestEvalContext:
 
     @pytest.mark.parametrize("bad", [True, False, None, "1.5"])
     def test_warm_context_rejects_a_non_float_x_as_a_fresh_one(self, bad):
-        # True and False equal and hash like the keys 1.0 and 0.0, so a
-        # lookup before the check answered True with psi(1.0)
+        # True and False equal and hash like 1.0 and 0.0, so merging the
+        # repeated keys before the check would answer True with psi(1.0)
         calls = [
             lambda ctx: ctx.psi(0, bad),
             lambda ctx: ctx.psi_grid([(0, bad)]),
@@ -393,14 +430,23 @@ class TestPsiGrid:
             EvalContext(p, t).psi_grid(keys)
         assert str(info.value) == per_point(3, 0.05)
 
-    def test_psi_returns_the_grid_result(self):
+    def test_psi_returns_the_grid_result(self, monkeypatch):
         ctx = EvalContext(QParam(0.5))
+        passes = []
+        one_pass = qfun.deriv._psi_orders
+        monkeypatch.setattr(
+            qfun.deriv, "_psi_orders", lambda *args: passes.append(args[1]) or one_pass(*args)
+        )
         keys = [(2, 1.5), (0, 0.3), (2, 1.5), (1, 0.3)]
         got = ctx.psi_grid(keys)
-        assert got[0] is got[2]
+        # one pass, which evaluates the repeated key once
+        assert passes == [{2: [1.5], 0: [0.3], 1: [0.3]}]
+        assert got[0] == got[2]
         for key, r in zip(keys, got):
-            assert ctx.psi(*key) is r
-        assert ctx.psi_grid([(0, 0.3)])[0] is got[1]
+            assert ctx.psi(*key) == r
+        # a later call evaluates its key afresh, in a pass of its own
+        assert ctx.psi_grid([(0, 0.3), (0, 0.3)]) == [got[1], got[1]]
+        assert passes[1:] == [{0: [0.3]}]
 
     def test_validation(self):
         p = QParam(0.5)
@@ -481,14 +527,23 @@ class TestLnGammaGrid:
         with pytest.raises(OverflowError, match=re.escape("at x = 3e+160")):
             EvalContext(p).ln_gamma_grid([1.5, 3e160, 2e160])
 
-    def test_ln_gamma_returns_the_grid_result(self):
+    def test_ln_gamma_returns_the_grid_result(self, monkeypatch):
         ctx = EvalContext(QParam(0.5))
+        passes = []
+        one_pass = qfun.deriv._ln_gamma_rows
+        monkeypatch.setattr(
+            qfun.deriv, "_ln_gamma_rows", lambda p, xs, t: passes.append(xs) or one_pass(p, xs, t)
+        )
         got = ctx.ln_gamma_grid([1.5, 0.3, 1.5])
-        assert got[0] is got[2]
-        assert ctx.ln_gamma(1.5) is got[0]
-        assert ctx.ln_gamma(0.3) is got[1]
-        assert ctx.ln_gamma_grid([0.3])[0] is got[1]
-        assert ctx.psi(0, 1.5) is not got[0]
+        # one pass, which evaluates the repeated point once
+        assert passes == [[1.5, 0.3]]
+        assert got[0] == got[2]
+        assert ctx.ln_gamma(1.5) == got[0] == ln_q_gamma(ctx.p, 1.5)
+        assert ctx.ln_gamma(0.3) == got[1]
+        # a later call evaluates its point afresh, in a pass of its own
+        assert ctx.ln_gamma_grid([0.3, 0.3]) == [got[1], got[1]]
+        assert passes[1:] == [[0.3]]
+        assert ctx.psi(0, 1.5) != got[0]
 
     def test_validation(self):
         ctx = EvalContext(QParam(0.5))

@@ -335,7 +335,9 @@ class TestOrderChecks:
             with pytest.raises(UnsupportedOrder) as info:
                 call()
             assert str(info.value) == want
-        assert len(ctx._results) == (3 if warm else 0)
+        # the keys equal to the rejected ones still read their one-point results
+        got = ctx.psi_grid([(0, 1.5), (1, 1.5)])
+        assert got == [one_point(ctx.p, 0, 1.5), one_point(ctx.p, 1, 1.5)]
 
     @pytest.mark.parametrize("bad", [0, -3, 2.0, 2.5, True])
     @pytest.mark.parametrize(
@@ -365,25 +367,26 @@ class TestOrderChecks:
 
 
 class TestHandedOutResults:
-    def test_a_swept_key_hands_out_one_object(self):
+    def test_a_swept_key_reads_its_one_point_result(self):
+        # after a sweep through the context, every read of a swept key
+        # evaluates it afresh and equals the one-point evaluation
         ctx = EvalContext(QParam(0.5))
         grid = make_grid(0.05, 20.0, points=16)
         assert certify_lcm(ratio_provider(ctx, 1.0, 2.0, 2.0, 1.0), grid).passed
         x = 2.0 * float(grid[5])
         r = ctx.psi(2, x)
-        assert ctx.psi_grid([(2, x)])[0] is r
-        assert ctx.psi(2, x) is r
         assert r == q_polygamma(ctx.p, x, 2)
+        assert ctx.psi_grid([(2, x)]) == [r]
+        assert ctx.psi(2, x) == r
         y = float(grid[7])
-        got = ctx.psi_grid([(0, y), (0, y)])
-        assert got[0] is got[1] is ctx.psi(0, y)
-        assert got[0] == q_digamma(ctx.p, y)
+        want = q_digamma(ctx.p, y)
+        assert ctx.psi_grid([(0, y), (0, y)]) == [want, want]
+        assert ctx.psi(0, y) == want
 
 
 class TestProviderSweeps:
     """A provider sweep hands the pass one float array per order, holding
-    the points its formula reads at that order, and stores nothing in the
-    context."""
+    the points its formula reads at that order."""
 
     @pytest.mark.parametrize("name", PROVIDERS)
     @pytest.mark.parametrize("orders", [[3, 1], [1, 2, 3, 4, 5, 6]], ids=str)
@@ -413,7 +416,8 @@ class TestProviderSweeps:
         assert len(passes) == 3
         assert len(evaluated) == len(set(evaluated)) == 1_280
         assert set(evaluated) == set(keys)
-        assert ctx._results == ctx.squared()._results == {}
+        # neither context has anywhere to keep a value
+        assert not hasattr(ctx, "__dict__") and not hasattr(ctx.squared(), "__dict__")
 
     def test_a_swept_g_beta_key_is_read_without_a_second_evaluation(self, monkeypatch):
         want = g_beta_provider(QParam(0.5), BETA).d_grid([3, 1], SWEEP_XS).tolist()
@@ -430,18 +434,19 @@ class TestProviderSweeps:
             return one_point_eval(*args)
 
         monkeypatch.setattr(qfun.deriv, "_psi_point", counting)
-        # the sweep stored nothing: the first read evaluates its one point
+        # the sweep kept nothing: the first read evaluates its one point
         r = half.psi(2, 3.0)
         assert len(points) == 1 and passes == []
         assert r == q_polygamma(QParam(0.25), 3.0, 2)
-        # later reads of that key find it and evaluate nothing more
-        got = half.psi_grid([(2, 3.0), (2, 3.0)])
-        assert got[0] is got[1] is r
-        assert half.psi(2, 3.0) is r
-        assert len(points) == 1 and passes == []
+        # each later read evaluates the key once: a grid call in one pass,
+        # the repeated key in it once, and a point read one point
+        assert half.psi_grid([(2, 3.0), (2, 3.0)]) == [r, r]
+        assert passed_keys(passes) == [(2, 3.0)]
+        assert half.psi(2, 3.0) == r
+        assert len(points) == 2 and len(passes) == 1
         # another sweep over the same keys evaluates them afresh, in one pass
         assert prov.d_grid([3, 1], SWEEP_XS).tolist() == want
-        assert len(passes) == 1 and len(points) == 1
+        assert len(passes) == 2 and len(points) == 2
 
     @pytest.mark.parametrize("name", PROVIDERS)
     def test_term_cap_raises_the_first_capped_keys_error(self, name):
@@ -464,8 +469,9 @@ class TestProviderSweeps:
         assert str(info.value) == want
 
     def test_psi_grid_takes_orders_as_they_first_appear_among_all_its_keys(self):
-        # (4, 2.0) is stored, so the pass takes (0, 0.02) and (4, 0.03), both
-        # past a 1000-term cap at q = 0.25; order 4 comes first among the keys
+        # (4, 2.0) converges, and (0, 0.02) and (4, 0.03) are both past a
+        # 1000-term cap at q = 0.25; order 4 comes first among the keys, so
+        # the pass reaches (4, 0.03) first
         p, t = QParam(0.25), Truncation(max_terms=1000)
         ctx = EvalContext(p, t)
         ctx.psi(4, 2.0)

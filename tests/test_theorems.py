@@ -923,3 +923,44 @@ class TestIntegerArguments:
         with pytest.raises(DomainError) as info:
             call(bad)
         assert str(info.value) == message.format(bad)
+
+
+class TestRealArguments:
+    """Every real scalar of a verifier, and run_claim's single point with its
+    paired b, passes one check: a bool, a string or an int too large for a
+    float is rejected by name.  True once ran as 1.0, "2.5" as 2.5, and a
+    huge int raised OverflowError."""
+
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [(True, "True"), ("2.5", "'2.5'"), (10**400, repr(10**400))],
+        ids=["bool", "str", "huge-int"],
+    )
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("x1", lambda v: verify_ineq_555(BALANCED, QParam(0.5), x1=v)),
+            ("a", lambda v: verify_ineq_1(QParam(0.5), v, 2.0, 3.0)),
+            ("x", lambda v: verify_ineq_1(QParam(0.5), 2.0, v, 3.0)),
+            ("y", lambda v: verify_ineq_1(QParam(0.5), 2.0, 2.0, v)),
+            ("a", lambda v: verify_ineq_010(QParam(0.5), v, 1.5)),
+            ("u", lambda v: verify_ineq_010(QParam(0.5), 2.0, v)),
+            ("beta", lambda v: verify_phi_coeff(QParam(0.5), beta=v)),
+            ("beta", lambda v: verify_g_beta_lcm(QParam(0.5), beta=v)),
+            ("x", lambda v: run_claim("t31-ratio-lcm", QParam(0.5), x=v)),
+            ("x", lambda v: run_claim("c-ineq-1", QParam(0.5), x=v)),
+            ("y", lambda v: run_claim("c-ineq-1", QParam(0.5), x=2.0, b=v)),
+            ("u", lambda v: run_claim("c-ineq-010", QParam(0.5), x=v)),
+            ("x", lambda v: run_claim("gamma-lcm-superadd", QParam(0.5), x=v, b=0.5)),
+            ("y", lambda v: run_claim("gamma-lcm-superadd", QParam(0.5), x=0.5, b=v)),
+        ],
+        ids=[
+            "c-555-x1", "ineq-1-a", "ineq-1-x", "ineq-1-y", "ineq-010-a", "ineq-010-u",
+            "phi-coeff-beta", "g-beta-beta", "run-t31-x", "run-ineq-1-x", "run-ineq-1-b",
+            "run-ineq-010-x", "run-superadd-x", "run-superadd-b",
+        ],
+    )
+    def test_rejects_what_is_not_a_finite_real(self, name, call, bad, shown):
+        with pytest.raises(DomainError) as info:
+            call(bad)
+        assert str(info.value) == f"{name} must be a finite real, got {shown}"
