@@ -5,7 +5,8 @@ grid), zero (locate the digamma zero), verify (run chosen claims), all
 (full default sweep over both regimes).  Reports render as text, csv, or
 json; csv columns are exactly
 claim_id,q,param_summary,n_order,x,value,margin,passed.  Output is
-deterministic: identical configuration yields byte-identical bytes.
+deterministic: identical configuration yields byte-identical bytes, also
+where verify and all run each q in a forked worker process (_fan_out).
 
 Exit codes: 0 all requested checks passed, 1 at least one violation found,
 2 usage or evaluation error.  The environment variable QFUN_CONFIG may
@@ -19,9 +20,13 @@ import argparse
 import io
 import json
 import os
+import pickle
+import select
+import struct
 import sys
+import threading
 from dataclasses import asdict, fields
-from typing import Callable
+from typing import Callable, NoReturn
 
 from .core import (
     DomainError,
@@ -324,17 +329,129 @@ def _run_claims(
     runs: list[tuple[str, QParam]], trunc: Truncation | None, kwargs: dict
 ) -> list[VerifyReport]:
     """run_claim(claim, p, **kwargs) for each (claim, p) of runs, reported
-    in that order but evaluated one q at a time: the runs at one q share
-    one EvalContext, so they solve for the digamma zero once, and it is
-    dropped before the next q starts."""
-    reports = {}
-    for p in dict.fromkeys(p for _, p in runs):
+    in that order.  The runs at one q make one task: they share one
+    EvalContext, so they solve for the digamma zero once, and it is dropped
+    when the task ends.  The tasks run in forked workers (_fan_out)."""
+    claims: dict[QParam, list[str]] = {}
+    for claim, p in runs:
+        claims.setdefault(p, []).append(claim)
+    qs = list(claims)
+
+    def task(i: int) -> dict:
+        p = qs[i]
         ctx = EvalContext(p, trunc)
-        for claim, q_of_run in runs:
-            if q_of_run == p:
-                reports[claim, p] = run_claim(claim, ctx, **kwargs)
-        del ctx
+        return {(claim, p): run_claim(claim, ctx, **kwargs) for claim in claims[p]}
+
+    reports = {}
+    for done in _fan_out(task, len(qs)):
+        reports.update(done)
     return [reports[run] for run in runs]
+
+
+# a task index, as the workers read it from the token pipe
+_TOKEN = struct.Struct("=I")
+
+
+def _worker_count(n_tasks: int, feed: int) -> int:
+    """One worker per CPU this process may run on, at most one per task.
+    One alone where the CPUs are unknown, where another thread runs (a
+    forked child would hold only the thread that forked it, and any lock
+    another thread held), or where the n_tasks tokens would not all fit in
+    the empty pipe whose write end is feed, so that writing them would wait
+    for a worker to read."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    import fcntl  # a system with sched_getaffinity is a POSIX one
+
+    # Linux tells a pipe's size; POSIX promises PIPE_BUF bytes
+    size = getattr(fcntl, "F_GETPIPE_SZ", None)
+    if n_tasks * _TOKEN.size > (fcntl.fcntl(feed, size) if size else select.PIPE_BUF):
+        return 1
+    return min(n_tasks, len(os.sched_getaffinity(0)))
+
+
+def _serve(tokens: int, task: Callable[[int], object], results: dict) -> None:
+    """Run task(i) for each index i read from the token pipe, until the pipe
+    is empty or a task raises; results maps each index run to its result,
+    or to the exception it raised."""
+    while token := os.read(tokens, _TOKEN.size):
+        (i,) = _TOKEN.unpack(token)
+        try:
+            results[i] = task(i)
+        except Exception as exc:  # raised by the parent, in task order
+            results[i] = exc
+            return
+
+
+def _work_and_exit(tokens: int, task: Callable[[int], object], out: int) -> NoReturn:
+    """A forked worker: serve tokens, send the results through out, and
+    leave without running exit handlers or flushing the stdio buffers it
+    shares with the parent.  Exit status 0 means the results were sent."""
+    status = 1
+    try:
+        results: dict = {}
+        _serve(tokens, task, results)
+        with os.fdopen(out, "wb") as fh:
+            pickle.dump(results, fh, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fan_out(task: Callable[[int], object], n_tasks: int) -> list:
+    """[task(0), ..., task(n_tasks - 1)], as a loop over the tasks in order
+    returns it.  The task indices wait in a pipe; every worker, the parent
+    included, takes the next one when it is free, and stops at its first
+    task that raises.  Of the tasks that raised, the earliest one's
+    exception is raised, which is the one the loop would raise.  With one
+    worker the parent runs that loop and nothing is forked.  Every child is
+    reaped before this returns or raises; a child that ends without sending
+    its results raises ChildProcessError, an OSError."""
+    results: dict = {}
+    pipes: dict[int, int] = {}  # child pid -> read end of its results pipe
+    sent: dict[int, bytes] = {}
+    statuses: dict[int, int] = {}
+    tokens, feed = os.pipe()
+    try:
+        with os.fdopen(feed, "wb") as fh:
+            n_workers = _worker_count(n_tasks, feed)
+            if n_workers > 1:
+                fh.write(b"".join(_TOKEN.pack(i) for i in range(n_tasks)))
+        if n_workers == 1:
+            return [task(i) for i in range(n_tasks)]
+        for _ in range(n_workers - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: the workers forked so far share the tasks
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                _work_and_exit(tokens, task, w)
+            os.close(w)
+            pipes[pid] = r
+        _serve(tokens, task, results)
+        for pid, r in pipes.items():
+            with os.fdopen(r, "rb", closefd=False) as fh:
+                sent[pid] = fh.read()
+    finally:
+        os.close(tokens)
+        for r in pipes.values():
+            os.close(r)
+        for pid in pipes:
+            statuses[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for pid, status in statuses.items():
+        if status != 0:
+            raise ChildProcessError(
+                f"qfun worker {pid} ended without its results (exit status {status})"
+            )
+        # bytes a worker of this call wrote
+        results.update(pickle.loads(sent[pid]))
+    failed = [i for i in sorted(results) if isinstance(results[i], Exception)]
+    if failed:
+        raise results[failed[0]]
+    return [results[i] for i in range(n_tasks)]
 
 
 def run(args: argparse.Namespace) -> int:

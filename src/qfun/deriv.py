@@ -243,12 +243,20 @@ def _grid_summary(grid: Sequence[float] | np.ndarray) -> dict:
     return {"lo": float(xs.min()), "hi": float(xs.max()), "points": int(xs.size)}
 
 
+def _check_tol(tol: float) -> None:
+    """DomainError unless tol is a real in [0, inf)."""
+    # a non-finite float fails the range test, any other non-real _check_real
+    if isinstance(tol, float) and not math.isfinite(tol) or _check_real("tol", tol) < 0.0:
+        raise DomainError(f"tol must be finite and >= 0, got {tol}")
+
+
 def make_grid(
     lo: float, hi: float, points: int = 64, spacing: str = "geometric"
 ) -> np.ndarray:
     """Evaluation grid on (lo, hi), endpoints pulled inward by GRID_PULL."""
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise DomainError(f"need finite lo < hi, got ({lo}, {hi})")
+    lo, hi = _check_real("lo", lo), _check_real("hi", hi)
+    if not lo < hi:
+        raise DomainError(f"need lo < hi, got ({lo}, {hi})")
     _check_count("points", points, 2)
     if spacing == "linear":
         pad = GRID_PULL * (hi - lo)
@@ -350,8 +358,7 @@ def certify_lcm(
     (-1)^n d(n, x).
     """
     _check_count("n_orders", n_orders, 1)
-    if not 0.0 <= tol < math.inf:
-        raise DomainError(f"tol must be finite and >= 0, got {tol}")
+    _check_tol(tol)
     xs = [float(x) for x in np.asarray(grid, dtype=np.float64).ravel()]
     if not xs:
         raise DomainError("empty grid")

@@ -46,6 +46,7 @@ from .deriv import (
     EvalContext,
     LogDerivProvider,
     VerifyReport,
+    _check_tol,
     _grid_summary,
     _order_rows,
     _row,
@@ -888,8 +889,7 @@ def run_claim(claim_id: str, p: QParam | EvalContext, **overrides) -> VerifyRepo
     if claim is None:
         raise DomainError(f"unknown claim id {claim_id!r}; known: {', '.join(CLAIM_IDS)}")
     args = replace(claim.defaults, **{k: v for k, v in overrides.items() if v is not None})
-    if not 0.0 <= args.tol < math.inf:
-        raise DomainError(f"tol must be finite and >= 0, got {args.tol}")
+    _check_tol(args.tol)
     return claim.run(EvalContext.of(p), args)
 
 

@@ -9,6 +9,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import pytest
 
 import qfun.cli
 import qfun.deriv
-from qfun import EvalContext, QParam, run_claim
+from qfun import DomainError, EvalContext, QParam, run_claim
 from qfun.cli import CSV_HEADER, DEFAULT_ALL_QS, _build_parser, _render_csv, main
 from qfun.theorems import CLAIM_IDS, CLAIMS
 
@@ -50,6 +52,24 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def allow_cpus(monkeypatch, n: int) -> None:
+    """Let qfun all and a multi-q verify use up to n workers, whatever the
+    CPUs of the machine running the tests."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every forked worker is reaped before the command returns or raises."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestExitCodes:
@@ -446,42 +466,52 @@ class TestDeterminism:
         assert [ref["argv"] for ref in CLI_REFERENCE["runs"]] == PINNED_RUNS
 
     @pytest.mark.parametrize("ref", CLI_REFERENCE["runs"], ids=lambda ref: " ".join(ref["argv"]))
-    def test_matches_pinned_digests(self, capsys, ref):
-        code, out, err = run_cli(capsys, *ref["argv"])
-        assert code == ref["exit_code"]
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ref["stdout_sha256"]
-        assert hashlib.sha256(err.encode("utf-8")).hexdigest() == ref["stderr_sha256"]
+    def test_matches_pinned_digests(self, capsys, monkeypatch, ref):
+        # the same bytes whether every q runs in the parent or in workers
+        for cpus in (1, 2, 5):
+            allow_cpus(monkeypatch, cpus)
+            code, out, err = run_cli(capsys, *ref["argv"])
+            assert code == ref["exit_code"], cpus
+            assert sha256(out) == ref["stdout_sha256"], cpus
+            assert sha256(err) == ref["stderr_sha256"], cpus
 
 
 def test_python_m_qfun_runs_from_a_checkout(tmp_path):
-    # the package's __main__, found through PYTHONPATH alone
+    # the package's __main__, found through PYTHONPATH alone; its workers
+    # leave without flushing the stdout they share with it
     src = Path(__file__).resolve().parents[1] / "src"
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "QFUN_CONFIG")}
     env["PYTHONPATH"] = str(src)
-    argv = ["all", "--format", "text"]
-    run = subprocess.run(
-        [sys.executable, "-m", "qfun", *argv], cwd=tmp_path, env=env, capture_output=True
-    )
-    (ref,) = [r for r in CLI_REFERENCE["runs"] if r["argv"] == argv]
-    assert run.returncode == ref["exit_code"] == 1
-    assert hashlib.sha256(run.stdout).hexdigest() == ref["stdout_sha256"]
-    assert hashlib.sha256(run.stderr).hexdigest() == ref["stderr_sha256"]
+    for argv in (["all", "--format", "text"], ["all", "--format", "csv"]):
+        run = subprocess.run(
+            [sys.executable, "-m", "qfun", *argv], cwd=tmp_path, env=env, capture_output=True
+        )
+        (ref,) = [r for r in CLI_REFERENCE["runs"] if r["argv"] == argv]
+        assert run.returncode == ref["exit_code"] == 1
+        assert hashlib.sha256(run.stdout).hexdigest() == ref["stdout_sha256"]
+        assert hashlib.sha256(run.stderr).hexdigest() == ref["stderr_sha256"]
 
 
 class TestOneContextPerQ:
-    """qfun all and a multi-claim verify evaluate one q at a time, the claim
-    runs at that q sharing one EvalContext."""
+    """qfun all and a multi-claim verify run the claims at one q as one task,
+    sharing one EvalContext; the tasks may run in forked workers, so each
+    process logs what it does to a file."""
 
-    def test_all_solves_one_zero_per_q(self, capsys, monkeypatch):
-        solves = []
+    def test_all_solves_one_zero_per_q(self, capsys, monkeypatch, tmp_path):
+        log = tmp_path / "solves"
 
         def counting(p, *args, _solve=qfun.deriv.digamma_zero, **kwargs):
-            solves.append(p.q)
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{p.q!r}\n")
             return _solve(p, *args, **kwargs)
 
         monkeypatch.setattr(qfun.deriv, "digamma_zero", counting)
-        assert run_cli(capsys, "all", "--format", "csv")[0] == 1
-        assert sorted(solves) == sorted(DEFAULT_ALL_QS)
+        for cpus in (5, 1):
+            allow_cpus(monkeypatch, cpus)
+            log.write_text("", encoding="utf-8")
+            assert run_cli(capsys, "all", "--format", "csv")[0] == 1
+            solves = [float(q) for q in log.read_text(encoding="utf-8").split()]
+            assert sorted(solves) == sorted(DEFAULT_ALL_QS), cpus
 
     def test_all_reports_equal_per_claim_runs(self):
         args = _build_parser()[0].parse_args(["all"])
@@ -491,16 +521,26 @@ class TestOneContextPerQ:
         ]
         assert qfun.cli._run_all(args) == want
 
-    def test_earlier_q_contexts_are_released(self, capsys, monkeypatch):
+    def test_earlier_q_contexts_are_released(self, capsys, monkeypatch, tmp_path):
+        log = tmp_path / "contexts"
         made = []
         init = EvalContext.__init__
+
+        def note(line):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(line + "\n")
 
         def recording_init(self, *args, **kwargs):
             init(self, *args, **kwargs)
             made.append(weakref.ref(self))
+            note(f"made {self.p.q!r}")
+            # a worker leaves by os._exit, which runs no finalizer: a context
+            # still alive when its worker ends is never logged as released
+            weakref.finalize(self, note, f"released {self.p.q!r}")
 
         def checking_run_claim(claim_id, ctx, **kwargs):
-            # only this q's context and its base-q^2 context may be alive
+            # only this q's context and its base-q^2 context may be alive in
+            # the process running this claim
             alive = {r().p.q for r in made if r() is not None}
             assert alive <= {ctx.p.q, ctx.p.q * ctx.p.q}, (claim_id, ctx.p.q, alive)
             return run_claim(claim_id, ctx, **kwargs)
@@ -510,12 +550,113 @@ class TestOneContextPerQ:
         # a reference cycle would keep a context until a collection runs
         gc.disable()
         try:
-            code, out, err = run_cli(capsys, "all", "--format", "csv")
+            for cpus in (5, 1):
+                allow_cpus(monkeypatch, cpus)
+                log.write_text("", encoding="utf-8")
+                code, out, err = run_cli(capsys, "all", "--format", "csv")
+                assert code == 1, err
+                lines = log.read_text(encoding="utf-8").splitlines()
+                made_qs = sorted(l.split()[1] for l in lines if l.startswith("made "))
+                released_qs = sorted(l.split()[1] for l in lines if l.startswith("released "))
+                assert len(made_qs) == 8, cpus  # one per q, and one at q^2 for each q < 1
+                assert released_qs == made_qs, cpus
         finally:
             gc.enable()
-        assert code == 1, err
-        assert len(made) == 8  # one per q, and one at q^2 for each q < 1
         assert all(r() is None for r in made)
+
+
+class TestFanOut:
+    """The tasks of qfun all and a multi-q verify, one per q, run in forked
+    workers; the parent reports as one loop over the q in order would."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    def test_earliest_failed_q_raises(self, capsys, monkeypatch, cpus):
+        allow_cpus(monkeypatch, cpus)
+        last = sorted(CLAIM_IDS)[-1]
+
+        def failing(claim_id, ctx, **kwargs):
+            # q = 5 fails at once, q = 0.5 only at its last claim
+            if ctx.p.q == 5.0 or (ctx.p.q == 0.5 and claim_id == last):
+                raise DomainError(f"failed at q={ctx.p.q!r}")
+            return run_claim(claim_id, ctx, **kwargs)
+
+        monkeypatch.setattr(qfun.cli, "run_claim", failing)
+        assert run_cli(capsys, "all", "--format", "csv") == (2, "", "error: failed at q=0.5\n")
+
+    @pytest.mark.parametrize("cpus", [2, 5])
+    def test_worker_ending_without_results_exits_two(self, capsys, monkeypatch, cpus):
+        allow_cpus(monkeypatch, cpus)
+        parent = os.getpid()
+        slept = []
+
+        def dying(claim_id, ctx, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            if not slept:
+                # the parent waits on its first task, so the workers take tokens
+                slept.append(True)
+                time.sleep(0.5)
+            return run_claim(claim_id, ctx, **kwargs)
+
+        monkeypatch.setattr(qfun.cli, "run_claim", dying)
+        # an evaluation error, not a violation found
+        code, out, err = run_cli(capsys, "all", "--format", "csv")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(
+            r"error: qfun worker \d+ ended without its results \(exit status 3\)\n", err
+        )
+
+    @pytest.mark.parametrize(
+        ("cpus", "n_tasks"), [(1, 20_000), (2, 20_000), (2, 16_000), (5, 1_500)]
+    )
+    def test_many_tasks_finish(self, tmp_path, cpus, n_tasks):
+        # tokens that fit in the pipe fan out, more run in the parent; in a
+        # child process, so a write that waits for a reader fails by timeout
+        script = (
+            "import fcntl, os, qfun.cli\n"
+            f"os.sched_getaffinity = lambda pid: set(range({cpus}))\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            f"out = qfun.cli._fan_out(lambda i: i * i, {n_tasks})\n"
+            f"assert out == [i * i for i in range({n_tasks})]\n"
+            "r, w = os.pipe()\n"
+            f"fits = {4 * n_tasks} <= fcntl.fcntl(w, fcntl.F_GETPIPE_SZ)\n"
+            f"assert len(forks) == ({cpus - 1} if fits else 0), (len(forks), fits)\n"
+            "print(len(out))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        run = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (0, f"{n_tasks}\n", "")
+
+    def test_no_fork_while_another_thread_runs(self, capsys, monkeypatch):
+        allow_cpus(monkeypatch, 5)
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        (ref,) = [r for r in CLI_REFERENCE["runs"] if r["argv"] == ["all", "--format", "csv"]]
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait, args=(60,))
+        other.start()
+        try:
+            code, out, _ = run_cli(capsys, "all", "--format", "csv")
+        finally:
+            stop.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert forks == []
+        assert (code, sha256(out)) == (ref["exit_code"], ref["stdout_sha256"])
+        # with the thread gone, the same run forks
+        assert run_cli(capsys, "all", "--format", "csv")[0] == ref["exit_code"]
+        assert len(forks) == 4
 
 
 class TestRerunRoundTrip:

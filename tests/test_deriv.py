@@ -65,6 +65,16 @@ class TestMakeGrid:
         with pytest.raises(DomainError):
             make_grid(0.0, 2.0, spacing="geometric")
 
+    @pytest.mark.parametrize(
+        "bad", [True, "5", 10**400, math.inf, math.nan], ids=["bool", "str", "huge-int", "inf", "nan"]
+    )
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    def test_ends_must_be_finite_reals(self, end, bad):
+        # True once swept from 1.0, "5" raised TypeError, 10**400 OverflowError
+        ends = {"lo": 1.0, "hi": 2.0, end: bad}
+        with pytest.raises(DomainError, match=f"^{end} must be a finite real, got "):
+            make_grid(ends["lo"], ends["hi"])
+
     @pytest.mark.parametrize("bad", [3.0, True, "3"])
     def test_points_must_be_an_int(self, bad):
         with pytest.raises(DomainError, match=re.escape(f"points must be an int >= 2, got {bad!r}")):
@@ -218,6 +228,13 @@ class TestCertifyLcm:
         assert orders == {1, 2, 3}
         assert (rep.claim_id, rep.params, rep.tol) == ("flat", {}, 1e-9)
         assert rep.grid_summary == {"lo": float(grid[0]), "hi": float(grid[-1]), "points": 4}
+
+    @pytest.mark.parametrize("tol", [True, "1e-9", 10**400], ids=["bool", "str", "huge-int"])
+    def test_rejects_tol_that_is_not_a_real(self, tol):
+        # True once ran as tol=True, "1e-9" raised TypeError, 10**400 OverflowError
+        prov = LogDerivProvider(d=lambda n, x: 1.0, lo=0.0, hi=math.inf, name="flat")
+        with pytest.raises(DomainError, match="^tol must be a finite real, got "):
+            certify_lcm(prov, make_grid(1.0, 2.0, points=4), tol=tol)
 
     @pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf])
     def test_rejects_negative_or_non_finite_tol(self, tol):

@@ -927,9 +927,9 @@ class TestIntegerArguments:
 
 class TestRealArguments:
     """Every real scalar of a verifier, and run_claim's single point with its
-    paired b, passes one check: a bool, a string or an int too large for a
-    float is rejected by name.  True once ran as 1.0, "2.5" as 2.5, and a
-    huge int raised OverflowError."""
+    paired b, its grid bounds and its tol, passes one check: a bool, a
+    string or an int too large for a float is rejected by name.  True once
+    ran as 1.0, "2.5" as 2.5, and a huge int raised OverflowError."""
 
     @pytest.mark.parametrize(
         "bad, shown",
@@ -953,11 +953,15 @@ class TestRealArguments:
             ("u", lambda v: run_claim("c-ineq-010", QParam(0.5), x=v)),
             ("x", lambda v: run_claim("gamma-lcm-superadd", QParam(0.5), x=v, b=0.5)),
             ("y", lambda v: run_claim("gamma-lcm-superadd", QParam(0.5), x=0.5, b=v)),
+            ("lo", lambda v: run_claim("t31-ratio-lcm", QParam(0.5), x_min=v)),
+            ("hi", lambda v: run_claim("t31-ratio-lcm", QParam(0.5), x_max=v)),
+            ("tol", lambda v: run_claim("t31-ratio-lcm", QParam(0.5), tol=v)),
         ],
         ids=[
             "c-555-x1", "ineq-1-a", "ineq-1-x", "ineq-1-y", "ineq-010-a", "ineq-010-u",
             "phi-coeff-beta", "g-beta-beta", "run-t31-x", "run-ineq-1-x", "run-ineq-1-b",
             "run-ineq-010-x", "run-superadd-x", "run-superadd-b",
+            "run-t31-x-min", "run-t31-x-max", "run-t31-tol",
         ],
     )
     def test_rejects_what_is_not_a_finite_real(self, name, call, bad, shown):
