@@ -222,13 +222,13 @@ def _fp_allowance(*magnitudes: float) -> float:
     return 1e-13 * (1.0 + math.fsum(abs(m) for m in magnitudes))
 
 
-def _x_ln(x, lnq: float):
-    """x ln q of the Lambert terms q^{kx} = e^{k x ln q}, 0 < q < 1, for a
-    float x or a float array, with x held at or below _XL_FLOOR / ln q.
+def _x_ln(x, lnp: float):
+    """x ln p of the Lambert terms p^{kx} = e^{k x ln p}, 0 < p < 1, for a
+    float x or a float array, with x held at or below _XL_FLOOR / ln p.
     Past that point every term and tail majorant is 0.0, held or not, so
-    every value keeps its bits, and no k x ln q overflows."""
-    cap = _XL_FLOOR / lnq
-    return (np.minimum(x, cap) if type(x) is np.ndarray else min(x, cap)) * lnq
+    every value keeps its bits, and no k x ln p overflows."""
+    cap = _XL_FLOOR / lnp
+    return (np.minimum(x, cap) if type(x) is np.ndarray else min(x, cap)) * lnp
 
 
 def _tail_factors(n: int, last_k: int) -> tuple[float, float]:
@@ -238,37 +238,38 @@ def _tail_factors(n: int, last_k: int) -> tuple[float, float]:
     return ((last_k + 2) / (last_k + 1)) ** n, n * math.log(last_k + 1)
 
 
-def _lambert_tail(q: float, x: float, n: int, last_k: int) -> float:
-    """Majorant for sum_{k > last_k} k^n q^{kx} / (1 - q^k), 0 < q < 1.
+def _lambert_tail(lnp: float, base: float, x: float, n: int, last_k: int) -> float:
+    """Majorant for sum_{k > last_k} k^n p^{kx} / (1 - p^k), 0 < p < 1,
+    with ln p = lnp and p = base.
 
-    Uses 1 - q^k >= 1 - q and the term-ratio envelope
-    ((k+1)/k)^n q^x <= rho, evaluated at k = last_k + 1.
+    Uses 1 - p^k >= 1 - p and the term-ratio envelope
+    ((k+1)/k)^n p^x <= rho, evaluated at k = last_k + 1.
     rows._lambert_tails is this majorant over rows, with the same float
     operations per row: the two change together.
     """
     grow, log_k = _tail_factors(n, last_k)
-    log_r = _x_ln(x, math.log(q))
+    log_r = _x_ln(x, lnp)
     rho = grow * math.exp(log_r)
     if rho >= 1.0:
         return math.inf
     log_first = log_k + (last_k + 1) * log_r
-    return 0.0 if log_first < _LN_TINY else math.exp(log_first) / ((1.0 - q) * (1.0 - rho))
+    return 0.0 if log_first < _LN_TINY else math.exp(log_first) / ((1.0 - base) * (1.0 - rho))
 
 
-def _lambert_block(q: float, x: float, n: int) -> Callable[..., float]:
-    """The block function of the sum of k^n q^{kx} / (1 - q^k) over k >= 1,
-    0 < q < 1, for _chunk_sum.  Every ufunc works in place.  Dividing by
-    q^k - 1 and negating the block sum gives the bits of dividing by
-    1 - q^k, since rounding is symmetric in sign, and saves a pass."""
-    lnq = math.log(q)
-    xl = _x_ln(x, lnq)
+def _lambert_block(lnp: float, x: float, n: int) -> Callable[..., float]:
+    """The block function of the sum of k^n p^{kx} / (1 - p^k) over k >= 1,
+    0 < p < 1, ln p = lnp, for _chunk_sum.  Every ufunc works in place.
+    Dividing by p^k - 1 and negating the block sum gives the bits of
+    dividing by 1 - p^k, since rounding is symmetric in sign, and saves a
+    pass."""
+    xl = _x_ln(x, lnp)
 
     def block(k: np.ndarray, num: np.ndarray, den: np.ndarray) -> float:
         np.multiply(k, xl, out=num)
         np.exp(num, out=num)
         if n:
             num *= np.power(k, n, out=den)
-        np.multiply(k, lnq, out=den)
+        np.multiply(k, lnp, out=den)
         num /= np.expm1(den, out=den)
         return -float(np.add.reduce(num))
 
@@ -347,36 +348,35 @@ def _em_past_switch(
     return em if tail > target(cap) else None
 
 
-def _logprod_tail(q: float, x: float, next_j: int) -> float:
-    """Majorant for sum_{j >= next_j} |ln(1-q^{j+1}) - ln(1-q^{j+x})|.
+def _logprod_tail(lnp: float, base: float, x: float, next_j: int) -> float:
+    """Majorant for sum_{j >= next_j} |ln(1-p^{j+1}) - ln(1-p^{j+x})|, with
+    ln p = lnp and p = base.
 
-    With m = min(1, x): |q^x - q| <= q^m and 1 - q^{j+x} >= 1 - q^m give the
-    per-term bound D_j = q^{j+m}/(1-q^m); |ln(1+d)| <= 2|d| once D_j <= 1/2.
+    With m = min(1, x): |p^x - p| <= p^m and 1 - p^{j+x} >= 1 - p^m give the
+    per-term bound D_j = p^{j+m}/(1-p^m); |ln(1+d)| <= 2|d| once D_j <= 1/2.
     rows._logprod_tails is this majorant over rows, with the same float
     operations per row: the two change together.
     """
-    lnq = math.log(q)
     m = min(1.0, x)
-    one_minus_qm = -math.expm1(m * lnq)
-    log_d = (next_j + m) * lnq - math.log(one_minus_qm)
+    one_minus_pm = -math.expm1(m * lnp)
+    log_d = (next_j + m) * lnp - math.log(one_minus_pm)
     if log_d > math.log(0.5):
         return math.inf
     if log_d < _LN_TINY:
         return 0.0
-    return 2.0 * math.exp(log_d) / (1.0 - q)
+    return 2.0 * math.exp(log_d) / (1.0 - base)
 
 
-def _logprod_block(q: float, x: float) -> Callable[..., float]:
-    """The block function of the sum of ln(1-q^{j+1}) - ln(1-q^{j+x}) over
-    j >= 0, 0 < q < 1, for _chunk_sum, with j = k - 1, exact.  Every ufunc
-    works in place."""
-    lnq = math.log(q)
+def _logprod_block(lnp: float, x: float) -> Callable[..., float]:
+    """The block function of the sum of ln(1-p^{j+1}) - ln(1-p^{j+x}) over
+    j >= 0, 0 < p < 1, ln p = lnp, for _chunk_sum, with j = k - 1, exact.
+    Every ufunc works in place."""
 
     def block(k: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-        np.multiply(k, lnq, out=a)  # (j + 1) ln q
+        np.multiply(k, lnp, out=a)  # (j + 1) ln p
         np.subtract(k, 1.0, out=b)
         b += x
-        b *= lnq
+        b *= lnp
         for u in (a, b):
             np.expm1(u, out=u)
             np.negative(u, out=u)
@@ -387,24 +387,27 @@ def _logprod_block(q: float, x: float) -> Callable[..., float]:
     return block
 
 
-def _ln_gamma_parts(p: QParam, x: float, fn: str = "ln_q_gamma") -> tuple[float, float]:
-    """(closed-form prefactor, base of the product series) for ln Gamma_q.
+def _ln_gamma_parts(p: QParam, x: float, fn: str = "ln_q_gamma") -> tuple[float, float, float]:
+    """(closed-form prefactor, ln p, p) for ln Gamma_q, with p the base of
+    the product series: q for q < 1, and 1/q for q > 1 with ln p = -ln q
+    taken from q, not from the rounded 1/q (only a tail's 1 - p reads p).
     Raises DomainError where x |ln q| is below the normal range: there
     x ln q rounds to 0 or to a subnormal of few significant bits.  Raises
     OverflowError, naming the evaluator fn, where the prefactor is not
     finite: it is the one part that can leave the double range, since the
     product series stays below 2 / |ln q| + 710 in size."""
     q = p.q
-    if x * abs(math.log(q)) < sys.float_info.min:
+    lnq = math.log(q)
+    if x * abs(lnq) < sys.float_info.min:
         raise DomainError(f"x = {x!r} is too small for ln Gamma_q: x |ln q| is not normal")
     if p.regime is Regime.SUB_UNIT:
-        pre, base = (1.0 - x) * math.log1p(-q), q
+        pre, lnp, base = (1.0 - x) * math.log1p(-q), lnq, q
     else:
-        pre = (1.0 - x) * math.log(q - 1.0) + 0.5 * x * (x - 1.0) * math.log(q)
-        base = 1.0 / q
+        pre = (1.0 - x) * math.log(q - 1.0) + 0.5 * x * (x - 1.0) * lnq
+        lnp, base = -lnq, 1.0 / q
     if not math.isfinite(pre):
         raise OverflowError(f"{fn} overflows the double range at x = {x!r}")
-    return pre, base
+    return pre, lnp, base
 
 
 def ln_q_gamma(p: QParam, x: float, trunc: Truncation | None = None) -> EvalResult:
@@ -430,12 +433,12 @@ def _ln_gamma_point(
     target(value): by _ln_gamma_em where _ln_gamma_em_instead says so, else
     by the product series, summed by _chunk_sum.  fn names the evaluator
     in its OverflowError (see _ln_gamma_parts)."""
-    pre, base = parts = _ln_gamma_parts(p, x, fn)
+    pre, lnp, base = parts = _ln_gamma_parts(p, x, fn)
     em = _ln_gamma_em_instead(p, x, parts, t, target)
     if em is not None:
         return em
     s, tail, terms = _chunk_sum(
-        _logprod_block(base, x), lambda k: _logprod_tail(base, x, k), t,
+        _logprod_block(lnp, x), lambda k: _logprod_tail(lnp, base, x, k), t,
         lambda s: target(pre + s), f"q={p.q}, x={x}",
     )
     return EvalResult(pre + s, tail, terms)
@@ -444,7 +447,7 @@ def _ln_gamma_point(
 def _ln_gamma_em_instead(
     p: QParam,
     x: float,
-    parts: tuple[float, float],
+    parts: tuple[float, float, float],
     t: Truncation,
     target: Callable[[float], float],
 ) -> EvalResult | None:
@@ -454,14 +457,14 @@ def _ln_gamma_em_instead(
     ln_q_gamma's t.target or q_gamma's log-scale one.  Every product term
     has the sign of 1 - x, so the assembled value runs from pre to the
     value."""
-    pre, base = parts
+    pre, lnp, base = parts
 
     def em_of() -> EvalResult:
         from .em import _ln_gamma_em  # on the first Euler-Maclaurin sum
 
         return _ln_gamma_em(p, x, pre, t, target)
 
-    return _em_past_switch(_logprod_tail(base, x, _LOGPROD_SWITCH), target, pre, 0.0, em_of)
+    return _em_past_switch(_logprod_tail(lnp, base, x, _LOGPROD_SWITCH), target, pre, 0.0, em_of)
 
 
 def q_gamma(p: QParam, x: float, trunc: Truncation | None = None) -> EvalResult:
@@ -521,19 +524,18 @@ def _check_psi_order(k: int) -> None:
         raise UnsupportedOrder(f"psi order must be an int in 0..{MAX_DERIV_ORDER}, got {k!r}")
 
 
-def _psi_parts(p: QParam, top: int) -> tuple[float, list[float], float]:
-    """(base, scale_of, head) of psi^(k) up to order top: psi^(k) is
-    scale_of[k] times the Lambert sum at base, plus head for k = 0, which
-    at q > 1 also takes ln q (x - 1/2)."""
+def _psi_parts(p: QParam, top: int) -> tuple[float, float, list[float], float]:
+    """(ln p, p, scale_of, head) of psi^(k) up to order top: psi^(k) is
+    scale_of[k] = (ln p)^{k+1} times the Lambert sum at base p, plus head
+    for k = 0, which at q > 1 also takes ln q (x - 1/2).  p is q for q < 1;
+    q > 1 transfers the series from p = 1/q with ln p = -ln q taken from q,
+    not from the rounded 1/q (only a tail's 1 - p reads p)."""
     q = p.q
-    lnq = math.log(q)
-    # psi^(0) has its own head and the ln q of its regime; super-unit q
-    # transfers the derivatives from 1/q
     if p.regime is Regime.SUB_UNIT:
-        base, scale0, head = q, lnq, -math.log1p(-q)
+        lnp, base, head = math.log(q), q, -math.log1p(-q)
     else:
-        base, scale0, head = 1.0 / q, -lnq, -math.log(q - 1.0)
-    return base, [scale0] + [math.log(base) ** (k + 1) for k in range(1, top + 1)], head
+        lnp, base, head = -math.log(q), 1.0 / q, -math.log(q - 1.0)
+    return lnp, base, [lnp ** (k + 1) for k in range(top + 1)], head
 
 
 def _psi_offsets(p: QParam, k: int, x: float, head: float) -> tuple[float, float]:
@@ -563,11 +565,11 @@ def _psi_lambert(p: QParam, k: int, x: float, t: Truncation) -> EvalResult:
     """psi^(k)(x) by the Lambert series, summed by _chunk_sum, and float
     arithmetic, without the per-call cost of the row arrays.  The stop test
     takes the scale into the tail and the head into the target."""
-    base, scale_of, head = _psi_parts(p, k)
+    lnp, base, scale_of, head = _psi_parts(p, k)
     h, e = _psi_offsets(p, k, x, head)
     scale = scale_of[k]
     s, err, terms = _chunk_sum(
-        _lambert_block(base, x, k), lambda k1: abs(scale) * _lambert_tail(base, x, k, k1), t,
+        _lambert_block(lnp, x, k), lambda k1: abs(scale) * _lambert_tail(lnp, base, x, k, k1), t,
         lambda partial: t.target(h + scale * partial), f"q={p.q}, x={x}, order={k}",
     )
     value = h + scale * s if k == 0 else scale * s
@@ -581,9 +583,9 @@ def _em_instead(p: QParam, k: int, x: float, t: Truncation) -> EvalResult | None
     within _EM_REACH terms, else None (see _em_past_switch).  The tail is
     the Lambert stop test's at that chunk end, and the assembled value
     runs from h to the value less e (see _psi_offsets)."""
-    base, scale_of, head = _psi_parts(p, k)
+    lnp, base, scale_of, head = _psi_parts(p, k)
     h, e = _psi_offsets(p, k, x, head)
-    tail = abs(scale_of[k]) * _lambert_tail(base, x, k, _EM_REACH)
+    tail = abs(scale_of[k]) * _lambert_tail(lnp, base, x, k, _EM_REACH)
 
     def em_of() -> EvalResult:
         from .em import _psi_em  # on the first Euler-Maclaurin sum

@@ -167,7 +167,7 @@ def _psi_em(p: QParam, k: int, x: float, t: Truncation) -> EvalResult:
     _em_sum with g = -D^{k+1} L, whose integral over [y0, inf) is
     D^k L(y0); every D^m L keeps one sign on [y0, inf)."""
     lam = abs(math.log(p.q))
-    h, e = _psi_offsets(p, k, x, _psi_parts(p, 0)[2])
+    h, e = _psi_offsets(p, k, x, _psi_parts(p, 0)[3])
     m = _em_shift(lam, x)
     y0 = x + m
 

@@ -25,7 +25,6 @@ from .core import (
     EvalResult,
     NonConvergent,
     QParam,
-    Regime,
     Truncation,
     _check_count,
     _fp_allowance,
@@ -94,13 +93,13 @@ def digamma_zero(
     those of q_digamma and q_polygamma, bit for bit.
 
     The error bound E.  A computed Lambert psi(y) on [lo, hi] lies within
-    E = target(F) + allowance(psi(lo), psi(hi)) + base rounding of the true
-    psi(y) (_lambert_error): the stop rule keeps err_bound(y) <=
-    target(|psi(y)|), and |psi(y)| <= F = max(|psi(lo)|, |psi(hi)|) on the
-    bracket; the allowance covers the rounding inside a sum; and at q > 1
-    the sum runs at the rounded base 1/q (_base_rounding).  The
-    second-order terms, E inside |psi(y)| and the rounding of a - w, sit
-    inside the allowance's constant part unless rel_tol is near 1.
+    E = target(F) + allowance(psi(lo), psi(hi)) of the true psi(y)
+    (_lambert_error): the stop rule keeps err_bound(y) <= target(|psi(y)|),
+    and |psi(y)| <= F = max(|psi(lo)|, |psi(hi)|) on the bracket; the
+    allowance covers the rounding inside a sum, which at q > 1 runs at
+    ln p = -ln q taken from q (core._psi_parts).  The second-order terms,
+    E inside |psi(y)| and the rounding of a - w, sit inside the
+    allowance's constant part unless rel_tol is near 1.
 
     Where the Lambert sums are long (_em_guided: near q = 1), the signs
     that choose the bracket and the locate's iterates and slopes come from
@@ -160,7 +159,7 @@ def digamma_zero(
 
         def ends(x: float) -> float:
             r = em(0, x)
-            if r is not None and abs(r.value) > r.err_bound + _lambert_error(p, t, x, r.value):
+            if r is not None and abs(r.value) > r.err_bound + _lambert_error(t, r.value):
                 return r.value
             return f(x)
 
@@ -195,7 +194,7 @@ def digamma_zero(
     a, b, window = lo, hi, math.inf
     width = math.ldexp(hi - lo, -bisect_steps)
     if width < hi - lo:
-        margin = factor * _lambert_error(p, t, lo, f_lo, f_hi)
+        margin = factor * _lambert_error(t, f_lo, f_hi)
         a, b, window = _locate(probe, probe_slope, lo, hi, width, margin)
 
     x, fx = 0.5 * (lo + hi), None
@@ -248,42 +247,11 @@ def _em_guided(p: QParam, t: Truncation) -> bool:
     return -math.log(t.target(1.0)) > _GUIDE_TERMS * abs(math.log(p.q))
 
 
-def _base_rounding(p: QParam, x: float) -> float:
-    """A bound on the error that rounding the base 1/q adds to the Lambert
-    q-digamma at every y >= x, for q > 1; 0.0 for q < 1, whose base is q.
-
-    The head takes lam = ln q from q, but the series part -lam S(lam') sums
-    at the rounded base b, with S(l) = sum_{k>=1} e^{-kyl} / (1 - e^{-kl})
-    and lam' - lam = -ln(bq), so |lam' - lam| is |bq - 1| (at most half an
-    ulp) to first order.  The error is then lam |S'(lam)| |bq - 1| (the next
-    order is |bq - 1| / lam times smaller).  With r = e^{-y lam}, the bounds
-    k / (1 - e^{-kl}) <= (1 + kl) / l and t e^{-t} / (1 - e^{-t})^2 <= 1/t
-    give lam |S'| <= y r/(1-r) (1 + lam/(1-r)) - ln(1-r) / lam, which falls
-    as y grows.  At q = 1.0001 and y = 1.46 it is 2.9e-12, within 4 % of
-    the error that the two sums show, against about 1e-15 for rounding
-    inside the sum.
-    """
-    if p.regime is Regime.SUB_UNIT:
-        return 0.0
-    # base * q - 1, exact in ints and rounded once
-    (nb, db), (nq, dq) = (1.0 / p.q).as_integer_ratio(), p.q.as_integer_ratio()
-    eta = abs(nb * nq - db * dq) / (db * dq)
-    lam = math.log(p.q)
-    one_r = -math.expm1(-x * lam)
-    slope = x * (1.0 - one_r) / one_r * (1.0 + lam / one_r) - math.log(one_r) / lam
-    return eta * slope
-
-
-def _lambert_error(p: QParam, t: Truncation, x: float, *values: float) -> float:
-    """E: a bound on |computed - true| for the Lambert q-digamma at every
-    y >= x in a bracket whose ends have the values given (see digamma_zero):
-    the stop target at their largest magnitude, the rounding allowance, and
-    at q > 1 the rounding of the base 1/q."""
-    return (
-        t.target(max(abs(v) for v in values))
-        + _fp_allowance(*values)
-        + _base_rounding(p, x)
-    )
+def _lambert_error(t: Truncation, *values: float) -> float:
+    """E: a bound on |computed - true| for the Lambert q-digamma on a
+    bracket whose ends have the values given (see digamma_zero): the stop
+    target at their largest magnitude, and the rounding allowance."""
+    return t.target(max(abs(v) for v in values)) + _fp_allowance(*values)
 
 
 def _locate(

@@ -63,13 +63,14 @@ def _check_points(xs: Sequence[float] | np.ndarray) -> np.ndarray:
 
 
 def _lambert_tails(
-    q: float, ns: np.ndarray, last_k: int, xl: np.ndarray, r: np.ndarray
+    base: float, ns: np.ndarray, last_k: int, xl: np.ndarray, r: np.ndarray
 ) -> np.ndarray:
-    """The core._lambert_tail majorants of rows given as their orders ns,
-    x ln q and q^x, with the same float operations per row: the two change
-    together.  Each order's _tail_factors are taken once; the
-    exponential stays math.exp per row, since np.exp rounds some arguments
-    differently, and a call per row would cost more than the arithmetic.
+    """The core._lambert_tail majorants at base p = base of rows given as
+    their orders ns, x ln p and p^x, with the same float operations per
+    row: the two change together.  Each order's _tail_factors are taken
+    once; the exponential stays math.exp per row, since np.exp rounds some
+    arguments differently, and a call per row would cost more than the
+    arithmetic.
     """
     grow, log_k = np.array([_tail_factors(n, last_k) for n in range(int(ns.max()) + 1)]).T
     rho = grow[ns] * r
@@ -79,7 +80,7 @@ def _lambert_tails(
     big = ~diverges & ~(log_first < _LN_TINY)
     if big.any():
         first = np.array([math.exp(v) for v in log_first[big].tolist()])
-        out[big] = first / ((1.0 - q) * (1.0 - rho[big]))
+        out[big] = first / ((1.0 - base) * (1.0 - rho[big]))
     return out
 
 
@@ -172,7 +173,8 @@ def _chunk_rows(
 
 
 def _lambert_rows(
-    q: float,
+    lnp: float,
+    base: float,
     ns: np.ndarray,
     xs: np.ndarray,
     trunc: Truncation,
@@ -180,25 +182,24 @@ def _lambert_rows(
     scales: np.ndarray,
     shown_q: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chunked sums of k^n q^{kx} / (1 - q^k) over k >= 1, one row per
-    order n of ns and x of xs, for 0 < q < 1; returns the arrays (partial,
-    tail, terms).
+    """Chunked sums of k^n p^{kx} / (1 - p^k) over k >= 1, one row per
+    order n of ns and x of xs, for 0 < p < 1 with ln p = lnp and p = base;
+    returns the arrays (partial, tail, terms).
 
     The caller assembles row i's value as offsets[i] + scales[i] * partial;
     the stop rule therefore compares |scales[i]| * tail against the
     truncation target taken at that assembled value (see _chunk_rows).
-    Each chunk takes 1 - q^k once and k^n once per order present.  Raises
+    Each chunk takes 1 - p^k once and k^n once per order present.  Raises
     _psi_lambert's NonConvergent, naming shown_q, for the first row that
     reaches the term cap.
     """
-    lnq = math.log(q)
-    xl = _x_ln(xs, lnq)  # x * ln q of each row
+    xl = _x_ln(xs, lnp)  # x * ln p of each row
     r = np.array([math.exp(v) for v in xl.tolist()])
     top = int(ns.max())
     orders = sorted(set(ns.tolist()) - {0})
 
     def chunk(k: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        den = -np.expm1(k * lnq)
+        den = -np.expm1(k * lnp)
         # k^n for every order present, made once per chunk while the table
         # is no larger than a block; k^0 = 1 leaves a term's bits as they are
         powers = None
@@ -212,7 +213,7 @@ def _lambert_rows(
 
         def terms_of(rows: np.ndarray) -> np.ndarray:
             # in place: fewer live arrays than the one-x expression
-            # k^n q^{kx} / (1 - q^k), and the same roundings
+            # k^n p^{kx} / (1 - p^k), and the same roundings
             terms = np.multiply.outer(xl[rows], k)
             np.exp(terms, out=terms)
             if powers is not None:
@@ -230,60 +231,61 @@ def _lambert_rows(
 
     return _chunk_rows(
         len(xs), trunc, offsets, scales, chunk,
-        lambda k1, rows: _lambert_tails(q, ns[rows], k1, xl[rows], r[rows]),
+        lambda k1, rows: _lambert_tails(base, ns[rows], k1, xl[rows], r[rows]),
         lambda i: f"q={shown_q}, x={float(xs[i])}, order={int(ns[i])}",
     )
 
 
-def _logprod_tails(q: float, xs: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
+def _logprod_tails(
+    lnp: float, base: float, xs: np.ndarray
+) -> Callable[[int, np.ndarray], np.ndarray]:
     """The core._logprod_tail majorants of the rows at the points xs, as
     the map from (next_j, row indices) to those rows' majorants, with the
     same float operations per row: the two change together.  m and
-    ln(1 - q^m) are taken once per row; the exponential stays math.exp per
+    ln(1 - p^m) are taken once per row; the exponential stays math.exp per
     row in range, as in _lambert_tails."""
-    lnq = math.log(q)
     m = np.minimum(1.0, xs)
-    log_gap = np.array([math.log(-math.expm1(v * lnq)) for v in m.tolist()])
+    log_gap = np.array([math.log(-math.expm1(v * lnp)) for v in m.tolist()])
 
     def tails(next_j: int, rows: np.ndarray) -> np.ndarray:
-        log_d = (next_j + m[rows]) * lnq - log_gap[rows]
+        log_d = (next_j + m[rows]) * lnp - log_gap[rows]
         above = log_d > math.log(0.5)
         out = np.where(above, math.inf, 0.0)
         mid = ~above & ~(log_d < _LN_TINY)
         if mid.any():
-            out[mid] = 2.0 * np.array([math.exp(v) for v in log_d[mid].tolist()]) / (1.0 - q)
+            out[mid] = 2.0 * np.array([math.exp(v) for v in log_d[mid].tolist()]) / (1.0 - base)
         return out
 
     return tails
 
 
 def _logprod_rows(
-    q: float,
+    lnp: float,
+    base: float,
     xs: Sequence[float],
     trunc: Truncation,
     offsets: Sequence[float],
     shown_q: float,
 ) -> list[tuple[float, float, int]]:
-    """The product series at base q at every x of xs in one chunk loop (see
-    _chunk_rows), each row stopping at the target of offsets[i] plus its
-    partial; a single x takes _chunk_sum.  The first x that reaches the
-    term cap raises NonConvergent, naming shown_q."""
+    """The product series at base p = base, ln p = lnp, at every x of xs in
+    one chunk loop (see _chunk_rows), each row stopping at the target of
+    offsets[i] plus its partial; a single x takes _chunk_sum.  The first x
+    that reaches the term cap raises NonConvergent, naming shown_q."""
     if len(xs) == 1:
         x, offset = xs[0], offsets[0]
         return [_chunk_sum(
-            _logprod_block(q, x), lambda k: _logprod_tail(q, x, k), trunc,
+            _logprod_block(lnp, x), lambda k: _logprod_tail(lnp, base, x, k), trunc,
             lambda s: trunc.target(offset + s), f"q={shown_q}, x={x}",
         )]
-    lnq = math.log(q)
     xa = np.asarray(xs, dtype=np.float64)
 
     def chunk(k: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         j = k - 1.0  # the j of _logprod_block, exact
-        log_a = np.log(-np.expm1((j + 1.0) * lnq))
-        return lambda rows: log_a - np.log(-np.expm1(np.add.outer(xa[rows], j) * lnq))
+        log_a = np.log(-np.expm1((j + 1.0) * lnp))
+        return lambda rows: log_a - np.log(-np.expm1(np.add.outer(xa[rows], j) * lnp))
 
     partials, tails, terms = _chunk_rows(
-        len(xs), trunc, offsets, np.ones(len(xs)), chunk, _logprod_tails(q, xa),
+        len(xs), trunc, offsets, np.ones(len(xs)), chunk, _logprod_tails(lnp, base, xa),
         lambda i: f"q={shown_q}, x={xs[i]}",
     )
     return list(zip(partials.tolist(), tails.tolist(), terms.tolist()))
@@ -303,7 +305,7 @@ def _ln_gamma_rows(p: QParam, xs: Sequence[float], t: Truncation) -> list[EvalRe
     product = [i for i, r in enumerate(out) if r is None]
     if product:
         pres = [parts[i][0] for i in product]
-        rows = _logprod_rows(parts[0][1], [xs[i] for i in product], t, pres, p.q)
+        rows = _logprod_rows(*parts[0][1:], [xs[i] for i in product], t, pres, p.q)
         for i, pre, (s, tail, terms) in zip(product, pres, rows):
             out[i] = EvalResult(pre + s, tail, terms)
     return out
@@ -350,13 +352,13 @@ def _psi_orders(
     return _psi_rows(p, ks, a, t)
 
 
-def _lambert_may_pass(lnb: float, ks, xs):
-    """Whether the Lambert sum at base e^lnb may take more than _EM_REACH
+def _lambert_may_pass(lnp: float, ks, xs):
+    """Whether the Lambert sum at base e^lnp may take more than _EM_REACH
     terms, for orders ks at points xs (floats or arrays): False where its
     tail majorant at term _EM_REACH underflows to 0, so that it stops there
     at the latest and _em_instead returns None.  _psi_rows' prefilter over
     its rows; the float operations are _lambert_tail's."""
-    return ks * math.log(_EM_REACH + 1) + (_EM_REACH + 1) * _x_ln(xs, lnb) >= _LN_TINY
+    return ks * math.log(_EM_REACH + 1) + (_EM_REACH + 1) * _x_ln(xs, lnp) >= _LN_TINY
 
 
 def _psi_rows(
@@ -375,9 +377,9 @@ def _psi_rows(
         return np.array([r.value]), np.array([r.err_bound]), np.array([r.terms])
     if not x_arr.size:
         return x_arr, x_arr, k_arr
-    base, _, head = _psi_parts(p, 0)
+    lnp, _, _, head = _psi_parts(p, 0)
     heads = _psi_heads(p, k_arr, x_arr, head)
-    may_pass = _lambert_may_pass(math.log(base), k_arr, x_arr)
+    may_pass = _lambert_may_pass(lnp, k_arr, x_arr)
     if not may_pass.any():
         return _psi_lambert_rows(p, k_arr, x_arr, heads, t)
     n = x_arr.size
@@ -415,9 +417,9 @@ def _psi_lambert_rows(
     """psi^(k)(x) at every checked order k of ks and point x of xs, with
     the heads of _psi_heads, as the arrays (value, err_bound, terms), each
     regime's series assembled around one _lambert_rows pass."""
-    base, scale_of, _ = _psi_parts(p, int(ks.max()))
+    lnp, base, scale_of, _ = _psi_parts(p, int(ks.max()))
     scales = np.array(scale_of)[ks]
-    partials, tails, terms = _lambert_rows(base, ks, xs, t, heads, scales, p.q)
+    partials, tails, terms = _lambert_rows(lnp, base, ks, xs, t, heads, scales, p.q)
     values = scales * partials
     values = np.where(ks == 0, heads + values, values)
     if p.regime is not Regime.SUB_UNIT:

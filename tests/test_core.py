@@ -305,6 +305,13 @@ class TestInversionResiduals:
                 rc = digamma_inversion_residual(p, x)
                 assert rc.passed, (q, x, rc.residual, rc.budget)
 
+    @pytest.mark.parametrize("q, x", [(1.0001, 0.5), (1.0001, 1.5), (1.0001, 4.0), (1.001, 1.5)])
+    def test_digamma_inversion_near_one(self, q, x):
+        # the q > 1 side sums at ln p = -ln q; summed at the log of the
+        # rounded base 1/q, these residuals read 2.5 to 26 times the budget
+        rc = digamma_inversion_residual(QParam(q, allow_near_one=True), x)
+        assert rc.passed, (q, x, rc.residual, rc.budget)
+
     def test_sub_unit_rejected(self):
         with pytest.raises(DomainError):
             gamma_inversion_residual(QParam(0.5), 1.0)

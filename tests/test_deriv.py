@@ -494,14 +494,15 @@ class TestLnGammaGrid:
 
     def test_array_tails_equal_the_one_point_tails(self):
         # infinite at the first chunk end near q = 1, 0.0 far out, and in
-        # range between; sub-unit bases, as q > 1 sums at 1/q
+        # range between; at q > 1 the base p is 1/q, with ln p = -ln q
         xs = [0.3, 1.0, 2.5, 1e-3, 40.0, 0.999999, 7.0]
         kinds = set()
-        for q in (0.2, 0.5, 0.99, 0.9999, 1 / 3.0):
-            tails = qfun.rows._logprod_tails(q, np.array(xs))
+        for q in (0.2, 0.5, 0.99, 0.9999, 1 / 3.0, 1.25, 1.0001):
+            _, lnp, base = qfun.core._ln_gamma_parts(QParam(q, allow_near_one=True), 1.0)
+            tails = qfun.rows._logprod_tails(lnp, base, np.array(xs))
             for next_j in (1, 64, 192, 16_320, 10_000_000):
                 got = tails(next_j, np.arange(len(xs))).tolist()
-                want = [qfun.core._logprod_tail(q, x, next_j) for x in xs]
+                want = [qfun.core._logprod_tail(lnp, base, x, next_j) for x in xs]
                 assert got == want, (q, next_j)
                 assert tails(next_j, np.array([4, 0, 4])).tolist() == [want[4], want[0], want[4]]
                 kinds.update(v if v in (0.0, math.inf) else "finite" for v in got)
@@ -513,8 +514,8 @@ class TestLnGammaGrid:
         # is infinite at the first chunk end
         p = QParam(q)
         xs = [0.3, 0.05, 1.0, 2.5, 12.0, 0.75]
-        base = q if q < 1.0 else 1.0 / q
-        infinite = [qfun.core._logprod_tail(base, x, 64) == math.inf for x in xs]
+        _, lnp, base = qfun.core._ln_gamma_parts(p, 1.0)
+        infinite = [qfun.core._logprod_tail(lnp, base, x, 64) == math.inf for x in xs]
         assert any(infinite) == (q == 0.99)
         got = EvalContext(p).ln_gamma_grid(xs)
         want = [ln_q_gamma(p, x) for x in xs]

@@ -7,8 +7,9 @@ at that chunk end stays above the stop target that the Euler-Maclaurin
 value caps.  The tests check both paths against each other, the contract
 of that switch (a Lambert sum within the switch keeps its bits, and the
 Euler-Maclaurin sum is taken only where the Lambert series capped at the
-switch raises NonConvergent), grid passes that mix the two paths, and
-three corner values against tests/em_corners_reference.json.  Those pins are mpmath
+switch raises NonConvergent), grid passes that mix the two paths, the
+digamma just above and below q = 1 against reference_psi, and three
+corner values against tests/em_corners_reference.json.  Those pins are mpmath
 values of the numerically differentiated L(y) = ln(1 - p^y) route, with a
 larger shift and more Euler-Maclaurin orders than the code; they use no
 Eulerian closed form, so they stay independent of the code under test.
@@ -36,14 +37,13 @@ from qfun import (
     q_psi_grid,
 )
 import qfun.em
-from qfun import core, roots, rows
+from qfun import core, rows
 
 REFERENCE = Path(__file__).with_name("em_corners_reference.json")
 LONG_SUMS = Path(__file__).with_name("long_sums_reference.json")
 CORNERS = [(0.9999, 0.05, 6), (1.0001, 0.05, 8), (0.5, 1e-300, 0)]
 QS = (0.99, 0.999, 0.9999, 1.0001, 1.001, 1.01)
 CAP = Truncation(max_terms=100_000_000)
-U = 2.0**-53
 
 
 def evaluate(p, k, x, t=None):
@@ -58,23 +58,11 @@ def seeded_points(q):
             yield k, math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
 
 
-def base_allowance(p, value):
-    """8 u / |ln q| (1 + |value|): the Lambert base 1/q at q > 1 is rounded,
-    so ln of it is off by up to u and the series part by about
-    u / |ln q| (1 + |value|)."""
-    return 8.0 * U / abs(math.log(p.q)) * (1.0 + abs(value))
-
-
 def allowance(p, k, x, value):
     """Rounding beyond both err_bounds: 1e-14 of the magnitudes the value
-    is assembled from, and at q > 1 what the rounded base 1/q adds, which
-    roots._base_rounding bounds for psi^(0) and base_allowance for the
-    other orders."""
-    h, _ = core._psi_offsets(p, k, x, core._psi_parts(p, 0)[2])
-    out = 1e-14 * (abs(value) + abs(h))
-    if p.q > 1.0:
-        out += roots._base_rounding(p, x) if k == 0 else base_allowance(p, value)
-    return out
+    is assembled from, in both regimes, with no 1 / |ln q| factor."""
+    h, _ = core._psi_offsets(p, k, x, core._psi_parts(p, 0)[3])
+    return 1e-14 * (abs(value) + abs(h))
 
 
 @pytest.mark.parametrize("q", QS)
@@ -88,8 +76,23 @@ def test_paths_agree_and_the_floor_stays_below_the_lambert_terms(q):
         assert abs(lam.value - em.value) <= budget, (q, k, x, lam, em)
         if lam.terms <= core._EM_REACH:
             assert core._em_instead(p, k, x, CAP) is None, (q, k, x)
-        if k == 0:  # the derived bound is the tighter one
-            assert roots._base_rounding(p, x) <= base_allowance(p, em.value), (q, x)
+
+
+# (q, x, terms) of psi_q(x) just above and below 1: Lambert sums of 16,320
+# to 1,638,336 terms, and one Euler-Maclaurin sum of 24.  While q > 1
+# summed at the log of the rounded base 1/q, each Lambert row above 1
+# missed the reference by 2.5e-13 to 1.1e-11
+LN_P_TABLE = [(1.00001, 2.5, 1_638_336), (1.00001, 10.0, 393_152), (1.0001, 10.0, 65_472),
+              (1.001, 2.5, 16_320), (1.00001, 1.5, 24), (0.99999, 2.5, 1_638_336)]
+
+
+@pytest.mark.parametrize(("q", "x", "terms"), LN_P_TABLE)
+def test_digamma_near_one_meets_the_reference(q, x, terms):
+    p = QParam(q, allow_near_one=True)
+    got = q_digamma(p, x)
+    assert got.terms == terms
+    want = float(reference_psi(q, x, 0))
+    assert abs(got.value - want) <= got.err_bound + allowance(p, 0, x, got.value), (got, want)
 
 
 def test_settling_from_the_head_keeps_every_path_choice(monkeypatch):
@@ -115,7 +118,7 @@ def test_settling_from_the_head_keeps_every_path_choice(monkeypatch):
         got = core._em_instead(p, k, x, DEFAULT_TRUNCATION)
         if got is None:
             seen["lambert"] += 1
-            flagged = rows._lambert_may_pass(math.log(core._psi_parts(p, 0)[0]), k, x)
+            flagged = rows._lambert_may_pass(core._psi_parts(p, 0)[0], k, x)
             seen["settled by the head"] += bool(flagged and not em_calls)
         else:
             seen["em"] += 1

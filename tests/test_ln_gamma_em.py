@@ -82,13 +82,13 @@ def product_series(p, x, t=T, stop_target=None):
     """ln Gamma_q(x) by the product series alone, summed by the one-point
     chunk loop core._chunk_sum, at the target of ln_q_gamma or, given its
     stop_target, of q_gamma."""
-    pre, base = core._ln_gamma_parts(p, x)
+    pre, lnp, base = core._ln_gamma_parts(p, x)
 
     def target(s):
         return t.target(pre + s) if stop_target is None else max(stop_target, t.abs_tol)
 
     s, tail, terms = core._chunk_sum(
-        core._logprod_block(base, x), lambda k: core._logprod_tail(base, x, k), t, target,
+        core._logprod_block(lnp, x), lambda k: core._logprod_tail(lnp, base, x, k), t, target,
         f"q={p.q}, x={x}",
     )
     return EvalResult(pre + s, tail, terms)
@@ -258,8 +258,8 @@ def test_the_value_cap_keeps_a_sum_that_pre_alone_would_leave():
     # is above the target at |pre| but not above the one at the
     # Euler-Maclaurin cap, and the product series indeed stops at the switch
     p, x = QParam(0.996449), 1e-8
-    pre, base = core._ln_gamma_parts(p, x)
-    tail = core._logprod_tail(base, x, core._LOGPROD_SWITCH)
+    pre, lnp, base = core._ln_gamma_parts(p, x)
+    tail = core._logprod_tail(lnp, base, x, core._LOGPROD_SWITCH)
     assert tail > T.target(pre * (1.0 + 1e-9))
     em = em_sum(p, x)
     assert tail <= T.target((max(abs(pre), abs(em.value)) + em.err_bound) * (1.0 + 1e-9))

@@ -9,9 +9,11 @@ at the rounding level, but the term count and the tail bound may not.  The
 cases are a seeded draw of psi^(0..8), ln_q_gamma and q_gamma at |q - 1| in
 [1e-4, 1e-2]: the first few of each kind whose sum takes more than 16,320
 and at most 2,000,000 terms.  tests/long_sums_reference.json holds them with
-the results of the whole-chunk sums.  To re-capture it after an intended
-change of the term counts or bounds, run this file with python and say why
-they changed.
+the results of the whole-chunk sums, except the q > 1 rows: those were
+re-captured, by capture() below, when the q > 1 series moved from the log
+of the rounded base 1/q to ln p = -ln q, and hold blocked sums.  To
+re-capture it after an intended change of the term counts or bounds, run
+this file with python and say why they changed.
 
 At every pinned ln_gamma and gamma point the public ln_q_gamma and q_gamma
 take the Euler-Maclaurin sum, since the product series cannot stop within
@@ -78,13 +80,13 @@ def series(kind: str, q: float, x: float):
     if kind not in ("ln_gamma", "gamma"):
         return evaluate(kind, q, x)
     t = DEFAULT_TRUNCATION
-    pre, base = core._ln_gamma_parts(QParam(q, allow_near_one=True), x)
+    pre, lnp, base = core._ln_gamma_parts(QParam(q, allow_near_one=True), x)
 
     def target(s):
         return max(0.5 * t.rel_tol, t.abs_tol) if kind == "gamma" else t.target(pre + s)
 
     s, tail, terms = core._chunk_sum(
-        core._logprod_block(base, x), lambda k: core._logprod_tail(base, x, k), t, target,
+        core._logprod_block(lnp, x), lambda k: core._logprod_tail(lnp, base, x, k), t, target,
         f"q={q}, x={x}",
     )
     if kind == "ln_gamma":

@@ -9,7 +9,10 @@ add the NonConvergent messages.  The lines of each kind are hashed, and
 DIGESTS pins the hashes, so a change to how the one-point sums run must
 leave every bit of them as it was: in particular q_gamma's, whose series
 stops at a log-scale target.  To re-capture after an intended change of
-output, run this file with python and say why the results changed.
+output, run this file with python and say why the results changed.  Last
+re-captured when the q > 1 series moved from the log of the rounded base
+1/q to ln p = -ln q: only q > 1 results moved, none of them in its term
+count.
 """
 
 import hashlib
@@ -24,17 +27,17 @@ KINDS = [f"psi{n}" for n in range(9)] + ["ln_gamma", "gamma"]
 CAPPED = Truncation(max_terms=64)
 
 DIGESTS = {
-    "psi0": "3135664655ec38477ce78057eb08d969d66ebde1ee00798b593e35d9beee8a2a",
-    "psi1": "47f4ce4a723dd7eac51b94982861b71bbeb1d90aa961fb808f5fa2c4bc55d65f",
-    "psi2": "85fdb3fc19c6d96726db2f4f0f8b23f562c7fa1da2e6375e081069960df0b2dc",
-    "psi3": "056d9fe5fcb9b4d05e2711a0229777af79bf9b4c590efb63ed869deb3fc399e9",
-    "psi4": "9a37420376d6cb80f658bf31f9a414f50371c2cd777316ed3d4aec792d5bca86",
-    "psi5": "75d6f9230fb090f2f4cd10bee43c8c927e5f960ad068e929569b1f24ce112faa",
-    "psi6": "89f45d266eb8663393025ffaef1c9b898732fc118486deee46322498bca717cb",
-    "psi7": "fa923afc08488e5584d92e56b4c0b252b3adc85bc87e07fe8fe50d94f667c758",
-    "psi8": "386e1ca7a9d4a14c87f54a0a996b342b72929239d1751c56a9e7dd7b00fb1585",
-    "ln_gamma": "e1547e7d8dea2acc1158ebfe663640615867580452d0287e2c7f22dcbcda9436",
-    "gamma": "4c4ae707ddafd3a74ea268dc579059408ffdac422aa30bc6c1567d59bac74783",
+    "psi0": "dc8cf1948f4f1f1d9a46b1400a1167f628b27a6ec41e6f68a6c26b968d004241",
+    "psi1": "71652c9dc91e136dd82b1aff7635753afe5e1d4f179317bcd6855a7811385d4b",
+    "psi2": "96832f1cd2f63e526bd22a919ccbc640db0a418e8b3fbab9a7d9fc5d93ae88bc",
+    "psi3": "f91f61d518a11501785beddd49a6e372536d7ef9fe2d0fb34870da9a143e91f3",
+    "psi4": "39e0431dae7564c23cfc375b402d192d59314b34e8a804fb3dbd5b4c5979a6da",
+    "psi5": "28c603aa19d39399feb923d51a45367ab2196d38f1ccf6a301dad0867a4df606",
+    "psi6": "da9949a14b908821f6597b3b298ccd881399505effdc963b728f83fe5928b203",
+    "psi7": "99f6c0a4e3f1e264735908db523e8643d44e8433f785340d69bf1d35a223d62c",
+    "psi8": "451840e28986983149698c75a69293b23440ddc135ce62bfa34493976b773dd9",
+    "ln_gamma": "cbc03f36d40e111698b252f25f222a96f508986a66ead0a475efc93737961c3a",
+    "gamma": "f494d6c60f15a4c2aca391b461b417a7c7c10be34bbf65eba61852d82466f8a1",
 }
 
 

@@ -32,6 +32,13 @@ X0_FROZEN = {
     2.0: 1.4738231706986189,
     5.0: 1.4854004708358908,
 }
+# just above 1: 40-digit mpmath x bisected to a bracket under 1e-20 on the
+# sign of test_euler_maclaurin.reference_psi(q, x, 0), the mpmath series
+# of numerically differentiated ln(1 - p^y) (60 digits inside)
+X0_NEAR_ONE = {
+    1.0001: 1.4616341273188416,
+    1.0003: 1.4616380912312055,
+}
 
 
 
@@ -103,7 +110,8 @@ def _oracle_cases():
     ):
         cases += [(q, None, kw) for q in (0.05, 0.5, 0.95, 1.5, 30.0)]
     cases.append((1.0 - 2e-4, capped, {"tol": 1e-3, "bisect_steps": 60}))
-    # just above 1, where rounding the Lambert base 1/q moves psi the most
+    # just above 1, where each Lambert psi sums tens of thousands of terms
+    # at ln p = -ln q and the window rests on the rounding allowance alone
     cases += [(1.0 + rng.uniform(1e-4, 3e-4), None, {}) for _ in range(10)]
     return [
         pytest.param(q, trunc, kw, id=f"q={q!r}" + "".join(f",{k}={v}" for k, v in kw.items()))
@@ -133,6 +141,16 @@ class TestDigammaZero:
         for q, want in X0_FROZEN.items():
             z = digamma_zero(QParam(q))
             assert z.x0 == pytest.approx(want, abs=1e-10), q
+
+    @pytest.mark.parametrize("q", sorted(X0_NEAR_ONE))
+    def test_locations_near_one(self, q):
+        # within the error that tol on the residual leaves, with 1e-14 for
+        # rounding; summed at the log of the rounded base 1/q, x0 was off
+        # by 2.1e-12 and 1.8e-12
+        p = QParam(q, allow_near_one=True)
+        z = digamma_zero(p)
+        slope = q_polygamma(p, z.x0, 1).value
+        assert abs(z.x0 - X0_NEAR_ONE[q]) <= (roots.DEFAULT_ZERO_TOL + 1e-14) / slope, z
 
     def test_residual_within_tol(self):
         for q in X0_FROZEN:
@@ -261,7 +279,7 @@ class TestEulerMaclaurinGuidance:
         t = Truncation()
         for p in near_one_draw(29, 16, 3e-5, 1e-2):
             ends = [qfun.em._psi_em(p, 0, x, t).value for x in (1.0, 2.0)]
-            err = roots._lambert_error(p, t, 1.0, *ends)
+            err = roots._lambert_error(t, *ends)
             x = digamma_zero(p).x0 + rng.uniform(-1e-6, 1e-6)
             em = qfun.em._psi_em(p, 0, x, t)
             lam = core._psi_point(p, 0, x, t)
