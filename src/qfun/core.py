@@ -354,8 +354,7 @@ def _logprod_tail(lnp: float, base: float, x: float, next_j: int) -> float:
 
     With m = min(1, x): |p^x - p| <= p^m and 1 - p^{j+x} >= 1 - p^m give the
     per-term bound D_j = p^{j+m}/(1-p^m); |ln(1+d)| <= 2|d| once D_j <= 1/2.
-    rows._logprod_tails is this majorant over rows, with the same float
-    operations per row: the two change together.
+    The grid pass rows._logprod_rows takes it row by row.
     """
     m = min(1.0, x)
     one_minus_pm = -math.expm1(m * lnp)

@@ -29,15 +29,12 @@ from .core import (
     _LN_TINY,
     _check_psi_order,
     _check_x,
-    _chunk_sum,
     _em_instead,
     _ln_gamma_em_instead,
     _ln_gamma_parts,
-    _logprod_block,
     _logprod_tail,
     _psi_offsets,
     _psi_parts,
-    _psi_point,
     _tail_factors,
     _x_ln,
 )
@@ -236,29 +233,6 @@ def _lambert_rows(
     )
 
 
-def _logprod_tails(
-    lnp: float, base: float, xs: np.ndarray
-) -> Callable[[int, np.ndarray], np.ndarray]:
-    """The core._logprod_tail majorants of the rows at the points xs, as
-    the map from (next_j, row indices) to those rows' majorants, with the
-    same float operations per row: the two change together.  m and
-    ln(1 - p^m) are taken once per row; the exponential stays math.exp per
-    row in range, as in _lambert_tails."""
-    m = np.minimum(1.0, xs)
-    log_gap = np.array([math.log(-math.expm1(v * lnp)) for v in m.tolist()])
-
-    def tails(next_j: int, rows: np.ndarray) -> np.ndarray:
-        log_d = (next_j + m[rows]) * lnp - log_gap[rows]
-        above = log_d > math.log(0.5)
-        out = np.where(above, math.inf, 0.0)
-        mid = ~above & ~(log_d < _LN_TINY)
-        if mid.any():
-            out[mid] = 2.0 * np.array([math.exp(v) for v in log_d[mid].tolist()]) / (1.0 - base)
-        return out
-
-    return tails
-
-
 def _logprod_rows(
     lnp: float,
     base: float,
@@ -269,26 +243,24 @@ def _logprod_rows(
 ) -> list[tuple[float, float, int]]:
     """The product series at base p = base, ln p = lnp, at every x of xs in
     one chunk loop (see _chunk_rows), each row stopping at the target of
-    offsets[i] plus its partial; a single x takes _chunk_sum.  The first x
-    that reaches the term cap raises NonConvergent, naming shown_q."""
-    if len(xs) == 1:
-        x, offset = xs[0], offsets[0]
-        return [_chunk_sum(
-            _logprod_block(lnp, x), lambda k: _logprod_tail(lnp, base, x, k), trunc,
-            lambda s: trunc.target(offset + s), f"q={shown_q}, x={x}",
-        )]
+    offsets[i] plus its partial, on the core._logprod_tail majorant of its
+    x.  The first x that reaches the term cap raises NonConvergent, naming
+    shown_q."""
     xa = np.asarray(xs, dtype=np.float64)
 
     def chunk(k: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        j = k - 1.0  # the j of _logprod_block, exact
+        j = k - 1.0  # the j of core._logprod_block, exact
         log_a = np.log(-np.expm1((j + 1.0) * lnp))
         return lambda rows: log_a - np.log(-np.expm1(np.add.outer(xa[rows], j) * lnp))
 
-    partials, tails, terms = _chunk_rows(
-        len(xs), trunc, offsets, np.ones(len(xs)), chunk, _logprod_tails(lnp, base, xa),
+    def tails(next_j: int, rows: np.ndarray) -> np.ndarray:
+        return np.array([_logprod_tail(lnp, base, x, next_j) for x in xa[rows].tolist()])
+
+    partials, tails_out, terms = _chunk_rows(
+        len(xs), trunc, offsets, np.ones(len(xs)), chunk, tails,
         lambda i: f"q={shown_q}, x={xs[i]}",
     )
-    return list(zip(partials.tolist(), tails.tolist(), terms.tolist()))
+    return list(zip(partials.tolist(), tails_out.tolist(), terms.tolist()))
 
 
 def _ln_gamma_rows(p: QParam, xs: Sequence[float], t: Truncation) -> list[EvalResult]:
@@ -366,15 +338,12 @@ def _psi_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """psi^(k)(x) at every checked order k of ks and point x of xs, int and
     float arrays, as the arrays (value, err_bound, terms), each row as
-    _psi_point takes it: a row whose Lambert sum provably cannot stop
-    within _EM_REACH terms by _psi_em, the others by one _lambert_rows
-    pass, or a single point by _psi_point.  Before any sum, the first row
-    whose head is not finite raises q_digamma's OverflowError."""
+    core._psi_point takes it: a row whose Lambert sum provably cannot stop
+    within _EM_REACH terms by _psi_em, the others, however few, by one
+    _lambert_rows pass.  Before any sum, the first row whose head is not
+    finite raises q_digamma's OverflowError."""
     k_arr = np.asarray(ks, dtype=np.int64)
     x_arr = np.asarray(xs, dtype=np.float64)
-    if x_arr.size == 1:
-        r = _psi_point(p, int(k_arr[0]), float(x_arr[0]), t)
-        return np.array([r.value]), np.array([r.err_bound]), np.array([r.terms])
     if not x_arr.size:
         return x_arr, x_arr, k_arr
     lnp, _, _, head = _psi_parts(p, 0)

@@ -492,21 +492,32 @@ class TestLnGammaGrid:
         want = [ln_q_gamma(p, x) for x in TestPsiGrid.XS]
         assert EvalContext(p).ln_gamma_grid(TestPsiGrid.XS) == want, q
 
-    def test_array_tails_equal_the_one_point_tails(self):
-        # infinite at the first chunk end near q = 1, 0.0 far out, and in
-        # range between; at q > 1 the base p is 1/q, with ln p = -ln q
-        xs = [0.3, 1.0, 2.5, 1e-3, 40.0, 0.999999, 7.0]
-        kinds = set()
-        for q in (0.2, 0.5, 0.99, 0.9999, 1 / 3.0, 1.25, 1.0001):
-            _, lnp, base = qfun.core._ln_gamma_parts(QParam(q, allow_near_one=True), 1.0)
-            tails = qfun.rows._logprod_tails(lnp, base, np.array(xs))
-            for next_j in (1, 64, 192, 16_320, 10_000_000):
-                got = tails(next_j, np.arange(len(xs))).tolist()
-                want = [qfun.core._logprod_tail(lnp, base, x, next_j) for x in xs]
-                assert got == want, (q, next_j)
-                assert tails(next_j, np.array([4, 0, 4])).tolist() == [want[4], want[0], want[4]]
-                kinds.update(v if v in (0.0, math.inf) else "finite" for v in got)
-        assert kinds == {0.0, "finite", math.inf}
+    @pytest.mark.parametrize(
+        "q, x", [(0.5, 0.3), (0.5, 17.0), (2.0, 0.3), (2.0, 2.5), (1 - 1e-5, 0.5)]
+    )
+    def test_one_point_runs_the_row_kernel_bit_for_bit(self, monkeypatch, q, x):
+        # a product-series row in each regime, and an Euler-Maclaurin point
+        p = QParam(q, allow_near_one=True)
+        want = ln_q_gamma(p, x)
+        em = want.terms < 40
+        assert em == (q == 1 - 1e-5)
+        passes = []
+        chunk_rows = qfun.rows._chunk_rows
+        monkeypatch.setattr(qfun.rows, "_chunk_rows", lambda *a: passes.append(a) or chunk_rows(*a))
+        assert EvalContext(p).ln_gamma_grid([x]) == [want]
+        assert len(passes) == (0 if em else 1)
+
+    @pytest.mark.parametrize(
+        "q, x, t",
+        [(0.99, 0.5, Truncation(max_terms=64)), (10.0, 1e308, None)],
+        ids=["cap", "overflow"],
+    )
+    def test_one_point_raises_the_one_point_error(self, q, x, t):
+        p = QParam(q)
+        with pytest.raises((NonConvergent, OverflowError)) as point:
+            ln_q_gamma(p, x, t)
+        with pytest.raises(point.type, match=re.escape(str(point.value))):
+            EvalContext(p, t).ln_gamma_grid([x])
 
     @pytest.mark.parametrize("q", [0.99, 2.0, 1.25])
     def test_err_bounds_equal_the_one_point_ones(self, q):

@@ -1,19 +1,17 @@
-"""One-point sums past 16,320 terms, pinned to values captured before the
-series were summed block by block.
+"""One-point sums past 16,320 terms, pinned to values of the blocked sums.
 
 Up to 16,320 terms (the chunks of 64 to 8,192 terms) a blocked sum does the
 float operations of a whole-chunk one, bit for bit.  Past that, a chunk of
 more than 8,192 terms is summed in blocks, each block's sum rounded on its
-own and the partial taken as math.fsum of them all, so the value may move
-at the rounding level, but the term count and the tail bound may not.  The
-cases are a seeded draw of psi^(0..8), ln_q_gamma and q_gamma at |q - 1| in
-[1e-4, 1e-2]: the first few of each kind whose sum takes more than 16,320
-and at most 2,000,000 terms.  tests/long_sums_reference.json holds them with
-the results of the whole-chunk sums, except the q > 1 rows: those were
-re-captured, by capture() below, when the q > 1 series moved from the log
-of the rounded base 1/q to ln p = -ln q, and hold blocked sums.  To
-re-capture it after an intended change of the term counts or bounds, run
-this file with python and say why they changed.
+own and the partial taken as math.fsum of them all.  The cases are a seeded
+draw of psi^(0..8), ln_q_gamma and q_gamma at |q - 1| in [1e-4, 1e-2]: the
+first few of each kind whose sum takes more than 16,320 and at most
+2,000,000 terms.  tests/long_sums_reference.json holds them with the
+results of capture() below, so every row holds blocked sums, summed at
+ln p taken from q.  The comparison still allows the value to move at the
+rounding level, but not the term count or the tail bound.  To re-capture
+it after an intended change of the term counts or bounds, run this file
+with python and say why they changed.
 
 At every pinned ln_gamma and gamma point the public ln_q_gamma and q_gamma
 take the Euler-Maclaurin sum, since the product series cannot stop within

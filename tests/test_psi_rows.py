@@ -216,6 +216,44 @@ class TestBitIdentity:
         assert got.tolist() == [[d(n, x) for x in SWEEP_XS] for n in (3, 1)]
 
 
+class TestOneRow:
+    """A pass of one point runs the row kernel, like any other pass, and
+    gives the one-point evaluation's result, or its error, bit for bit."""
+
+    @pytest.mark.parametrize("q", [0.5, 2.0])
+    def test_every_order_equals_the_point_evaluation(self, monkeypatch, q):
+        p = QParam(q)
+        passes = []
+        lambert_rows = qfun.rows._lambert_rows
+        monkeypatch.setattr(
+            qfun.rows, "_lambert_rows", lambda *a: passes.append(a) or lambert_rows(*a)
+        )
+        xs = [0.05, 0.3, 1.0, 2.5, 17.0]
+        for k in range(9):
+            for x in xs:
+                assert q_psi_grid(p, k, [x]) == [one_point(p, k, x)], (k, x)
+        assert len(passes) == 9 * len(xs)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_an_euler_maclaurin_point_equals_the_point_evaluation(self, k):
+        p = QParam(1 - 1e-5, allow_near_one=True)
+        want = one_point(p, k, 0.5)
+        assert want.terms < 40  # the Lambert series would take millions
+        assert q_psi_grid(p, k, [0.5]) == [want]
+
+    @pytest.mark.parametrize(
+        "q, x, t",
+        [(0.99, 1.0, Truncation(max_terms=64)), (10.0, 1e308, None)],
+        ids=["cap", "overflow"],
+    )
+    def test_raises_the_one_point_error(self, q, x, t):
+        p = QParam(q)
+        with pytest.raises((NonConvergent, OverflowError)) as point:
+            q_digamma(p, x, t)
+        with pytest.raises(point.type, match=re.escape(str(point.value))):
+            q_psi_grid(p, 0, [x], t)
+
+
 class TestPointCheck:
     """The pass checks its points as one array; a bad point raises, for the
     first bad x in pass order, exactly what q_digamma raises for that x."""
