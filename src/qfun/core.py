@@ -53,6 +53,10 @@ _LN_TINY = -745.0
 # the Lambert sums hold x ln q at or above this (_x_ln): below it every
 # term q^{kx} underflows to 0.0, and k x ln q stays finite for any k < 1e304
 _XL_FLOOR = -1e4
+# at y <= this, e^y (4.2e-18 at -40) is under a tenth of half an ulp of 1,
+# so expm1(y) is exactly -1.0 and 1 - p^k exactly 1.0: a block whose terms
+# all have k ln p at or below it skips the expm1 and keeps every bit
+_LN_NEGLIGIBLE = -40.0
 
 _CHUNK_START = 64
 _CHUNK_LIMIT = 65536
@@ -168,7 +172,7 @@ class Truncation:
 DEFAULT_TRUNCATION = Truncation()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalResult:
     """A value, the tail majorant at the stopping index, and the term count.
 
@@ -261,7 +265,7 @@ def _lambert_block(lnp: float, x: float, n: int) -> Callable[..., float]:
     0 < p < 1, ln p = lnp, for _chunk_sum.  Every ufunc works in place.
     Dividing by p^k - 1 and negating the block sum gives the bits of
     dividing by 1 - p^k, since rounding is symmetric in sign, and saves a
-    pass."""
+    pass.  Past _LN_NEGLIGIBLE, p^k - 1 is -1.0 and is not computed."""
     xl = _x_ln(x, lnp)
 
     def block(k: np.ndarray, num: np.ndarray, den: np.ndarray) -> float:
@@ -269,6 +273,9 @@ def _lambert_block(lnp: float, x: float, n: int) -> Callable[..., float]:
         np.exp(num, out=num)
         if n:
             num *= np.power(k, n, out=den)
+        if k[0] * lnp <= _LN_NEGLIGIBLE:
+            # the negated sum of num / -1.0: -0.0 where every term is 0.0
+            return float(np.add.reduce(num)) or -0.0
         np.multiply(k, lnp, out=den)
         num /= np.expm1(den, out=den)
         return -float(np.add.reduce(num))
@@ -369,9 +376,12 @@ def _logprod_tail(lnp: float, base: float, x: float, next_j: int) -> float:
 def _logprod_block(lnp: float, x: float) -> Callable[..., float]:
     """The block function of the sum of ln(1-p^{j+1}) - ln(1-p^{j+x}) over
     j >= 0, 0 < p < 1, ln p = lnp, for _chunk_sum, with j = k - 1, exact.
-    Every ufunc works in place."""
+    Every ufunc works in place.  A block whose (j + 1) ln p and (j + x) ln p
+    are all past _LN_NEGLIGIBLE is ln 1 - ln 1 = 0.0 in every term."""
 
     def block(k: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+        if k[0] * lnp <= _LN_NEGLIGIBLE and (k[0] - 1.0 + x) * lnp <= _LN_NEGLIGIBLE:
+            return 0.0
         np.multiply(k, lnp, out=a)  # (j + 1) ln p
         np.subtract(k, 1.0, out=b)
         b += x

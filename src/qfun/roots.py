@@ -58,7 +58,7 @@ class BracketError(ArithmeticError):
     """Could not enclose a sign change while expanding the search bracket."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZeroResult:
     """Located zero with the residual |psi_q(x0)|, the number of Lambert
     q-digamma evaluations made, and the final bracket."""

@@ -26,6 +26,7 @@ from .core import (
     _CHUNK_LIMIT,
     _CHUNK_START,
     _EM_REACH,
+    _LN_NEGLIGIBLE,
     _LN_TINY,
     _check_psi_order,
     _check_x,
@@ -196,7 +197,8 @@ def _lambert_rows(
     orders = sorted(set(ns.tolist()) - {0})
 
     def chunk(k: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        den = -np.expm1(k * lnp)
+        # past _LN_NEGLIGIBLE every 1 - p^k is 1.0, and dividing is skipped
+        den = None if k[0] * lnp <= _LN_NEGLIGIBLE else -np.expm1(k * lnp)
         # k^n for every order present, made once per chunk while the table
         # is no larger than a block; k^0 = 1 leaves a term's bits as they are
         powers = None
@@ -221,7 +223,8 @@ def _lambert_rows(
                         if n not in made:
                             made[n] = k**n
                         terms[j] *= made[n]
-            terms /= den
+            if den is not None:
+                terms /= den
             return terms
 
         return terms_of
@@ -245,13 +248,22 @@ def _logprod_rows(
     one chunk loop (see _chunk_rows), each row stopping at the target of
     offsets[i] plus its partial, on the core._logprod_tail majorant of its
     x.  The first x that reaches the term cap raises NonConvergent, naming
-    shown_q."""
+    shown_q.  A group of rows whose terms are all ln 1 - ln 1 = 0.0, past
+    _LN_NEGLIGIBLE as in core._logprod_block, gets one column of zeros."""
     xa = np.asarray(xs, dtype=np.float64)
 
     def chunk(k: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         j = k - 1.0  # the j of core._logprod_block, exact
-        log_a = np.log(-np.expm1((j + 1.0) * lnp))
-        return lambda rows: log_a - np.log(-np.expm1(np.add.outer(xa[rows], j) * lnp))
+        past = k[0] * lnp <= _LN_NEGLIGIBLE
+        log_a = 0.0 if past else np.log(-np.expm1((j + 1.0) * lnp))  # past: ln 1 throughout
+
+        def terms_of(rows: np.ndarray) -> np.ndarray:
+            x = xa[rows]
+            if past and (x.min() + j[0]) * lnp <= _LN_NEGLIGIBLE:
+                return np.zeros((rows.size, 1))
+            return log_a - np.log(-np.expm1(np.add.outer(x, j) * lnp))
+
+        return terms_of
 
     def tails(next_j: int, rows: np.ndarray) -> np.ndarray:
         return np.array([_logprod_tail(lnp, base, x, next_j) for x in xa[rows].tolist()])

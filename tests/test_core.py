@@ -5,7 +5,9 @@ frozen here as literals.  Brute-force re-summations inside the tests use
 plain Python loops so they share no code with the implementation.
 """
 
+import copy
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -378,6 +380,17 @@ class TestEvalResult:
         assert isinstance(r, EvalResult)
         assert r.terms > 0
         assert r.err_bound >= 0.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: q_digamma(QParam(0.5), 1.5), lambda: digamma_zero(QParam(0.5))],
+        ids=["EvalResult", "ZeroResult"],
+    )
+    def test_slotted_results_round_trip(self, make):
+        r = make()
+        assert not hasattr(r, "__dict__")
+        for copied in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
+            assert type(copied) is type(r) and copied == r
 
     def test_tighter_tolerance_needs_more_terms(self):
         p = QParam(0.9)

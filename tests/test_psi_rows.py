@@ -30,6 +30,7 @@ from qfun import (
     g_beta_provider,
     inv_digamma_provider,
     ln_gamma_provider,
+    ln_q_gamma,
     log_derivatives,
     make_grid,
     q_digamma,
@@ -214,6 +215,22 @@ class TestBitIdentity:
         prov, _, _, d = providers(QParam(2.0))[name]
         got = prov.d_grid([3, 1], SWEEP_XS)
         assert got.tolist() == [[d(n, x) for x in SWEEP_XS] for n in (3, 1)]
+
+
+    @pytest.mark.parametrize("q", [0.99, 1 / 0.99], ids=["q=0.99", "q=1/0.99"])
+    def test_long_rows_across_the_negligible_threshold(self, q):
+        # sums that run past k |ln q| = 40, from where every kernel takes
+        # 1 - q^k as 1.0 without computing it
+        p = QParam(q)
+        xs = [0.05, 0.3, 2.0, 6.0]
+        reach = -qfun.core._LN_NEGLIGIBLE / abs(math.log(q))
+        for k in (0, 3, 8):
+            want = [one_point(p, k, x) for x in xs]
+            assert min(r.terms for r in want) < reach < max(r.terms for r in want)
+            assert q_psi_grid(p, k, xs) == want, k
+        want = [ln_q_gamma(p, x) for x in xs]
+        assert max(r.terms for r in want) > reach
+        assert EvalContext(p).ln_gamma_grid(xs) == want
 
 
 class TestOneRow:
